@@ -16,7 +16,7 @@ from .errors import (
     UnboundVariable,
 )
 from .finset import FinSetObj, _UnionFind, tuple_label
-from .theories import App, Signature, Term, Var
+from .theories import App, Signature, Term, Var, term_vars
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,9 @@ class Identity:
 
     def __post_init__(self):
         for t in (self.lhs, self.rhs):
-            for v in _vars_of(t):
+            for v in term_vars(t):
                 if v >= self.context:
                     raise InvariantError("identity uses a variable outside its context")
-
-
-def _vars_of(t: Term) -> set[int]:
-    if isinstance(t, Var):
-        return {t.index}
-    out: set[int] = set()
-    for a in t.args:
-        out |= _vars_of(a)
-    return out
 
 
 def satisfies(A: FiniteAlgebra, ident: Identity) -> bool:

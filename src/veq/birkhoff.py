@@ -25,10 +25,9 @@ from .theories import (
     Var,
     congruent,
     match,
-    positions,
     replace_at,
     substitute,
-    subterm_at,
+    subterms,
     term_size,
 )
 
@@ -144,8 +143,7 @@ def _normal_form(t: Term, rules: list[tuple[Term, Term]]) -> Term:
     changed = True
     while changed:
         changed = False
-        for pos in positions(t):
-            sub = subterm_at(t, pos)
+        for pos, sub in subterms(t):
             for big, small in rules:
                 s = match(big, sub)
                 if s is not None:

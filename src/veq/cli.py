@@ -6,7 +6,8 @@ when a series window is part of the answer. Records are byte-stable for a
 given workspace and command. Exit codes: 0 for a positive result, 1 for a
 domain-level negative (not a solution, not provable within budget, Nonzero,
 no HSP membership within bounds), 2 for parse, resolution, or argument
-errors, 3 for a broken internal invariant.
+errors (a budget that is not a positive integer among them), 3 for a broken
+internal invariant or any other crash, reported as one line.
 """
 
 from __future__ import annotations
@@ -460,6 +461,14 @@ HANDLERS = {
 }
 
 
+def _internal_error(e: Exception) -> int:
+    """Report a crash as one line with exit 3, never as a domain answer."""
+    detail = " ".join(str(e).split())
+    print(f"veq: internal error: {type(e).__name__}" + (f": {detail}" if detail else ""),
+          file=sys.stderr)
+    return 3
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="veq",
@@ -481,8 +490,16 @@ def main(argv=None) -> int:
     ap.add_argument("--vars", type=int, default=2,
                     help="variable count for identity or free algebra search")
     opts = ap.parse_args(argv)
-    if opts.budget is None:
-        opts.budget = int(os.environ.get("VEQ_BUDGET", "10000"))
+    source, raw = (("--budget", opts.budget) if opts.budget is not None
+                   else ("VEQ_BUDGET", os.environ.get("VEQ_BUDGET", "10000")))
+    try:
+        opts.budget = int(raw)
+    except ValueError:
+        opts.budget = 0
+    if opts.budget <= 0:
+        print(f"veq: usage: {source} must be a positive integer, not {raw!r}",
+              file=sys.stderr)
+        return 2
 
     handler = HANDLERS.get(opts.verb)
     if handler is None:
@@ -495,6 +512,11 @@ def main(argv=None) -> int:
     except (ParseError, ResolutionError, InvariantError) as e:
         print(f"veq: {e}", file=sys.stderr)
         return 2
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"veq: cannot read workspace: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:
+        return _internal_error(e)
 
     try:
         status, payload, precision, code, human = handler(ws, opts.args, opts)
@@ -507,6 +529,8 @@ def main(argv=None) -> int:
     except VeqError as e:
         print(f"veq: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        return _internal_error(e)
 
     if opts.json_mode:
         record = {"verb": opts.verb, "status": status, "payload": payload}

@@ -4,6 +4,18 @@ Theories are finite presentations (signature + axiom pairs). Congruence of two
 terms is only ever semi-decided: Provable comes with a replayable certificate,
 everything else is Unknown. Theory morphisms fix objects (the skeletal
 one-sorted setting) and are determined by symbol images.
+
+Terms are immutable and carry their hash, size and variable set, computed
+once from their arguments when they are built, so term_size, term_vars and
+hashing never re-walk a term. Their repr and hash are those of the plain
+frozen dataclasses: repr breaks ties when identities are sorted, and hash
+fixes set iteration order. Term walkers keep their own stack instead of
+recursing, so terms of any depth can be printed, substituted and rewritten.
+
+The order in which proof search generates successors (positions in
+preorder; at each position axioms in order, forward before backward) is part
+of the certificate contract: it fixes which certificate congruent() finds
+and its expansion count.
 """
 
 from __future__ import annotations
@@ -13,23 +25,97 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetInvalid, InvariantError, NotParallel, SignatureMismatch, SourceMismatch
 
+# the variable sets of x0..x63, shared by every Var with such an index
+_SINGLETONS = tuple(frozenset((i,)) for i in range(64))
+_NO_VARS: frozenset[int] = frozenset()
+# a term's depth is below its size, so terms up to this size compare
+# argument tuples recursively, well inside the interpreter's recursion limit
+_RECURSION_SAFE_SIZE = 128
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Var:
     index: int
+    _hash: int = field(init=False, repr=False, compare=False)
+    _size: int = field(init=False, repr=False, compare=False)
+    _vars: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.index < 0:
+        i = self.index
+        if i < 0:
             raise InvariantError("variable indices are naturals")
+        _set_var_hash(self, hash((i,)))
+        _set_var_size(self, 1)
+        _set_var_vars(self, _SINGLETONS[i] if i < len(_SINGLETONS) else frozenset((i,)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     symbol: str
     args: tuple = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+    _size: int = field(init=False, repr=False, compare=False)
+    _vars: frozenset[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        size = 1
+        vs = _NO_VARS
+        for a in self.args:
+            size += a._size
+            av = a._vars
+            if not av <= vs:
+                # share an argument's set when it holds all the others
+                vs = av if vs <= av else vs | av
+        _set_app_hash(self, hash((self.symbol, self.args)))
+        _set_app_size(self, size)
+        _set_app_vars(self, vs)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        if self._size <= _RECURSION_SAFE_SIZE:
+            return self.symbol == other.symbol and self.args == other.args
+        # an explicit stack, so that deep terms compare without recursion
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.symbol != b.symbol or len(a.args) != len(b.args):
+                return False
+            for u, v in zip(a.args, b.args):
+                if u is v:
+                    continue
+                if u._hash != v._hash or u.__class__ is not v.__class__:
+                    return False
+                if u.__class__ is App:
+                    stack.append((u, v))
+                elif u.index != v.index:
+                    return False
+        return True
+
+    def __hash__(self):
+        return self._hash
 
 
 Term = Var | App
+
+# slot setters fill the cached fields of the frozen terms; they cost less
+# per call than object.__setattr__
+_set_var_hash, _set_var_size, _set_var_vars = (
+    Var.__dict__[f].__set__ for f in ("_hash", "_size", "_vars"))
+_set_app_hash, _set_app_size, _set_app_vars = (
+    App.__dict__[f].__set__ for f in ("_hash", "_size", "_vars"))
 
 
 @dataclass(frozen=True)
@@ -55,48 +141,90 @@ class Signature:
         return any(n == symbol for n, _ in self.ops)
 
 
+def subterms(t: Term):
+    """(position, subterm) pairs in preorder."""
+    stack = [((), t)]
+    while stack:
+        pos, u = stack.pop()
+        yield pos, u
+        if u.__class__ is App:
+            args = u.args
+            for i in range(len(args) - 1, -1, -1):
+                stack.append((pos + (i,), args[i]))
+
+
+def _fold(t: Term, leaf, node):
+    """Bottom-up fold: leaf(u) is u's value, or None to take
+    node(u, argument values) instead."""
+    values: list = []
+    todo = [(t, False)]
+    while todo:
+        u, ready = todo.pop()
+        if ready:
+            k = len(values) - len(u.args)
+            value = node(u, values[k:])
+            del values[k:]
+            values.append(value)
+            continue
+        value = leaf(u)
+        if value is not None:
+            values.append(value)
+        else:
+            todo.append((u, True))
+            todo.extend((a, False) for a in reversed(u.args))
+    return values[0]
+
+
 def check_term(sig: Signature, t: Term, context: int | None = None) -> None:
     """Validate arities (and variable bounds when a context size is given)."""
-    if isinstance(t, Var):
-        if context is not None and t.index >= context:
-            raise InvariantError(f"variable {t.index} outside context of size {context}")
-        return
-    if sig.arity(t.symbol) != len(t.args):
-        raise SignatureMismatch(f"{t.symbol!r} applied to {len(t.args)} arguments")
-    for a in t.args:
-        check_term(sig, a, context)
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is Var:
+            if context is not None and u.index >= context:
+                raise InvariantError(f"variable {u.index} outside context of size {context}")
+            continue
+        if sig.arity(u.symbol) != len(u.args):
+            raise SignatureMismatch(f"{u.symbol!r} applied to {len(u.args)} arguments")
+        stack.extend(u.args)
 
 
-def term_vars(t: Term) -> set[int]:
-    if isinstance(t, Var):
-        return {t.index}
-    out: set[int] = set()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
+def term_vars(t: Term) -> frozenset[int]:
+    return t._vars
 
 
 def term_size(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
+    return t._size
 
 
 def term_depth(t: Term) -> int:
     """Height: variables 0, applications 1 + max over arguments."""
-    if isinstance(t, Var):
-        return 0
-    return 1 + max((term_depth(a) for a in t.args), default=0)
+    return _fold(
+        t, lambda u: 0 if isinstance(u, Var) else None,
+        lambda u, depths: 1 + max(depths, default=0))
 
 
 def print_term(t: Term, names: list[str] | None = None) -> str:
-    if isinstance(t, Var):
-        if names is not None and t.index < len(names):
-            return names[t.index]
-        return f"x{t.index}"
-    if not t.args:
-        return t.symbol
-    return t.symbol + "(" + ",".join(print_term(a, names) for a in t.args) + ")"
+    out = []
+    # pending terms and punctuation, next to print on top
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is str:
+            out.append(u)
+        elif u.__class__ is Var:
+            i = u.index
+            out.append(names[i] if names is not None and i < len(names) else f"x{i}")
+        elif not u.args:
+            out.append(u.symbol)
+        else:
+            out.append(u.symbol + "(")
+            stack.append(")")
+            for i in range(len(u.args) - 1, 0, -1):
+                stack.append(u.args[i])
+                stack.append(",")
+            stack.append(u.args[0])
+    return "".join(out)
 
 
 # -- substitution ------------------------------------------------------------
@@ -105,10 +233,35 @@ Substitution = dict[int, Term]
 
 
 def substitute(t: Term, s: Substitution) -> Term:
-    """Simultaneous substitution; variables outside s are untouched."""
-    if isinstance(t, Var):
-        return s.get(t.index, t)
-    return App(t.symbol, tuple(substitute(a, s) for a in t.args))
+    """Simultaneous substitution; variables outside s are untouched, and
+    subterms without a variable in s are shared, not copied."""
+    if t._vars.isdisjoint(s):
+        return t
+    if t.__class__ is Var:
+        return s[t.index]
+    # frames of (application, its rebuilt arguments so far)
+    stack = [(t, [])]
+    while True:
+        u, built = stack[-1]
+        args = u.args
+        i = len(built)
+        while i < len(args):
+            a = args[i]
+            if a.__class__ is Var:
+                built.append(s.get(a.index, a))
+            elif a._vars.isdisjoint(s):
+                built.append(a)
+            else:
+                break
+            i += 1
+        if i < len(args):
+            stack.append((args[i], []))
+            continue
+        stack.pop()
+        new = App(u.symbol, tuple(built))
+        if not stack:
+            return new
+        stack[-1][1].append(new)
 
 
 def compose_subst(first: Substitution, then: Substitution) -> Substitution:
@@ -135,7 +288,7 @@ def unify(t1: Term, t2: Term) -> Substitution | None:
         if a == b:
             continue
         if isinstance(a, Var):
-            if a.index in term_vars(b):
+            if a.index in b._vars:
                 return None
             bind = {a.index: b}
             subst = {v: substitute(t, bind) for v, t in subst.items()}
@@ -155,14 +308,14 @@ def match(pattern: Term, subject: Term) -> Substitution | None:
     stack = [(pattern, subject)]
     while stack:
         p, s = stack.pop()
-        if isinstance(p, Var):
+        if p.__class__ is Var:
             if p.index in binding:
                 if binding[p.index] != s:
                     return None
             else:
                 binding[p.index] = s
         else:
-            if not isinstance(s, App) or s.symbol != p.symbol or len(s.args) != len(p.args):
+            if s.__class__ is not App or s.symbol != p.symbol or len(s.args) != len(p.args):
                 return None
             stack.extend(zip(p.args, s.args))
     return binding
@@ -194,7 +347,7 @@ class Budget:
             raise BudgetInvalid("budget limits must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofStep:
     """One rewrite: an axiom instance applied at a position.
 
@@ -228,47 +381,57 @@ def subterm_at(t: Term, pos: tuple[int, ...]) -> Term:
 
 
 def replace_at(t: Term, pos: tuple[int, ...], new: Term) -> Term:
-    if not pos:
-        return new
-    if not isinstance(t, App):
-        raise InvariantError(f"position {pos} does not exist")
-    i = pos[0]
-    args = list(t.args)
-    args[i] = replace_at(args[i], pos[1:], new)
-    return App(t.symbol, tuple(args))
+    spine = []
+    for i in pos:
+        if not isinstance(t, App) or i >= len(t.args):
+            raise InvariantError(f"position {pos} does not exist")
+        spine.append((t, i))
+        t = t.args[i]
+    for parent, i in reversed(spine):
+        args = parent.args
+        new = App(parent.symbol, args[:i] + (new,) + args[i + 1:])
+    return new
 
 
-def positions(t: Term):
-    """All positions in preorder."""
-    yield ()
-    if isinstance(t, App):
-        for i, a in enumerate(t.args):
-            for rest in positions(a):
-                yield (i,) + rest
+def _rule_table(theory: TheoryPresentation):
+    """The (axiom, direction) rules proof search may apply, worked out once
+    per search, as (rules for a variable subterm, rules by head symbol).
 
-
-def _one_step_rewrites(theory: TheoryPresentation, t: Term, max_size: int):
-    """Deterministic successor enumeration: (new term, step).
-
-    Steps that would introduce variables absent from the matched side are
-    skipped; they need instantiation guessing. The bidirectional search in
-    congruent() recovers them from the opposite endpoint, where the same
-    axiom application is variable-dropping.
+    Each list keeps successor order: axioms in order, forward before
+    backward. A direction that would introduce variables absent from the
+    matched side is left out; it needs instantiation guessing. The
+    bidirectional search in congruent() recovers it from the opposite
+    endpoint, where the same axiom application is variable-dropping.
     """
-    for pos in positions(t):
-        sub = subterm_at(t, pos)
-        for i, (lhs, rhs) in enumerate(theory.axioms):
-            for forward, (src, dst) in ((True, (lhs, rhs)), (False, (rhs, lhs))):
-                if not term_vars(dst) <= term_vars(src):
-                    continue
-                binding = match(src, sub)
-                if binding is None:
-                    continue
-                new = replace_at(t, pos, substitute(dst, binding))
-                if term_size(new) > max_size:
-                    continue
-                step = ProofStep(pos, i, tuple(sorted(binding.items())), forward)
-                yield new, step
+    rules = [
+        (i, forward, src, dst)
+        for i, (lhs, rhs) in enumerate(theory.axioms)
+        for forward, src, dst in ((True, lhs, rhs), (False, rhs, lhs))
+        if dst._vars <= src._vars
+    ]
+    any_head = [r for r in rules if r[2].__class__ is Var]
+    heads = {r[2].symbol for r in rules if r[2].__class__ is App}
+    by_head = {
+        h: [r for r in rules if r[2].__class__ is Var or r[2].symbol == h] for h in heads
+    }
+    return any_head, by_head
+
+
+def _one_step_rewrites(table, t: Term, max_size: int):
+    """Deterministic successor enumeration under a _rule_table: (new term, step)."""
+    any_head, by_head = table
+    slack = max_size - t._size
+    for pos, sub in subterms(t):
+        rules = any_head if sub.__class__ is Var else by_head.get(sub.symbol, any_head)
+        for i, forward, src, dst in rules:
+            binding = match(src, sub)
+            if binding is None:
+                continue
+            instance = substitute(dst, binding)
+            if instance._size - sub._size > slack:
+                continue
+            step = ProofStep(pos, i, tuple(sorted(binding.items())), forward)
+            yield replace_at(t, pos, instance), step
 
 
 def _invert(step: ProofStep) -> ProofStep:
@@ -293,6 +456,7 @@ def congruent(
     sides = ({lhs: None}, {rhs: None})
     frontiers = (deque([lhs]), deque([rhs]))
     expansions = 0
+    table = _rule_table(theory)
 
     def build(meeting: Term) -> tuple[ProofStep, ...]:
         fwd = []
@@ -316,7 +480,7 @@ def congruent(
             side = 1 - side
         current = frontiers[side].popleft()
         expansions += 1
-        for new, step in _one_step_rewrites(theory, current, budget.max_term_size):
+        for new, step in _one_step_rewrites(table, current, budget.max_term_size):
             if new in sides[side]:
                 continue
             sides[side][new] = (current, step)
@@ -369,10 +533,10 @@ class TheoryMorphismData:
         raise SignatureMismatch(f"no image for {symbol!r}")
 
     def apply(self, t: Term) -> Term:
-        if isinstance(t, Var):
-            return t
-        translated = tuple(self.apply(a) for a in t.args)
-        return substitute(self.image_of(t.symbol), dict(enumerate(translated)))
+        return _fold(
+            t, lambda u: u if isinstance(u, Var) else None,
+            lambda u, translated: substitute(
+                self.image_of(u.symbol), dict(enumerate(translated))))
 
 
 def identity_morphism(T: TheoryPresentation) -> TheoryMorphismData:

@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -145,3 +146,51 @@ def test_multiple_workspace_files(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert '"status": "zero-within-precision"' in out
+
+
+def test_unify_deep_term(capsys):
+    deep = "x"
+    for _ in range(400):
+        deep = f"f({deep})"
+    code = cli.main(["unify", deep, "y", "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["payload"]["substitution"] == {"y": deep}
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_budget_env_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("VEQ_BUDGET", value)
+    code = cli.main(["decide", "Mon", "m(x,y)", "m(y,x)", "--json",
+                     "-f", "corpus/theories.veq"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"veq: usage: VEQ_BUDGET must be a positive integer, not {value!r}\n"
+
+
+def test_nonpositive_budget_flag_is_usage_error(capsys):
+    code = cli.main(["decide", "Mon", "m(x,y)", "m(y,x)", "--budget", "0",
+                     "-f", "corpus/theories.veq"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.count("\n") == 1 and "--budget" in captured.err
+
+
+def test_unreadable_workspace_is_usage_error(tmp_path, capsys):
+    code = cli.main(["solve", "E", "-f", str(tmp_path / "missing.veq")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("veq: cannot read workspace:")
+
+
+def test_crash_in_handler_is_internal_error(monkeypatch, capsys):
+    def crash(ws, args, opts):
+        raise ZeroDivisionError("division by zero\nin a handler")
+
+    monkeypatch.setitem(cli.HANDLERS, "solve", crash)
+    code = cli.main(["solve", "E", "--json", "-f", "corpus/finset.veq"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "veq: internal error: ZeroDivisionError: division by zero in a handler\n"

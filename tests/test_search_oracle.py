@@ -1,0 +1,285 @@
+"""The proof search against the recursive term walkers it replaced.
+
+Terms now cache their hash, size and variables, and congruent() works out
+its rewrite rules once per search. The functions below are the earlier
+implementation, kept verbatim as an oracle: the fast path must produce the
+same successors in the same order, hence the same certificates and
+expansion counts.
+"""
+
+import itertools
+import os
+import random
+from collections import deque
+from dataclasses import dataclass
+
+import pytest
+
+from veq import birkhoff, dsl
+from veq import theories as th
+from veq.algebras import make_algebra
+from veq.theories import App, Budget, ProofStep, Signature, TheoryPresentation, Var
+
+
+# -- the earlier implementation ------------------------------------------------
+
+def slow_term_vars(t):
+    if isinstance(t, Var):
+        return {t.index}
+    out = set()
+    for a in t.args:
+        out |= slow_term_vars(a)
+    return out
+
+
+def slow_term_size(t):
+    if isinstance(t, Var):
+        return 1
+    return 1 + sum(slow_term_size(a) for a in t.args)
+
+
+def slow_substitute(t, s):
+    if isinstance(t, Var):
+        return s.get(t.index, t)
+    return App(t.symbol, tuple(slow_substitute(a, s) for a in t.args))
+
+
+def slow_match(pattern, subject):
+    binding = {}
+    stack = [(pattern, subject)]
+    while stack:
+        p, s = stack.pop()
+        if isinstance(p, Var):
+            if p.index in binding:
+                if binding[p.index] != s:
+                    return None
+            else:
+                binding[p.index] = s
+        else:
+            if not isinstance(s, App) or s.symbol != p.symbol or len(s.args) != len(p.args):
+                return None
+            stack.extend(zip(p.args, s.args))
+    return binding
+
+
+def slow_replace_at(t, pos, new):
+    if not pos:
+        return new
+    i = pos[0]
+    args = list(t.args)
+    args[i] = slow_replace_at(args[i], pos[1:], new)
+    return App(t.symbol, tuple(args))
+
+
+def slow_positions(t):
+    yield ()
+    if isinstance(t, App):
+        for i, a in enumerate(t.args):
+            for rest in slow_positions(a):
+                yield (i,) + rest
+
+
+def slow_one_step_rewrites(theory, t, max_size):
+    for pos in slow_positions(t):
+        sub = th.subterm_at(t, pos)
+        for i, (lhs, rhs) in enumerate(theory.axioms):
+            for forward, (src, dst) in ((True, (lhs, rhs)), (False, (rhs, lhs))):
+                if not slow_term_vars(dst) <= slow_term_vars(src):
+                    continue
+                binding = slow_match(src, sub)
+                if binding is None:
+                    continue
+                new = slow_replace_at(t, pos, slow_substitute(dst, binding))
+                if slow_term_size(new) > max_size:
+                    continue
+                step = ProofStep(pos, i, tuple(sorted(binding.items())), forward)
+                yield new, step
+
+
+def slow_congruent(theory, lhs, rhs, budget):
+    if lhs == rhs:
+        return th.CongruenceResult("provable", (), 0)
+    sides = ({lhs: None}, {rhs: None})
+    frontiers = (deque([lhs]), deque([rhs]))
+    expansions = 0
+
+    def build(meeting):
+        fwd = []
+        cur = meeting
+        while sides[0][cur] is not None:
+            prev, step = sides[0][cur]
+            fwd.append(step)
+            cur = prev
+        fwd.reverse()
+        back = []
+        cur = meeting
+        while sides[1][cur] is not None:
+            prev, step = sides[1][cur]
+            back.append(ProofStep(step.position, step.axiom, step.subst, not step.forward))
+            cur = prev
+        return tuple(fwd + back)
+
+    while expansions < budget.steps and (frontiers[0] or frontiers[1]):
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) and frontiers[0] else 1
+        if not frontiers[side]:
+            side = 1 - side
+        current = frontiers[side].popleft()
+        expansions += 1
+        for new, step in slow_one_step_rewrites(theory, current, budget.max_term_size):
+            if new in sides[side]:
+                continue
+            sides[side][new] = (current, step)
+            if new in sides[1 - side]:
+                return th.CongruenceResult("provable", build(new), expansions)
+            frontiers[side].append(new)
+    return th.CongruenceResult("unknown", None, expansions)
+
+
+# -- inputs ------------------------------------------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture(scope="module")
+def word_theories():
+    ws = dsl.parse_files([os.path.join(ROOT, "corpus", "theories.veq")])
+    return {name: ws.get("theory", name) for name in ("Mon", "CMon")}
+
+
+def random_word_term(rng, size):
+    """A random m/e term with about `size` leaves over variables 0..3."""
+    if size <= 1:
+        return App("e") if rng.random() < 0.15 else Var(rng.randrange(4))
+    cut = rng.randrange(1, size)
+    return App("m", (random_word_term(rng, cut), random_word_term(rng, size - cut)))
+
+
+def bracket(rng, word):
+    """A random bracketing of a word of variables."""
+    if len(word) == 1:
+        return Var(word[0])
+    cut = rng.randrange(1, len(word))
+    return App("m", (bracket(rng, word[:cut]), bracket(rng, word[cut:])))
+
+
+BIN = Signature((("m", 2),))
+
+
+def two_element_tables():
+    for flat in itertools.product((0, 1), repeat=4):
+        table = {(a, b): "pq"[flat[2 * "pq".index(a) + "pq".index(b)]]
+                 for a in "pq" for b in "pq"}
+        yield make_algebra("A", BIN, ("p", "q"), {"m": table})
+
+
+def derived_theories():
+    """The identity bases of all 16 two-element tables, each with the
+    candidate pairs identities_of tested against it."""
+    out = []
+    for A in two_element_tables():
+        kept = birkhoff.identities_of(A, 2, 2, budget=20)
+        theory = TheoryPresentation("derived", BIN, tuple((i.lhs, i.rhs) for i in kept))
+        candidates = birkhoff.identities_of(A, 2, 2, raw=True)
+        out.append((theory, [(i.lhs, i.rhs) for i in candidates]))
+    return out
+
+
+def successors(theory, t, max_size):
+    return list(th._one_step_rewrites(th._rule_table(theory), t, max_size))
+
+
+def assert_same_search(theory, lhs, rhs, steps):
+    budget = Budget(steps=steps)
+    fast = th.congruent(theory, lhs, rhs, budget)
+    slow = slow_congruent(theory, lhs, rhs, budget)
+    assert fast == slow
+    if fast.provable:
+        assert th.replay_certificate(theory, lhs, rhs, fast.certificate)
+
+
+# -- tests -------------------------------------------------------------------
+
+def test_cached_facts_match_recursive_walks():
+    rng = random.Random(7)
+    for _ in range(300):
+        t = random_word_term(rng, rng.randrange(1, 12))
+        assert th.term_size(t) == slow_term_size(t)
+        assert th.term_vars(t) == slow_term_vars(t)
+        assert [(p, th.subterm_at(t, p)) for p in slow_positions(t)] == list(th.subterms(t))
+        s = {v: random_word_term(rng, 3) for v in range(4) if rng.random() < 0.5}
+        assert th.substitute(t, s) == slow_substitute(t, s)
+        for pos in slow_positions(t):
+            new = random_word_term(rng, 2)
+            assert th.replace_at(t, pos, new) == slow_replace_at(t, pos, new)
+
+
+@pytest.mark.parametrize("name", ["Mon", "CMon"])
+@pytest.mark.parametrize("max_size", [7, 64])
+def test_word_successors_match_oracle(word_theories, name, max_size):
+    T = word_theories[name]
+    rng = random.Random(20231007)
+    for _ in range(150):
+        t = random_word_term(rng, rng.randrange(1, 9))
+        assert successors(T, t, max_size) == list(slow_one_step_rewrites(T, t, max_size))
+
+
+@pytest.mark.parametrize("name", ["Mon", "CMon"])
+def test_word_searches_match_oracle(word_theories, name):
+    T = word_theories[name]
+    rng = random.Random(1)
+    for _ in range(8):
+        word = [rng.randrange(4) for _ in range(rng.randrange(2, 5))]
+        other = list(word)
+        rng.shuffle(other)
+        lhs = bracket(rng, word)
+        rhs = App("m", (App("e"), bracket(rng, other)))
+        for steps in (20, 100, 200):
+            assert_same_search(T, lhs, rhs, steps)
+
+
+def test_derived_theories_match_oracle():
+    rng = random.Random(3)
+    for theory, candidates in derived_theories():
+        terms = {t for pair in candidates for t in pair}
+        for t in sorted(terms, key=repr):
+            assert successors(theory, t, 64) == list(slow_one_step_rewrites(theory, t, 64))
+        for lhs, rhs in rng.sample(candidates, min(2, len(candidates))):
+            for steps in (20, 100, 200):
+                assert_same_search(theory, lhs, rhs, steps)
+
+
+# -- repr and hash are those of the plain frozen dataclasses --------------------
+
+@dataclass(frozen=True)
+class PlainVar:
+    index: int
+
+
+@dataclass(frozen=True)
+class PlainApp:
+    symbol: str
+    args: tuple = ()
+
+
+def plain(t):
+    if isinstance(t, Var):
+        return PlainVar(t.index)
+    return PlainApp(t.symbol, tuple(plain(a) for a in t.args))
+
+
+def test_repr_and_hash_match_plain_dataclass():
+    assert repr(Var(3)) == "Var(index=3)"
+    assert repr(App("m", (Var(0), App("e")))) == \
+        "App(symbol='m', args=(Var(index=0), App(symbol='e', args=())))"
+    assert hash(Var(3)) == hash((3,))
+    assert hash(App("e")) == hash(("e", ()))
+    rng = random.Random(11)
+    terms = [random_word_term(rng, rng.randrange(1, 10)) for _ in range(200)]
+    for t in terms:
+        p = plain(t)
+        assert repr(t) == repr(p).replace("PlainVar(", "Var(").replace("PlainApp(", "App(")
+        assert hash(t) == hash(p)
+        if isinstance(t, App):
+            assert hash(t) == hash((t.symbol, t.args))
+    # hash fixes set iteration order, which the plain terms reproduce
+    assert [plain(t) for t in set(terms)] == list(set(map(plain, terms)))

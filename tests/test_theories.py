@@ -270,3 +270,29 @@ def test_term_validation():
         th.check_term(MONOID.signature, App("mul", (x,)))
     with pytest.raises(SignatureMismatch):
         th.check_term(MONOID.signature, App("nosuch"))
+
+
+def test_deep_terms_walk_without_recursion():
+    depth = 5000
+    deep, twin = x, x
+    for _ in range(depth):
+        deep, twin = App("f", (deep,)), App("f", (twin,))
+    assert deep == twin and hash(deep) == hash(twin)
+    assert th.term_size(deep) == depth + 1 and th.term_depth(deep) == depth
+    assert th.term_vars(deep) == {0}
+    assert th.print_term(deep) == "f(" * depth + "x0" + ")" * depth
+    assert th.substitute(deep, {0: y}) == th.substitute(twin, {0: y}) != deep
+    bottom = (0,) * depth
+    assert th.subterm_at(th.replace_at(deep, bottom, E), bottom) == E
+    assert sum(1 for _ in th.subterms(deep)) == depth + 1
+    th.check_term(Signature((("f", 1),)), deep)
+    assert th.unify(deep, y) == {1: deep}
+    assert th.unify(deep, th.substitute(twin, {0: y})) == {0: y}
+
+
+def test_large_variable_index():
+    big = Var(10**12)
+    t = App("f", (big, x))
+    assert th.term_vars(t) == {0, 10**12}
+    assert th.substitute(t, {10**12: y}) == App("f", (y, x))
+    assert th.unify(t, App("f", (x, x))) == {10**12: x}

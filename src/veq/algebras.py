@@ -169,10 +169,6 @@ class AlgHom:
     def is_surjective(self) -> bool:
         return set(self.table) == set(self.cod.carrier.elements)
 
-    def image(self) -> tuple[str, ...]:
-        seen = set(self.table)
-        return tuple(x for x in self.cod.carrier.elements if x in seen)
-
 
 def alg_hom(dom: FiniteAlgebra, cod: FiniteAlgebra, mapping: dict[str, str]) -> AlgHom:
     return AlgHom(dom, cod, tuple(mapping[x] for x in dom.carrier.elements))

@@ -15,6 +15,8 @@ from .algebras import FiniteAlgebra, Identity
 from .equations import CoEquationSystem, Equation, EquationSystem, general_cosolution, general_solution
 from .errors import BoundsTooLarge, ElementNotInG, SignatureMismatch
 from .finset import FinSetObj, SubobjectMono, fin_function, tuple_label
+# the group-algebra bridge lives in groups; callers may keep importing it here
+from .groups import GROUP_SIG, algebra_to_group, group_to_algebra  # noqa: F401
 from .instances import FinGrpCat
 from .theories import (
     App,
@@ -31,32 +33,7 @@ from .theories import (
     term_size,
 )
 
-GROUP_SIG = Signature((("mul", 2), ("inv", 1), ("e", 0)))
-
 _GRP_CAT = FinGrpCat()
-
-
-def group_to_algebra(G: grp.Group) -> FiniteAlgebra:
-    """The Cayley-table group as an algebra over {mul, inv, e}."""
-    return alg.make_algebra(
-        G.name,
-        GROUP_SIG,
-        G.elements,
-        {"mul": G.mul, "inv": G.inverse, "e": G.identity},
-    )
-
-
-def algebra_to_group(A: FiniteAlgebra) -> grp.Group:
-    """Read a group back off a {mul, inv, e} algebra; the Group constructor
-    re-checks every axiom.
-    """
-    if A.signature != GROUP_SIG:
-        raise SignatureMismatch("expected the group signature {mul, inv, e}")
-    mul = A.tables["mul"]
-    table = tuple(
-        tuple(mul[(a, b)] for b in A.carrier.elements) for a in A.carrier.elements
-    )
-    return grp.Group(A.name, A.carrier.elements, table)
 
 
 # -- term enumeration ------------------------------------------------------

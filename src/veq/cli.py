@@ -6,8 +6,9 @@ when a series window is part of the answer. Records are byte-stable for a
 given workspace and command. Exit codes: 0 for a positive result, 1 for a
 domain-level negative (not a solution, not provable within budget, Nonzero,
 no HSP membership within bounds), 2 for parse, resolution, or argument
-errors (a budget that is not a positive integer among them), 3 for a broken
-internal invariant or any other crash, reported as one line.
+errors (a budget, --kmax or --prec below 1 and a --vars or --depth below 0
+among them), 3 for a broken internal invariant or any other crash, reported
+as one line.
 """
 
 from __future__ import annotations
@@ -500,6 +501,13 @@ def main(argv=None) -> int:
         print(f"veq: usage: {source} must be a positive integer, not {raw!r}",
               file=sys.stderr)
         return 2
+    for flag, value, least in (("--kmax", opts.kmax, 1), ("--prec", opts.prec, 1),
+                               ("--vars", opts.vars, 0), ("--depth", opts.depth, 0)):
+        if value is not None and value < least:
+            kind = "a positive" if least else "a non-negative"
+            print(f"veq: usage: {flag} must be {kind} integer, not {value!r}",
+                  file=sys.stderr)
+            return 2
 
     handler = HANDLERS.get(opts.verb)
     if handler is None:

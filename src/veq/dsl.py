@@ -236,17 +236,37 @@ class _Parser:
         return out
 
     def term(self, mode: str, reg: dict[str, int]) -> Term:
-        name = self._name("a term")
-        if self.at("LPAREN"):
-            self.eat()
-            args = []
-            if not self.at("RPAREN"):
-                args.append(self.term(mode, reg))
-                while self.at("COMMA"):
+        """One term, left to right, with an explicit stack of the
+        applications still open, so nesting depth is not bounded by Python's
+        recursion limit. Variables are numbered in order of first appearance.
+        """
+        open_apps: list[tuple[str, list[Term]]] = []
+        while True:
+            name = self._name("a term")
+            if self.at("LPAREN"):
+                self.eat()
+                if not self.at("RPAREN"):
+                    open_apps.append((name, []))
+                    continue
+                self.eat()
+                done = App(name, ())
+            else:
+                done = self._leaf(name, mode, reg)
+            # hand the finished term to the innermost open application,
+            # closing every application that ends right after it
+            while open_apps:
+                head, args = open_apps[-1]
+                args.append(done)
+                if self.at("COMMA"):
                     self.eat()
-                    args.append(self.term(mode, reg))
-            self.expect("RPAREN")
-            return App(name, tuple(args))
+                    break
+                self.expect("RPAREN")
+                open_apps.pop()
+                done = App(head, tuple(args))
+            else:
+                return done
+
+    def _leaf(self, name: str, mode: str, reg: dict[str, int]) -> Term:
         if mode == "indexed":
             m = re.fullmatch(r"x([0-9]+)", name)
             if m:

@@ -185,17 +185,6 @@ def act(E: EquationSystem, g) -> EquationSystem:
     )
 
 
-def act_cosystem(E: CoEquationSystem, g) -> CoEquationSystem:
-    """Post-compose every equation with g (dual action)."""
-    cat = E.category
-    if not cat.objects_equal(cat.source(g), E.codomain):
-        raise TargetMismatch("action morphism must start at the cosystem's codomain")
-    return CoEquationSystem(
-        cat,
-        tuple(Equation(cat.compose(g, eq.lhs), cat.compose(g, eq.rhs)) for eq in E.equations),
-    )
-
-
 @dataclass(frozen=True)
 class LeqResult:
     holds: bool

@@ -1,13 +1,22 @@
 """Finite groups as Cayley tables, homomorphisms, quotients, and a validated
-corpus of the groups of order up to 16 used throughout the test suites."""
+corpus of the groups of order up to 16 used throughout the test suites.
+
+A group is also an algebra over the signature {mul, inv, e}; subgroup
+closure, normal closure and quotients are taken in that algebra, where the
+congruences are exactly the partitions into cosets of normal subgroups.
+"""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import CodMismatch, ElementNotInG, InvariantError
+from . import algebras as alg
+from .errors import CodMismatch, ElementNotInG, InvariantError, SignatureMismatch
+from .theories import Signature
+
+GROUP_SIG = Signature((("mul", 2), ("inv", 1), ("e", 0)))
 
 
 @dataclass(frozen=True)
@@ -15,6 +24,9 @@ class Group:
     name: str
     elements: tuple[str, ...]
     table: tuple[tuple[str, ...], ...]  # table[i][j] = elements[i] * elements[j]
+    # derived once on construction; not part of equality, hash or repr
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    identity: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.elements)
@@ -22,7 +34,8 @@ class Group:
             raise InvariantError("duplicate element labels")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise InvariantError("table shape mismatch")
-        idx = self._index
+        idx = {x: i for i, x in enumerate(self.elements)}
+        object.__setattr__(self, "_index", idx)
         for row in self.table:
             for v in row:
                 if v not in idx:
@@ -37,6 +50,7 @@ class Group:
                 break
         if e is None:
             raise InvariantError("no identity element")
+        object.__setattr__(self, "identity", e)
         # inverses
         for i, a in enumerate(self.elements):
             if e not in self.table[i]:
@@ -49,31 +63,16 @@ class Group:
                     if self.table[ij][k] != self.table[i][idx[self.table[j][k]]]:
                         raise InvariantError("associativity fails")
 
-    @property
-    def _index(self) -> dict[str, int]:
-        return {x: i for i, x in enumerate(self.elements)}
-
     def mul(self, a: str, b: str) -> str:
         idx = self._index
         if a not in idx or b not in idx:
             raise ElementNotInG(f"{a!r} or {b!r} not in {self.name}")
         return self.table[idx[a]][idx[b]]
 
-    @property
-    def identity(self) -> str:
-        idx = self._index
-        for cand in self.elements:
-            i = idx[cand]
-            if all(self.table[i][j] == x for j, x in enumerate(self.elements)):
-                return cand
-        raise InvariantError("no identity")  # unreachable after validation
-
     def inverse(self, a: str) -> str:
-        e = self.identity
-        for b in self.elements:
-            if self.mul(a, b) == e:
-                return b
-        raise ElementNotInG(f"{a!r} not in {self.name}")
+        if a not in self._index:
+            raise ElementNotInG(f"{a!r} not in {self.name}")
+        return self.elements[self.table[self._index[a]].index(self.identity)]
 
     def conjugate(self, g: str, x: str) -> str:
         return self.mul(self.mul(g, x), self.inverse(g))
@@ -97,7 +96,7 @@ class GroupHom:
     def __post_init__(self):
         if len(self.table) != len(self.dom):
             raise InvariantError("hom table length mismatch")
-        idx = {x: i for i, x in enumerate(self.dom.elements)}
+        idx = self.dom._index
         for a in self.dom.elements:
             for b in self.dom.elements:
                 lhs = self.table[idx[self.dom.mul(a, b)]]
@@ -106,21 +105,13 @@ class GroupHom:
                     raise InvariantError("not a homomorphism")
 
     def __call__(self, a: str) -> str:
-        return self.table[self.dom.elements.index(a)]
+        return self.table[self.dom._index[a]]
 
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)
 
     def is_surjective(self) -> bool:
         return set(self.table) == set(self.cod.elements)
-
-    def image(self) -> tuple[str, ...]:
-        seen = set(self.table)
-        return tuple(x for x in self.cod.elements if x in seen)
-
-
-def hom_from_map(dom: Group, cod: Group, mapping: dict[str, str]) -> GroupHom:
-    return GroupHom(dom, cod, tuple(mapping[a] for a in dom.elements))
 
 
 def identity_hom(G: Group) -> GroupHom:
@@ -134,49 +125,55 @@ def compose_homs(g: GroupHom, f: GroupHom) -> GroupHom:
 
 
 def conjugation_hom(G: Group, g: str) -> GroupHom:
-    if g not in G.elements:
-        raise ElementNotInG(f"{g!r} not in {G.name}")
+    _check_members(G, [g])
     return GroupHom(G, G, tuple(G.conjugate(g, x) for x in G.elements))
+
+
+def group_to_algebra(G: Group) -> alg.FiniteAlgebra:
+    """The Cayley-table group as an algebra over {mul, inv, e}."""
+    return alg.make_algebra(
+        G.name,
+        GROUP_SIG,
+        G.elements,
+        {"mul": G.mul, "inv": G.inverse, "e": G.identity},
+    )
+
+
+def algebra_to_group(A: alg.FiniteAlgebra) -> Group:
+    """Read a group back off a {mul, inv, e} algebra; the Group constructor
+    re-checks every axiom.
+    """
+    if A.signature != GROUP_SIG:
+        raise SignatureMismatch("expected the group signature {mul, inv, e}")
+    mul = A.tables["mul"]
+    table = tuple(
+        tuple(mul[(a, b)] for b in A.carrier.elements) for a in A.carrier.elements
+    )
+    return Group(A.name, A.carrier.elements, table)
+
+
+def _check_members(G: Group, xs) -> tuple[str, ...]:
+    xs = tuple(xs)
+    for x in xs:
+        if x not in G._index:
+            raise ElementNotInG(f"{x!r} not in {G.name}")
+    return xs
 
 
 def subgroup_closure(G: Group, gens) -> tuple[str, ...]:
     """Smallest subgroup containing gens, as labels in ambient order."""
-    for g in gens:
-        if g not in G.elements:
-            raise ElementNotInG(f"{g!r} not in {G.name}")
-    members = {G.identity, *gens}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(members):
-            for b in list(members):
-                p = G.mul(a, b)
-                if p not in members:
-                    members.add(p)
-                    changed = True
-        for a in list(members):
-            inv = G.inverse(a)
-            if inv not in members:
-                members.add(inv)
-                changed = True
-    return tuple(x for x in G.elements if x in members)
+    return alg.subalgebra_closure(group_to_algebra(G), _check_members(G, gens))
 
 
 def normal_closure(G: Group, gens) -> tuple[str, ...]:
-    """Smallest normal subgroup containing gens."""
-    seeds = set(gens)
-    changed = True
-    while changed:
-        changed = False
-        current = subgroup_closure(G, seeds)
-        for g in G.elements:
-            for x in current:
-                c = G.conjugate(g, x)
-                if c not in seeds and c not in current:
-                    seeds.add(c)
-                    changed = True
-            seeds.update(current)
-    return subgroup_closure(G, seeds)
+    """Smallest normal subgroup containing gens: the identity's class in the
+    congruence that identifies each generator with the identity.
+    """
+    e = G.identity
+    partition = alg.congruence_closure(
+        group_to_algebra(G), [(g, e) for g in _check_members(G, gens)]
+    )
+    return next(c for c in partition if e in c)
 
 
 def sub_group(G: Group, members, name: str | None = None) -> tuple[Group, GroupHom]:
@@ -187,22 +184,21 @@ def sub_group(G: Group, members, name: str | None = None) -> tuple[Group, GroupH
     return H, GroupHom(H, G, members)
 
 
+def quotient_by_pairs(G: Group, pairs, name: str | None = None) -> tuple[Group, GroupHom]:
+    """Quotient by the congruence of the group algebra that the pairs
+    generate; cosets named by their earliest member.
+    """
+    A = group_to_algebra(G)
+    partition = alg.congruence_closure(A, pairs)
+    Q, proj = alg.quotient_algebra(A, partition, name or f"{G.name}/N")
+    H = algebra_to_group(Q)
+    return H, GroupHom(G, H, proj.table)
+
+
 def quotient_group(G: Group, normal_members, name: str | None = None) -> tuple[Group, GroupHom]:
     """Quotient by a normal subgroup; cosets named by their earliest member."""
-    N = set(normal_members)
-    seen: dict[str, str] = {}
-    reps: list[str] = []
-    for x in G.elements:
-        if x in seen:
-            continue
-        coset = {G.mul(x, n) for n in N}
-        rep = min(coset, key=G.elements.index)
-        reps.append(rep)
-        for c in coset:
-            seen[c] = rep
-    Q = make_group(name or f"{G.name}/N", tuple(reps),
-                   lambda a, b: seen[G.mul(a, b)])
-    return Q, GroupHom(G, Q, tuple(seen[x] for x in G.elements))
+    e = G.identity
+    return quotient_by_pairs(G, [(n, e) for n in _check_members(G, normal_members)], name)
 
 
 def generating_set(G: Group) -> tuple[str, ...]:
@@ -287,9 +283,7 @@ def commutator_subgroup(G: Group) -> tuple[str, ...]:
 
 
 def brute_centralizer(G: Group, S) -> tuple[str, ...]:
-    for s in S:
-        if s not in G.elements:
-            raise ElementNotInG(f"{s!r} not in {G.name}")
+    S = _check_members(G, S)
     return tuple(x for x in G.elements
                  if all(G.mul(x, s) == G.mul(s, x) for s in S))
 
@@ -313,16 +307,6 @@ def _klein() -> Group:
     return make_group("V4", ("e", "a", "b", "c"), mul)
 
 
-_S3_PERMS = {
-    "e": (1, 2, 3),
-    "(12)": (2, 1, 3),
-    "(13)": (3, 2, 1),
-    "(23)": (1, 3, 2),
-    "(123)": (2, 3, 1),
-    "(132)": (3, 1, 2),
-}
-
-
 def _perm_group(name: str, perms: dict[str, tuple[int, ...]]) -> Group:
     by_perm = {p: lbl for lbl, p in perms.items()}
 
@@ -333,19 +317,14 @@ def _perm_group(name: str, perms: dict[str, tuple[int, ...]]) -> Group:
     return make_group(name, tuple(perms), mul)
 
 
-def _s3() -> Group:
-    return _perm_group("S3", _S3_PERMS)
-
-
-def _a4() -> Group:
-    base = list(range(1, 5))
+def _symmetric(name: str, n: int, even_only: bool = False) -> Group:
+    """S_n (or A_n), elements in cycle notation ordered by (length, label)."""
     perms = {}
-    for p in itertools.permutations(base):
-        inversions = sum(1 for i in range(4) for j in range(i + 1, 4) if p[i] > p[j])
-        if inversions % 2 == 0:
+    for p in itertools.permutations(range(1, n + 1)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+        if not even_only or inversions % 2 == 0:
             perms[_cycle_label(p)] = p
-    ordered = sorted(perms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return _perm_group("A4", dict(ordered))
+    return _perm_group(name, dict(sorted(perms.items(), key=lambda kv: (len(kv[0]), kv[0]))))
 
 
 def _cycle_label(p: tuple[int, ...]) -> str:
@@ -412,7 +391,7 @@ def corpus() -> dict[str, Group]:
     """The 14 bundled groups of order <= 16, validated on construction."""
     groups = [
         _cyclic(1), _cyclic(2), _cyclic(3), _cyclic(4), _cyclic(5),
-        _cyclic(6), _cyclic(7), _cyclic(8),
-        _klein(), _s3(), _dihedral(4, "D4"), _q8(), _a4(), _dihedral(8, "D8"),
+        _cyclic(6), _cyclic(7), _cyclic(8), _klein(), _symmetric("S3", 3),
+        _dihedral(4, "D4"), _q8(), _symmetric("A4", 4, even_only=True), _dihedral(8, "D8"),
     ]
     return {g.name: g for g in groups}

@@ -2,6 +2,11 @@
 abstract equation calculus: finite sets, finite groups, finite algebras,
 finite posets, and finite categories.
 
+Groups, algebras and posets share one base whose morphisms are tables on a
+labelled carrier: equalizers, intersections, coequalizers, pullbacks and
+factorization are written once, over each instance's sub-object and
+quotient. Group quotients are taken in the group algebra over {mul, inv, e}.
+
 Each instance normalizes its canonical-subobject values (inclusions) into
 plain morphisms on input, so general solutions flow back through compose,
 factor, and the rest without ceremony.
@@ -10,6 +15,7 @@ factor, and the rest without ceremony.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from . import algebras as alg
 from . import cats
@@ -89,13 +95,15 @@ class FinSetCat(CompCategory):
         return fs.all_functions(x, a)
 
 
-class FinGrpCat(CompCategory):
-    """Finite groups and homomorphisms. Equalizers are agreement subgroups;
-    coequalizers quotient by the normal closure of pointwise differences.
-    No coproducts or cokernel pairs here.
-    """
+class _TableCategory(CompCategory):
+    """Objects with a labelled carrier; a morphism f carries f.dom, f.cod and
+    a table of values aligned with carrier(f.dom).
 
-    name = "FinGrp"
+    Subclasses supply carrier(obj), morphism(dom, cod, table) (the validating
+    constructor), compose, identity and hom, plus sub(obj, members) (the
+    inclusion of a closed member set) and quotient(obj, pairs) (the
+    projection onto the least quotient identifying the pairs).
+    """
 
     has_equalizers = True
     has_intersections = True
@@ -103,11 +111,86 @@ class FinGrpCat(CompCategory):
     has_mono_test = True
     has_factorization = True
 
-    def source(self, f: grp.GroupHom):
+    def source(self, f):
         return f.dom
 
-    def target(self, f: grp.GroupHom):
+    def target(self, f):
         return f.cod
+
+    def morphisms_equal(self, f, g) -> bool:
+        return f.dom == g.dom and f.cod == g.cod and f.table == g.table
+
+    def is_mono(self, f) -> bool:
+        return len(set(f.table)) == len(f.table)
+
+    def equalizer(self, p, q):
+        if p.dom != q.dom or p.cod != q.cod:
+            raise NotParallel("equalizer needs a parallel pair")
+        return self.sub(p.dom, [
+            x for x, a, b in zip(self.carrier(p.dom), p.table, q.table) if a == b
+        ])
+
+    def intersection(self, monos):
+        target = monos[0].cod
+        members = set(self.carrier(target))
+        for m in monos:
+            if m.cod != target:
+                raise CodMismatch("intersection needs a common target")
+            members &= set(m.table)
+        return self.sub(target, [x for x in self.carrier(target) if x in members])
+
+    def coequalizer(self, p, q):
+        if p.dom != q.dom or p.cod != q.cod:
+            raise NotParallel("coequalizer needs a parallel pair")
+        return self.quotient(p.cod, list(zip(p.table, q.table)))
+
+    def pullback(self, f, m):
+        if f.cod != m.cod:
+            raise CodMismatch("pullback needs a cospan")
+        prod = self.product([f.dom, m.dom])
+        p0, p1 = prod.projections
+        members = [
+            x
+            for x, a, b in zip(self.carrier(prod.obj), p0.table, p1.table)
+            if f(a) == m(b)
+        ]
+        incl = self.sub(prod.obj, members)
+        return self.compose(p0, incl), self.compose(p1, incl)
+
+    def factor(self, f, g):
+        """The first h with g o h = f, searching each point's preimage pool
+        under g in carrier order; a lone candidate when g is injective.
+        """
+        if f.cod != g.cod:
+            raise CodMismatch("factorization needs a common target")
+        pools = []
+        for y in f.table:
+            pool = [x for x, gx in zip(self.carrier(g.dom), g.table) if gx == y]
+            if not pool:
+                return None
+            pools.append(pool)
+        for table in itertools.product(*pools):
+            try:
+                return self.morphism(f.dom, g.dom, table)
+            except InvariantError:
+                continue
+        return None
+
+
+class FinGrpCat(_TableCategory):
+    """Finite groups and homomorphisms. Equalizers are agreement subgroups;
+    coequalizers quotient by the congruence of the group algebra that the
+    pointwise pairs generate, i.e. by a normal subgroup. No products,
+    coproducts or cokernel pairs here.
+    """
+
+    name = "FinGrp"
+
+    def carrier(self, obj: grp.Group):
+        return obj.elements
+
+    def morphism(self, dom, cod, table):
+        return grp.GroupHom(dom, cod, table)
 
     def compose(self, g, f):
         return grp.compose_homs(g, f)
@@ -115,56 +198,17 @@ class FinGrpCat(CompCategory):
     def identity(self, obj: grp.Group):
         return grp.identity_hom(obj)
 
-    def morphisms_equal(self, f, g) -> bool:
-        return f.dom == g.dom and f.cod == g.cod and f.table == g.table
-
-    def equalizer(self, p: grp.GroupHom, q: grp.GroupHom):
-        if p.dom != q.dom or p.cod != q.cod:
-            raise NotParallel("equalizer needs a parallel pair")
-        members = tuple(x for x in p.dom.elements if p(x) == q(x))
-        _, incl = grp.sub_group(p.dom, members)
-        return incl
-
-    def intersection(self, monos):
-        target = monos[0].cod
-        members = set(target.elements)
-        for m in monos:
-            if m.cod != target:
-                raise CodMismatch("intersection needs a common target")
-            members &= set(m.image())
-        _, incl = grp.sub_group(target, [x for x in target.elements if x in members])
-        return incl
-
-    def coequalizer(self, p: grp.GroupHom, q: grp.GroupHom):
-        if p.dom != q.dom or p.cod != q.cod:
-            raise NotParallel("coequalizer needs a parallel pair")
-        G = p.cod
-        diffs = [G.mul(p(x), G.inverse(q(x))) for x in p.dom.elements]
-        normal = grp.normal_closure(G, [d for d in diffs if d != G.identity])
-        _, proj = grp.quotient_group(G, normal)
-        return proj
-
-    def is_mono(self, f: grp.GroupHom) -> bool:
-        return f.is_injective()
-
-    def factor(self, f: grp.GroupHom, g: grp.GroupHom):
-        if f.cod != g.cod:
-            raise CodMismatch("factorization needs a common target")
-        if not set(f.image()) <= set(g.image()):
-            return None
-        if g.is_injective():
-            back = {g(x): x for x in g.dom.elements}
-            return grp.GroupHom(f.dom, g.dom, tuple(back[f(x)] for x in f.dom.elements))
-        for h in grp.all_homs(f.dom, g.dom):
-            if grp.compose_homs(g, h).table == f.table:
-                return h
-        return None
-
     def hom(self, x: grp.Group, a: grp.Group):
         return grp.all_homs(x, a)
 
+    def sub(self, obj: grp.Group, members):
+        return grp.sub_group(obj, members)[1]
 
-class FinAlgCat(CompCategory):
+    def quotient(self, obj: grp.Group, pairs):
+        return grp.quotient_by_pairs(obj, pairs)[1]
+
+
+class FinAlgCat(_TableCategory):
     """Finite algebras over one signature. Coequalizers quotient by the
     congruence the pointwise pairs generate; coproducts are absent (free
     products outgrow any finite carrier).
@@ -172,19 +216,14 @@ class FinAlgCat(CompCategory):
 
     name = "FinAlg"
 
-    has_equalizers = True
-    has_intersections = True
     has_products = True
-    has_coequalizers = True
     has_pullbacks = True
-    has_mono_test = True
-    has_factorization = True
 
-    def source(self, f: alg.AlgHom):
-        return f.dom
+    def carrier(self, obj: alg.FiniteAlgebra):
+        return obj.carrier.elements
 
-    def target(self, f: alg.AlgHom):
-        return f.cod
+    def morphism(self, dom, cod, table):
+        return alg.AlgHom(dom, cod, table)
 
     def compose(self, g, f):
         return alg.compose_alg_homs(g, f)
@@ -192,82 +231,20 @@ class FinAlgCat(CompCategory):
     def identity(self, obj: alg.FiniteAlgebra):
         return alg.identity_alg_hom(obj)
 
-    def morphisms_equal(self, f, g) -> bool:
-        return f.dom == g.dom and f.cod == g.cod and f.table == g.table
+    def hom(self, x: alg.FiniteAlgebra, a: alg.FiniteAlgebra):
+        return alg.all_alg_homs(x, a)
 
-    def equalizer(self, p: alg.AlgHom, q: alg.AlgHom):
-        if p.dom != q.dom or p.cod != q.cod:
-            raise NotParallel("equalizer needs a parallel pair")
-        members = tuple(x for x in p.dom.carrier.elements if p(x) == q(x))
-        _, incl = alg.sub_algebra(p.dom, members)
-        return incl
+    def sub(self, obj: alg.FiniteAlgebra, members):
+        return alg.sub_algebra(obj, members)[1]
 
-    def intersection(self, monos):
-        target = monos[0].cod
-        members = set(target.carrier.elements)
-        for m in monos:
-            if m.cod != target:
-                raise CodMismatch("intersection needs a common target")
-            members &= set(m.image())
-        _, incl = alg.sub_algebra(
-            target, [x for x in target.carrier.elements if x in members]
-        )
-        return incl
+    def quotient(self, obj: alg.FiniteAlgebra, pairs):
+        return alg.quotient_algebra(obj, alg.congruence_closure(obj, pairs))[1]
 
     def product(self, objs):
         return alg.product_algebra(list(objs))
 
-    def coequalizer(self, p: alg.AlgHom, q: alg.AlgHom):
-        if p.dom != q.dom or p.cod != q.cod:
-            raise NotParallel("coequalizer needs a parallel pair")
-        B = p.cod
-        partition = alg.congruence_closure(
-            B, [(p(x), q(x)) for x in p.dom.carrier.elements]
-        )
-        _, proj = alg.quotient_algebra(B, partition)
-        return proj
 
-    def pullback(self, f: alg.AlgHom, m: alg.AlgHom):
-        if f.cod != m.cod:
-            raise CodMismatch("pullback needs a cospan")
-        prod = alg.product_algebra([f.dom, m.dom])
-        members = [
-            x
-            for x in prod.obj.carrier.elements
-            if f(prod.projections[0](x)) == m(prod.projections[1](x))
-        ]
-        _, incl = alg.sub_algebra(prod.obj, members)
-        return (
-            alg.compose_alg_homs(prod.projections[0], incl),
-            alg.compose_alg_homs(prod.projections[1], incl),
-        )
-
-    def is_mono(self, f: alg.AlgHom) -> bool:
-        return f.is_injective()
-
-    def factor(self, f: alg.AlgHom, g: alg.AlgHom):
-        if f.cod != g.cod:
-            raise CodMismatch("factorization needs a common target")
-        if not set(f.image()) <= set(g.image()):
-            return None
-        if g.is_injective():
-            back = {g(x): x for x in g.dom.carrier.elements}
-            try:
-                return alg.AlgHom(
-                    f.dom, g.dom, tuple(back[f(x)] for x in f.dom.carrier.elements)
-                )
-            except InvariantError:
-                return None
-        for h in alg.all_alg_homs(f.dom, g.dom):
-            if alg.compose_alg_homs(g, h).table == f.table:
-                return h
-        return None
-
-    def hom(self, x: alg.FiniteAlgebra, a: alg.FiniteAlgebra):
-        return alg.all_alg_homs(x, a)
-
-
-class FinPosetCat(CompCategory):
+class FinPosetCat(_TableCategory):
     """Finite posets and monotone maps. Coequalizers collapse the generated
     equivalence and then any order-cycles it creates, until antisymmetry
     holds.
@@ -275,21 +252,16 @@ class FinPosetCat(CompCategory):
 
     name = "FinPoset"
 
-    has_equalizers = True
-    has_intersections = True
     has_products = True
-    has_coequalizers = True
     has_coproducts = True
     has_cokernel_pairs = True
     has_pullbacks = True
-    has_mono_test = True
-    has_factorization = True
 
-    def source(self, f: po.MonotoneMap):
-        return f.dom
+    def carrier(self, obj: po.Poset):
+        return obj.elements
 
-    def target(self, f: po.MonotoneMap):
-        return f.cod
+    def morphism(self, dom, cod, table):
+        return po.MonotoneMap(dom, cod, table)
 
     def compose(self, g, f):
         return po.compose_maps(g, f)
@@ -297,33 +269,17 @@ class FinPosetCat(CompCategory):
     def identity(self, obj: po.Poset):
         return po.identity_map(obj)
 
-    def morphisms_equal(self, f, g) -> bool:
-        return f.dom == g.dom and f.cod == g.cod and f.table == g.table
+    def hom(self, x: po.Poset, a: po.Poset):
+        return po.all_monotone_maps(x, a)
 
-    def equalizer(self, p: po.MonotoneMap, q: po.MonotoneMap):
-        if p.dom != q.dom or p.cod != q.cod:
-            raise NotParallel("equalizer needs a parallel pair")
-        members = tuple(x for x in p.dom.elements if p(x) == q(x))
-        _, incl = po.sub_poset(p.dom, members)
-        return incl
+    def sub(self, obj: po.Poset, members):
+        return po.sub_poset(obj, members)[1]
 
-    def intersection(self, monos):
-        target = monos[0].cod
-        members = set(target.elements)
-        for m in monos:
-            if m.cod != target:
-                raise CodMismatch("intersection needs a common target")
-            members &= set(m.image())
-        _, incl = po.sub_poset(target, [x for x in target.elements if x in members])
-        return incl
+    def quotient(self, obj: po.Poset, pairs):
+        return _poset_collapse(obj, pairs)
 
     def product(self, objs):
         return _poset_product(list(objs))
-
-    def coequalizer(self, p: po.MonotoneMap, q: po.MonotoneMap):
-        if p.dom != q.dom or p.cod != q.cod:
-            raise NotParallel("coequalizer needs a parallel pair")
-        return _poset_collapse(p.cod, list(zip(p.table, q.table)))
 
     def coproduct(self, objs):
         return _poset_coproduct(list(objs))
@@ -334,55 +290,15 @@ class FinPosetCat(CompCategory):
         c = self.coequalizer(self.compose(i0, f), self.compose(i1, f))
         return self.compose(c, i0), self.compose(c, i1)
 
-    def pullback(self, f: po.MonotoneMap, m: po.MonotoneMap):
-        if f.cod != m.cod:
-            raise CodMismatch("pullback needs a cospan")
-        prod = _poset_product([f.dom, m.dom])
-        members = [
-            x
-            for x in prod.obj.elements
-            if f(prod.projections[0](x)) == m(prod.projections[1](x))
-        ]
-        _, incl = po.sub_poset(prod.obj, members)
-        return (
-            po.compose_maps(prod.projections[0], incl),
-            po.compose_maps(prod.projections[1], incl),
-        )
 
-    def is_mono(self, f: po.MonotoneMap) -> bool:
-        return f.is_injective()
-
-    def factor(self, f: po.MonotoneMap, g: po.MonotoneMap):
-        if f.cod != g.cod:
-            raise CodMismatch("factorization needs a common target")
-        pools = []
-        for x in f.dom.elements:
-            pool = [y for y in g.dom.elements if g(y) == f(x)]
-            if not pool:
-                return None
-            pools.append(pool)
-        for table in itertools.product(*pools):
-            try:
-                return po.MonotoneMap(f.dom, g.dom, table)
-            except InvariantError:
-                continue
-        return None
-
-    def hom(self, x: po.Poset, a: po.Poset):
-        return po.all_monotone_maps(x, a)
-
-
+@dataclass(frozen=True)
 class _PosetProductResult:
-    def __init__(self, obj, projections, unpack):
-        self.obj = obj
-        self.projections = projections
-        self._unpack = unpack
+    obj: po.Poset
+    projections: tuple[po.MonotoneMap, ...]
 
     def tuple_of(self, legs):
         dom = legs[0].dom
-        table = tuple(
-            fs.tuple_label([leg(x) for leg in legs]) for x in dom.elements
-        )
+        table = tuple(fs.tuple_label([leg(x) for leg in legs]) for x in dom.elements)
         return po.MonotoneMap(dom, self.obj, table)
 
 
@@ -401,78 +317,61 @@ def _poset_product(objs: list[po.Poset]) -> _PosetProductResult:
         po.MonotoneMap(obj, objs[i], tuple(unpack[l][i] for l in labels))
         for i in range(len(objs))
     )
-    return _PosetProductResult(obj, projections, unpack)
+    return _PosetProductResult(obj, projections)
 
 
+@dataclass(frozen=True)
 class _PosetCoproductResult:
-    def __init__(self, obj, coprojections):
-        self.obj = obj
-        self.coprojections = coprojections
+    obj: po.Poset
+    coprojections: tuple[po.MonotoneMap, ...]
 
     def cotuple_of(self, legs):
-        cod = legs[0].cod
-        table = []
-        for leg in legs:
-            table.extend(leg.table)
-        return po.MonotoneMap(self.obj, cod, tuple(table))
+        table = tuple(v for leg in legs for v in leg.table)
+        return po.MonotoneMap(self.obj, legs[0].cod, table)
 
 
 def _poset_coproduct(objs: list[po.Poset]) -> _PosetCoproductResult:
     labels: list[str] = []
     rel: set[tuple[str, str]] = set()
-    coprojections = []
     for i, P in enumerate(objs):
         tagged = {x: fs.tag_label(i, x) for x in P.elements}
         labels.extend(tagged[x] for x in P.elements)
         rel.update((tagged[a], tagged[b]) for a, b in P.rel)
     obj = po.Poset("+".join(P.name for P in objs), tuple(labels), frozenset(rel))
-    offset = 0
-    for P in objs:
-        coprojections.append(
-            po.MonotoneMap(P, obj, tuple(obj.elements[offset + k] for k in range(len(P))))
-        )
-        offset += len(P)
-    return _PosetCoproductResult(obj, tuple(coprojections))
+    coprojections = tuple(
+        po.MonotoneMap(P, obj, tuple(fs.tag_label(i, x) for x in P.elements))
+        for i, P in enumerate(objs)
+    )
+    return _PosetCoproductResult(obj, coprojections)
 
 
 def _poset_collapse(P: po.Poset, pairs) -> po.MonotoneMap:
-    """Quotient of P identifying the pairs, then repeatedly merging any
-    order-cycles among classes until the induced relation is a partial
+    """Quotient of P identifying the pairs, then merging every order-cycle
+    among the classes, which leaves the finest quotient that is a partial
     order. Returns the canonical surjection.
     """
     uf = fs._UnionFind(P.elements)
     for a, b in pairs:
         uf.union(a, b)
-    while True:
-        classes: dict[str, list[str]] = {}
-        for x in P.elements:
-            classes.setdefault(uf.find(x), []).append(x)
-        roots = list(classes)
-        reach = {r: {r} for r in roots}
-        edges = {(uf.find(a), uf.find(b)) for a, b in P.rel}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in edges:
-                for r in roots:
-                    if a in reach[r] and b not in reach[r]:
-                        reach[r].add(b)
-                        changed = True
-        merged = False
+    roots = list(dict.fromkeys(uf.find(x) for x in P.elements))
+    reach = {r: {r} for r in roots}
+    for a, b in P.rel:
+        reach[uf.find(a)].add(uf.find(b))
+    for k in roots:  # transitive closure, Warshall-style
         for r in roots:
-            for s in reach[r]:
-                if s != r and r in reach[s] and uf.find(r) != uf.find(s):
-                    uf.union(r, s)
-                    merged = True
-        if not merged:
-            rep = {
-                root: min(members, key=P.elements.index)
-                for root, members in classes.items()
-            }
-            order = sorted(rep.values(), key=P.elements.index)
-            rel = frozenset((rep[a], rep[b]) for a in roots for b in reach[a])
-            Q = po.Poset(f"{P.name}/~", tuple(order), rel)
-            return po.MonotoneMap(P, Q, tuple(rep[uf.find(x)] for x in P.elements))
+            if k in reach[r]:
+                reach[r] |= reach[k]
+    for r in roots:
+        for s in reach[r]:
+            if r in reach[s]:
+                uf.union(r, s)
+    rep: dict[str, str] = {}  # each class is named by its earliest member
+    for x in P.elements:
+        rep.setdefault(uf.find(x), x)
+    name = {r: rep[uf.find(r)] for r in roots}
+    rel = frozenset((name[r], name[s]) for r in roots for s in reach[r])
+    Q = po.Poset(f"{P.name}/~", tuple(rep.values()), rel)
+    return po.MonotoneMap(P, Q, tuple(rep[uf.find(x)] for x in P.elements))
 
 
 class FinCatCat(CompCategory):

@@ -136,10 +136,6 @@ class MonotoneMap:
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)
 
-    def image(self) -> tuple[str, ...]:
-        seen = set(self.table)
-        return tuple(x for x in self.cod.elements if x in seen)
-
 
 def monotone(dom: Poset, cod: Poset, mapping: dict[str, str]) -> MonotoneMap:
     return MonotoneMap(dom, cod, tuple(mapping[x] for x in dom.elements))

@@ -158,6 +158,18 @@ def test_unify_deep_term(capsys):
     assert json.loads(captured.out)["payload"]["substitution"] == {"y": deep}
 
 
+def test_unify_thousand_deep_term(capsys):
+    # deeper than Python's default recursion limit, in the parser as well
+    deep = "x"
+    for _ in range(1000):
+        deep = f"g({deep},c)"
+    code = cli.main(["unify", deep, "g(y, z)", "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    subst = json.loads(captured.out)["payload"]["substitution"]
+    assert subst == {"y": deep[len("g("):-len(",c)")], "z": "c"}
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
 def test_bad_budget_env_is_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("VEQ_BUDGET", value)
@@ -175,6 +187,28 @@ def test_nonpositive_budget_flag_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.count("\n") == 1 and "--budget" in captured.err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["hsp", "Chain3", "Meet2", "--kmax", "0", "-f", "corpus/algebras.veq"], "--kmax"),
+    (["recurrence", "fib", "order", "2", "--prec", "0", "-f", "corpus/series.veq"], "--prec"),
+    (["identities", "Meet2", "--vars", "-1", "-f", "corpus/algebras.veq"], "--vars"),
+    (["identities", "Meet2", "--depth", "-1", "-f", "corpus/algebras.veq"], "--depth"),
+], ids=["kmax", "prec", "vars", "depth"])
+def test_numeric_bound_out_of_range_is_usage_error(argv, flag, capsys):
+    code = cli.main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"veq: usage: {flag} ")
+
+
+def test_smallest_numeric_bounds_are_accepted(capsys):
+    assert cli.main(["hsp", "Meet2", "Meet2", "--kmax", "1", "--json",
+                     "-f", "corpus/algebras.veq"]) == 0
+    assert cli.main(["identities", "Meet2", "--vars", "0", "--depth", "0", "--json",
+                     "-f", "corpus/algebras.veq"]) == 0
+    capsys.readouterr()
 
 
 def test_unreadable_workspace_is_usage_error(tmp_path, capsys):

@@ -1,5 +1,11 @@
 import pytest
 
+from group_oracle import (
+    oracle_commutator_subgroup,
+    oracle_normal_closure,
+    oracle_quotient_group,
+    oracle_subgroup_closure,
+)
 from veq import groups as grp
 from veq.errors import ElementNotInG, InvariantError
 
@@ -132,3 +138,50 @@ def test_dihedral_relations():
     assert D4.mul(D4.mul(s, r), s) == D4.inverse(r)
     assert grp.element_orders(D4)[r] == 4
     assert grp.element_orders(D4)[s] == 2
+
+
+# -- the group-algebra path against the coset-based oracle ----------------------
+
+def _oracle_normal_subgroups(G):
+    """The normal closures of single elements, the commutator subgroup and
+    both extremes, as the oracle computes them."""
+    found = {oracle_normal_closure(G, [x]) for x in G.elements}
+    found |= {oracle_commutator_subgroup(G), oracle_normal_closure(G, []), G.elements}
+    return sorted(found, key=lambda N: (len(N), N))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_closures_match_oracle(name):
+    G = CORPUS[name]
+    for x in G.elements:
+        assert grp.subgroup_closure(G, [x]) == oracle_subgroup_closure(G, [x])
+        assert grp.normal_closure(G, [x]) == oracle_normal_closure(G, [x])
+    assert grp.subgroup_closure(G, []) == oracle_subgroup_closure(G, [])
+    assert grp.commutator_subgroup(G) == oracle_commutator_subgroup(G)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_quotients_match_oracle(name):
+    G = CORPUS[name]
+    for N in _oracle_normal_subgroups(G):
+        Q, proj = grp.quotient_group(G, N)
+        want_Q, want_proj = oracle_quotient_group(G, N)
+        assert Q.name == want_Q.name
+        assert Q.elements == want_Q.elements
+        assert Q.table == want_Q.table
+        assert proj.table == want_proj.table
+
+
+def test_cached_index_and_identity_stay_out_of_equality():
+    S3 = CORPUS["S3"]
+    rebuilt = grp.Group(S3.name, S3.elements, S3.table)
+    assert rebuilt == S3 and hash(rebuilt) == hash(S3)
+    assert repr(S3) == (f"Group(name={S3.name!r}, elements={S3.elements!r}, "
+                        f"table={S3.table!r})")
+    assert S3.identity == "e" and CORPUS["Q8"].identity == "1"
+    assert [S3.inverse(x) for x in S3.elements] == [
+        "e", "(12)", "(13)", "(23)", "(132)", "(123)"]
+    with pytest.raises(ElementNotInG):
+        S3.inverse("nope")
+    with pytest.raises(ElementNotInG):
+        grp.normal_closure(S3, ["nope"])

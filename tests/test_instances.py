@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from group_oracle import oracle_normal_closure, oracle_quotient_group
 from veq import algebras as alg
 from veq import cats
+from veq import groups as grp
 from veq import posets as po
 from veq.equations import (
     CoEquationSystem,
@@ -13,9 +15,10 @@ from veq.equations import (
     general_solution,
 )
 from veq.errors import CapabilityMissing, NotParallel
-from veq.instances import FinAlgCat, FinCatCat, FinPosetCat
+from veq.instances import FinAlgCat, FinCatCat, FinGrpCat, FinPosetCat, FinSetCat
 from veq.theories import Signature
 
+GC = FinGrpCat()
 AC = FinAlgCat()
 PC = FinPosetCat()
 CC = FinCatCat()
@@ -250,3 +253,109 @@ def test_cat_capability_flags():
     assert not CC.has_coequalizers and not CC.has_coproducts
     with pytest.raises(CapabilityMissing):
         CC.coequalizer(None, None)
+
+
+# -- finite groups ---------------------------------------------------------------
+
+GROUPS = grp.corpus()
+
+
+def _endo_pairs(G):
+    homs = grp.all_homs(G, G)
+    return [(p, q) for p in homs for q in homs]
+
+
+def test_group_equalizer_is_agreement_subgroup():
+    for name in ("C4", "V4", "S3"):
+        G = GROUPS[name]
+        for p, q in _endo_pairs(G):
+            v = GC.equalizer(p, q)
+            agree = tuple(x for x in G.elements if p(x) == q(x))
+            assert v.cod == G and v.dom.elements == agree and v.table == agree
+    S3 = GROUPS["S3"]
+    with pytest.raises(NotParallel):
+        GC.equalizer(grp.identity_hom(S3), grp.all_homs(S3, GROUPS["C2"])[0])
+
+
+def test_group_intersection_is_image_intersection():
+    D4 = GROUPS["D4"]
+    subs = {grp.subgroup_closure(D4, [x]) for x in D4.elements}
+    subs |= {grp.subgroup_closure(D4, [x, y]) for x in ("r1", "s0") for y in ("s1", "r2")}
+    monos = [grp.sub_group(D4, members)[1] for members in sorted(subs)]
+    for a in monos:
+        for b in monos:
+            got = GC.intersection([a, b])
+            want = tuple(x for x in D4.elements if x in set(a.table) & set(b.table))
+            assert got.cod == D4 and got.dom.elements == want
+            assert GC.is_mono(got)
+
+
+def test_group_coequalizer_matches_oracle_quotient():
+    for src, dst in (("C2", "S3"), ("C3", "S3"), ("C2", "D4"), ("C4", "Q8"), ("V4", "A4")):
+        G, H = GROUPS[src], GROUPS[dst]
+        homs = grp.all_homs(G, H)
+        for p in homs:
+            for q in homs:
+                c = GC.coequalizer(p, q)
+                diffs = [H.mul(p(x), H.inverse(q(x))) for x in G.elements]
+                _, want = oracle_quotient_group(H, oracle_normal_closure(H, diffs))
+                assert c == want
+                assert GC.morphisms_equal(GC.compose(c, p), GC.compose(c, q))
+
+
+def test_group_factor_matches_hom_search():
+    cases = [
+        ("C2", "C2", "C4"),  # g: C4 -> C2 is not injective
+        ("C4", "C2", "C4"),
+        ("C2", "C2", "S3"),  # g: S3 -> C2, the sign and the trivial map
+        ("C3", "S3", "C3"),
+        ("C2", "S3", "S3"),
+        ("C2", "V4", "C4"),
+        ("C4", "D4", "C4"),
+    ]
+    non_injective = 0
+    for f_src, cod, g_src in cases:
+        A, H, K = GROUPS[f_src], GROUPS[cod], GROUPS[g_src]
+        for g in grp.all_homs(K, H):
+            non_injective += not GC.is_mono(g)
+            for f in grp.all_homs(A, H):
+                want = [h.table for h in grp.all_homs(A, K)
+                        if grp.compose_homs(g, h).table == f.table]
+                h = GC.factor(f, g)
+                if not want:
+                    assert h is None
+                else:
+                    assert h is not None and h.table in want
+                    assert h.dom == A and h.cod == K
+    assert non_injective >= 5
+
+
+def test_group_capabilities():
+    S3 = GROUPS["S3"]
+    assert not GC.has_products and not GC.has_pullbacks
+    assert not GC.has_coproducts and not GC.has_cokernel_pairs
+    ident = grp.identity_hom(S3)
+    with pytest.raises(CapabilityMissing):
+        GC.pullback(ident, ident)
+    with pytest.raises(CapabilityMissing):
+        GC.coproduct([S3])
+
+
+FLAGS = ("has_equalizers", "has_intersections", "has_products", "has_coequalizers",
+         "has_coproducts", "has_cokernel_pairs", "has_pullbacks", "has_mono_test",
+         "has_factorization")
+
+
+OFFERED = [
+    (FinSetCat(), set(FLAGS)),
+    (GC, set(FLAGS) - {"has_products", "has_coproducts", "has_cokernel_pairs",
+                       "has_pullbacks"}),
+    (AC, set(FLAGS) - {"has_coproducts", "has_cokernel_pairs"}),
+    (PC, set(FLAGS)),
+    (CC, set(FLAGS) - {"has_coequalizers", "has_coproducts", "has_cokernel_pairs"}),
+]
+
+
+@pytest.mark.parametrize("cat,offered", OFFERED, ids=[c.name for c, _ in OFFERED])
+def test_capability_flags_per_instance(cat, offered):
+    assert {f for f in FLAGS if getattr(cat, f)} == offered

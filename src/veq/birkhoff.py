@@ -13,7 +13,7 @@ from . import algebras as alg
 from . import groups as grp
 from .algebras import FiniteAlgebra, Identity
 from .equations import CoEquationSystem, Equation, EquationSystem, general_cosolution, general_solution
-from .errors import BoundsTooLarge, ElementNotInG, SignatureMismatch
+from .errors import BoundsTooLarge, SignatureMismatch
 from .finset import FinSetObj, SubobjectMono, fin_function, tuple_label
 # the group-algebra bridge lives in groups; callers may keep importing it here
 from .groups import GROUP_SIG, algebra_to_group, group_to_algebra  # noqa: F401
@@ -316,9 +316,6 @@ def centralizer(G: grp.Group, S) -> SubobjectMono:
     finite-group instance, not by scanning directly.
     """
     S = tuple(S)
-    for s in S:
-        if s not in G.elements:
-            raise ElementNotInG(f"{s!r} not in {G.name}")
     if not S:
         incl = grp.identity_hom(G)
     else:

@@ -196,9 +196,14 @@ def quotient_by_pairs(G: Group, pairs, name: str | None = None) -> tuple[Group, 
 
 
 def quotient_group(G: Group, normal_members, name: str | None = None) -> tuple[Group, GroupHom]:
-    """Quotient by a normal subgroup; cosets named by their earliest member."""
-    e = G.identity
-    return quotient_by_pairs(G, [(n, e) for n in _check_members(G, normal_members)], name)
+    """Quotient by a normal subgroup; cosets named by their earliest member.
+    Members that are not exactly a normal subgroup raise InvariantError.
+    """
+    members = _check_members(G, normal_members)
+    Q, proj = quotient_by_pairs(G, [(n, G.identity) for n in members], name)
+    if {x for x in G.elements if proj(x) == Q.identity} != set(members):
+        raise InvariantError(f"not a normal subgroup of {G.name}")
+    return Q, proj
 
 
 def generating_set(G: Group) -> tuple[str, ...]:
@@ -220,8 +225,12 @@ def all_homs(G: Group, H: Group) -> list[GroupHom]:
     out = []
     for images in itertools.product(H.elements, repeat=len(gens)):
         table = _extend_hom(G, H, gens, images)
-        if table is not None:
+        if table is None:
+            continue
+        try:  # the constructor checks the extension on every pair
             out.append(GroupHom(G, H, table))
+        except InvariantError:
+            continue
     return out
 
 
@@ -241,13 +250,7 @@ def _extend_hom(G, H, gens, images):
                 frontier.append(p)
     if len(mapping) != len(G):
         return None
-    table = tuple(mapping[x] for x in G.elements)
-    idx = {x: i for i, x in enumerate(G.elements)}
-    for a in G.elements:
-        for b in G.elements:
-            if table[idx[G.mul(a, b)]] != H.mul(table[idx[a]], table[idx[b]]):
-                return None
-    return table
+    return tuple(mapping[x] for x in G.elements)
 
 
 def find_isomorphism(G: Group, H: Group) -> GroupHom | None:

@@ -15,6 +15,7 @@ factor, and the rest without ceremony.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import algebras as alg
@@ -23,7 +24,9 @@ from . import finset as fs
 from . import groups as grp
 from . import posets as po
 from .equations import CompCategory
-from .errors import CodMismatch, InvariantError, NotParallel
+from .errors import CarrierTooLarge, CodMismatch, InvariantError, NotParallel
+
+_POOL_CAP = 1_000_000  # factor's candidate tables; alg.all_alg_homs' default cap
 
 
 class FinSetCat(CompCategory):
@@ -102,7 +105,9 @@ class _TableCategory(CompCategory):
     Subclasses supply carrier(obj), morphism(dom, cod, table) (the validating
     constructor), compose, identity and hom, plus sub(obj, members) (the
     inclusion of a closed member set) and quotient(obj, pairs) (the
-    projection onto the least quotient identifying the pairs).
+    projection onto the least quotient identifying the pairs). A subclass
+    whose hom enumerates fewer tables than all of them says how many in
+    hom_size, which factor uses to pick its search.
     """
 
     has_equalizers = True
@@ -157,18 +162,28 @@ class _TableCategory(CompCategory):
         incl = self.sub(prod.obj, members)
         return self.compose(p0, incl), self.compose(p1, incl)
 
+    def hom_size(self, x, a) -> int:
+        """How many tables hom(x, a) enumerates: every table, by default."""
+        return len(self.carrier(a)) ** len(self.carrier(x))
+
     def factor(self, f, g):
-        """The first h with g o h = f, searching each point's preimage pool
-        under g in carrier order; a lone candidate when g is injective.
+        """The first h with g o h = f among the tables drawn from the preimage
+        pools of g in carrier order (one table when g is injective), or in
+        hom order when hom enumerates fewer tables than the pools hold.
         """
         if f.cod != g.cod:
             raise CodMismatch("factorization needs a common target")
-        pools = []
-        for y in f.table:
-            pool = [x for x, gx in zip(self.carrier(g.dom), g.table) if gx == y]
-            if not pool:
-                return None
-            pools.append(pool)
+        pools = [[x for x, gx in zip(self.carrier(g.dom), g.table) if gx == y] for y in f.table]
+        if not all(pools):
+            return None
+        size = math.prod(map(len, pools))
+        if size > 1 and size > self.hom_size(f.dom, g.dom):
+            for h in self.hom(f.dom, g.dom):
+                if self.compose(g, h).table == f.table:
+                    return h
+            return None
+        if size > _POOL_CAP:
+            raise CarrierTooLarge(f"{size} candidate tables exceed {_POOL_CAP}")
         for table in itertools.product(*pools):
             try:
                 return self.morphism(f.dom, g.dom, table)
@@ -200,6 +215,9 @@ class FinGrpCat(_TableCategory):
 
     def hom(self, x: grp.Group, a: grp.Group):
         return grp.all_homs(x, a)
+
+    def hom_size(self, x: grp.Group, a: grp.Group) -> int:
+        return len(a) ** len(grp.generating_set(x))
 
     def sub(self, obj: grp.Group, members):
         return grp.sub_group(obj, members)[1]

@@ -5,7 +5,9 @@ Subgroup closure, normal closure and quotients are now taken in the algebra
 over {mul, inv, e} (subalgebra closure, the identity's congruence class, the
 quotient algebra). These are the earlier fixpoint loops over the Cayley
 table, unchanged apart from their names, so the tests can compare the new
-path with an independent one.
+path with an independent one. ORACLE_S3_PERMS is the hand-written
+permutation list the corpus built S3 from before S3 and A4 shared one
+builder.
 """
 
 from veq.errors import ElementNotInG
@@ -74,3 +76,13 @@ def oracle_commutator_subgroup(G: Group) -> tuple[str, ...]:
     comms = {G.mul(G.mul(a, b), G.inverse(G.mul(b, a)))
              for a in G.elements for b in G.elements}
     return oracle_normal_closure(G, comms)
+
+
+ORACLE_S3_PERMS = {
+    "e": (1, 2, 3),
+    "(12)": (2, 1, 3),
+    "(13)": (3, 2, 1),
+    "(23)": (1, 3, 2),
+    "(123)": (2, 3, 1),
+    "(132)": (3, 1, 2),
+}

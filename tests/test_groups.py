@@ -1,6 +1,7 @@
 import pytest
 
 from group_oracle import (
+    ORACLE_S3_PERMS,
     oracle_commutator_subgroup,
     oracle_normal_closure,
     oracle_quotient_group,
@@ -70,6 +71,24 @@ def test_quotient_group():
         "(123)",
         "(132)",
     )
+
+
+def test_s3_matches_its_permutation_list():
+    perms = ORACLE_S3_PERMS
+    by_perm = {p: lbl for lbl, p in perms.items()}
+    want = grp.make_group("S3", tuple(perms), lambda a, b: by_perm[
+        tuple(perms[a][i - 1] for i in perms[b])])
+    assert CORPUS["S3"] == want and repr(CORPUS["S3"]) == repr(want)
+
+
+def test_quotient_group_rejects_members_that_are_not_a_normal_subgroup():
+    S3 = CORPUS["S3"]
+    # a subgroup that is not normal, a non-subgroup, and the empty set
+    for members in (("e", "(12)"), ("e", "(123)"), ("(12)",), ()):
+        with pytest.raises(InvariantError):
+            grp.quotient_group(S3, members)
+    with pytest.raises(ElementNotInG):
+        grp.quotient_group(S3, ("e", "nope"))
 
 
 def test_commutator_subgroups():

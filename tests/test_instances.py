@@ -3,6 +3,7 @@ import random
 import pytest
 
 from group_oracle import oracle_normal_closure, oracle_quotient_group
+from poset_oracle import oracle_coprojections, oracle_poset_collapse
 from veq import algebras as alg
 from veq import cats
 from veq import groups as grp
@@ -14,7 +15,7 @@ from veq.equations import (
     general_cosolution,
     general_solution,
 )
-from veq.errors import CapabilityMissing, NotParallel
+from veq.errors import CapabilityMissing, CarrierTooLarge, NotParallel
 from veq.instances import FinAlgCat, FinCatCat, FinGrpCat, FinPosetCat, FinSetCat
 from veq.theories import Signature
 
@@ -149,6 +150,28 @@ def test_poset_coequalizer_collapses_cycles():
     )
     assert len(c2.cod) == 2
     assert c2("b") == c2("c")
+
+
+def test_poset_quotient_matches_oracle():
+    rng = random.Random(11)
+    merged = 0
+    for _ in range(400):
+        P = po.random_poset(rng, rng.randint(1, 7), "P")
+        pairs = [(rng.choice(P.elements), rng.choice(P.elements))
+                 for _ in range(rng.randint(0, 3))]
+        got, want = PC.quotient(P, pairs), oracle_poset_collapse(P, pairs)
+        assert got == want  # name, carrier order, relation and table
+        merged += len(got.cod) < len(P) - len({frozenset(p) for p in pairs if p[0] != p[1]})
+    assert merged > 0  # some quotients had to merge an order-cycle
+
+
+def test_poset_coproduct_legs_match_oracle():
+    rng = random.Random(3)
+    for _ in range(50):
+        objs = [po.random_poset(rng, rng.randint(0, 4), f"P{i}")
+                for i in range(rng.randint(1, 3))]
+        cop = PC.coproduct(objs)
+        assert cop.coprojections == oracle_coprojections(objs, cop.obj)
 
 
 def test_poset_coequalizer_universal():
@@ -312,6 +335,9 @@ def test_group_factor_matches_hom_search():
         ("C2", "S3", "S3"),
         ("C2", "V4", "C4"),
         ("C4", "D4", "C4"),
+        ("Q8", "V4", "Q8"),  # g: Q8 -> V4, the quotient by the centre
+        ("C4", "C2", "D8"),  # g: D8 -> C2, order 16
+        ("D8", "C2", "C4"),  # f from D8: 2^16 pool tables, 16 generator images
     ]
     non_injective = 0
     for f_src, cod, g_src in cases:
@@ -328,6 +354,20 @@ def test_group_factor_matches_hom_search():
                     assert h is not None and h.table in want
                     assert h.dom == A and h.cod == K
     assert non_injective >= 5
+
+
+def test_algebra_factor_through_non_injective_map_is_capped():
+    chain = [f"{i:02d}" for i in range(21)]  # meet is min on the labels
+    A, B, C = sl("A", chain), sl("B", ["0", "1", "2", "3"]), sl("C", ["0", "1"])
+    g = alg.alg_hom(B, C, {"0": "0", "1": "0", "2": "1", "3": "1"})
+    f = alg.alg_hom(A, C, {x: "0" if int(x) < 10 else "1" for x in chain})
+    with pytest.raises(CarrierTooLarge):  # 2^21 candidate tables
+        AC.factor(f, g)
+    small = sl("S", chain[:12])
+    f = alg.alg_hom(small, C, {x: "0" if int(x) < 6 else "1" for x in chain[:12]})
+    h = AC.factor(f, g)
+    assert h.table == ("0",) * 6 + ("2",) * 6
+    assert AC.compose(g, h) == f
 
 
 def test_group_capabilities():

@@ -1,6 +1,7 @@
-"""Finite algebras over a one-sorted signature: evaluation, satisfaction,
-homomorphisms, products, subalgebra closure, congruences, and quotients.
-The Birkhoff-style closure operations build on these.
+"""Finite algebras over a one-sorted signature: column-wise term evaluation
+(over all assignments at once), satisfaction, homomorphisms, products,
+subalgebra closure, congruences, and quotients, with every operation table
+built by `tabulate`. The Birkhoff-style closure operations build on these.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import (
     UnboundVariable,
 )
 from .finset import FinSetObj, _UnionFind, tuple_label
-from .theories import App, Signature, Term, Var, term_vars
+from .theories import Signature, Term, Var, _fold, term_vars
 
 
 @dataclass(frozen=True)
@@ -63,45 +64,63 @@ class FiniteAlgebra:
         return hash((self.name, self.signature, self.carrier))
 
 
+def tabulate(signature: Signature, labels, value) -> dict[str, dict[tuple[str, ...], str]]:
+    """One table per symbol: value(sym, args) at every argument tuple of labels."""
+    return {
+        sym: {args: value(sym, args) for args in itertools.product(labels, repeat=arity)}
+        for sym, arity in signature.ops
+    }
+
+
 def make_algebra(name: str, signature: Signature, carrier, ops: dict) -> FiniteAlgebra:
     """Build from callables (or dicts) per symbol; constants may be bare labels."""
     carrier = carrier if isinstance(carrier, FinSetObj) else FinSetObj(tuple(carrier))
-    tables: dict[str, dict[tuple[str, ...], str]] = {}
-    for sym, arity in signature.ops:
+
+    def value(sym, args):
         fn = ops[sym]
-        table = {}
-        for args in itertools.product(carrier.elements, repeat=arity):
-            if callable(fn):
-                table[args] = fn(*args)
-            elif isinstance(fn, dict):
-                table[args] = fn[args]
-            else:
-                table[args] = fn  # constant given as a bare label
-        tables[sym] = table
-    return FiniteAlgebra(name, signature, carrier, tables)
+        if callable(fn):
+            return fn(*args)
+        if isinstance(fn, dict):
+            return fn[args]
+        return fn  # constant given as a bare label
+
+    return FiniteAlgebra(name, signature, carrier, tabulate(signature, carrier.elements, value))
 
 
-def eval_term(A: FiniteAlgebra, t: Term, env: dict[int, str]) -> str:
-    if isinstance(t, Var):
-        if t.index not in env:
-            raise UnboundVariable(f"variable {t.index} not assigned")
-        return env[t.index]
-    if t.symbol not in A.tables:
-        raise SignatureMismatch(f"symbol {t.symbol} not in algebra {A.name}")
-    if len(t.args) != A.signature.arity(t.symbol):
-        raise SignatureMismatch(f"symbol {t.symbol} applied at wrong arity")
-    return A.op(t.symbol, tuple(eval_term(A, a, env) for a in t.args))
+def projections(A: FiniteAlgebra, n: int) -> list[tuple[str, ...]]:
+    """The n projection columns over all |A|^n assignments, in
+    carrier-lexicographic order; n empty columns when the carrier is empty."""
+    return list(zip(*itertools.product(A.carrier.elements, repeat=n))) or [()] * n
 
 
-def assignments(A: FiniteAlgebra, n: int):
-    """All environments for variables 0..n-1, in carrier-lexicographic order."""
-    for combo in itertools.product(A.carrier.elements, repeat=n):
-        yield dict(enumerate(combo))
+def pointwise(A: FiniteAlgebra, sym: str, columns, size: int) -> tuple[str, ...]:
+    """sym applied entrywise to argument columns of the given size; a
+    nullary symbol gives its constant size times."""
+    args = zip(*columns) if columns else itertools.repeat((), size)
+    return tuple(map(A.tables[sym].__getitem__, args))
 
 
 def term_function(A: FiniteAlgebra, t: Term, n: int) -> tuple[str, ...]:
-    """The induced n-ary function as its output tuple over all assignments."""
-    return tuple(eval_term(A, t, env) for env in assignments(A, n))
+    """The induced n-ary function as its output tuple over all assignments.
+
+    Raises at the first node in preorder that is a variable of index n or
+    more, a symbol A lacks, or a symbol at the wrong arity.
+    """
+    cols = projections(A, n)
+    size = len(A.carrier) ** n
+
+    def leaf(u):
+        if u.__class__ is Var:
+            if u.index >= n:
+                raise UnboundVariable(f"variable {u.index} not assigned")
+            return cols[u.index]
+        if u.symbol not in A.tables:
+            raise SignatureMismatch(f"symbol {u.symbol} not in algebra {A.name}")
+        if len(u.args) != A.signature.arity(u.symbol):
+            raise SignatureMismatch(f"symbol {u.symbol} applied at wrong arity")
+        return None
+
+    return _fold(t, leaf, lambda u, args: pointwise(A, u.symbol, args, size))
 
 
 @dataclass(frozen=True)
@@ -120,19 +139,9 @@ class Identity:
 
 
 def satisfies(A: FiniteAlgebra, ident: Identity) -> bool:
-    for t in (ident.lhs, ident.rhs):
-        _check_symbols(A, t)
     return term_function(A, ident.lhs, ident.context) == term_function(
         A, ident.rhs, ident.context
     )
-
-
-def _check_symbols(A: FiniteAlgebra, t: Term) -> None:
-    if isinstance(t, App):
-        if t.symbol not in A.tables or len(t.args) != A.signature.arity(t.symbol):
-            raise SignatureMismatch(f"term uses {t.symbol} not matching {A.name}")
-        for a in t.args:
-            _check_symbols(A, a)
 
 
 @dataclass(frozen=True)
@@ -208,21 +217,18 @@ def product_algebra(As: list[FiniteAlgebra], name: str | None = None) -> "Produc
     labels = [tuple_label(c) for c in combos]
     carrier = FinSetObj(tuple(labels))
     unpack = dict(zip(labels, combos))
-    tables: dict[str, dict[tuple[str, ...], str]] = {}
-    for sym, arity in sig.ops:
-        table = {}
-        for args in itertools.product(labels, repeat=arity):
-            cols = [unpack[a] for a in args]
-            out = tuple(
-                As[i].op(sym, tuple(col[i] for col in cols)) for i in range(len(As))
-            )
-            table[args] = tuple_label(out)
-        tables[sym] = table
+
+    def value(sym, args):
+        # factor by factor, so a constant takes each factor's own value
+        cols = [unpack[a] for a in args]
+        return tuple_label([F.op(sym, tuple(c[i] for c in cols)) for i, F in enumerate(As)])
+
+    tables = tabulate(sig, labels, value)
     P = FiniteAlgebra(name or tuple_label([A.name for A in As]), sig, carrier, tables)
-    projections = tuple(
+    legs = tuple(
         AlgHom(P, As[i], tuple(unpack[l][i] for l in labels)) for i in range(len(As))
     )
-    return ProductAlgebraResult(P, projections, unpack)
+    return ProductAlgebraResult(P, legs, unpack)
 
 
 @dataclass(frozen=True)
@@ -264,15 +270,14 @@ def subalgebra_closure(A: FiniteAlgebra, seed) -> tuple[str, ...]:
 def sub_algebra(A: FiniteAlgebra, members, name: str | None = None) -> tuple[FiniteAlgebra, AlgHom]:
     members = tuple(x for x in A.carrier.elements if x in set(members))
     mset = set(members)
-    tables: dict[str, dict[tuple[str, ...], str]] = {}
-    for sym, arity in A.signature.ops:
-        table = {}
-        for args in itertools.product(members, repeat=arity):
-            out = A.op(sym, args)
-            if out not in mset:
-                raise InvariantError(f"subset not closed under {sym}")
-            table[args] = out
-        tables[sym] = table
+
+    def value(sym, args):
+        out = A.op(sym, args)
+        if out not in mset:
+            raise InvariantError(f"subset not closed under {sym}")
+        return out
+
+    tables = tabulate(A.signature, members, value)
     S = FiniteAlgebra(
         name or f"{A.name}|{','.join(members)}", A.signature, FinSetObj(members), tables
     )
@@ -284,14 +289,12 @@ def subalgebras(A: FiniteAlgebra) -> list[tuple[FiniteAlgebra, AlgHom]]:
     first, carrier-order tiebreak; includes A itself.
     """
     elems = A.carrier.elements
-    found: list[tuple[str, ...]] = []
-    seen: set[tuple[str, ...]] = set()
-    for r in range(1, len(elems) + 1):
-        for combo in itertools.combinations(elems, r):
-            if subalgebra_closure(A, combo) == combo and combo not in seen:
-                seen.add(combo)
-                found.append(combo)
-    return [sub_algebra(A, members) for members in found]
+    return [
+        sub_algebra(A, combo)
+        for r in range(1, len(elems) + 1)
+        for combo in itertools.combinations(elems, r)
+        if subalgebra_closure(A, combo) == combo
+    ]
 
 
 # -- congruences ----------------------------------------------------------
@@ -303,8 +306,13 @@ def _partition_of(A: FiniteAlgebra, uf: _UnionFind) -> Partition:
     classes: dict[str, list[str]] = {}
     for x in A.carrier.elements:
         classes.setdefault(uf.find(x), []).append(x)
-    reps = sorted(classes, key=lambda r: min(A.carrier.elements.index(m) for m in classes[r]))
-    return tuple(tuple(classes[r]) for r in reps)
+    # keyed in order of each class's earliest member
+    return tuple(tuple(c) for c in classes.values())
+
+
+def _pairs(partition: Partition) -> list[tuple[str, str]]:
+    """Pairs whose equivalence closure is the partition."""
+    return [(c[0], x) for c in partition for x in c[1:]]
 
 
 def congruence_closure(A: FiniteAlgebra, pairs) -> Partition:
@@ -333,24 +341,13 @@ def congruence_closure(A: FiniteAlgebra, pairs) -> Partition:
 
 
 def is_congruence(A: FiniteAlgebra, partition: Partition) -> bool:
-    cls: dict[str, int] = {}
-    for i, c in enumerate(partition):
-        for x in c:
-            cls[x] = i
-    if set(cls) != set(A.carrier.elements):
+    """A partition of the carrier (nonempty, disjoint classes covering it)
+    that the congruence closure of its own pairs leaves unchanged."""
+    members = [x for c in partition for x in c]
+    if not all(partition) or sorted(members) != sorted(A.carrier.elements):
         return False
-    for sym, arity in A.signature.ops:
-        if arity == 0:
-            continue
-        for args in itertools.product(A.carrier.elements, repeat=arity):
-            for i in range(arity):
-                for alt in A.carrier.elements:
-                    if cls[alt] != cls[args[i]]:
-                        continue
-                    other = args[:i] + (alt,) + args[i + 1 :]
-                    if cls[A.op(sym, args)] != cls[A.op(sym, other)]:
-                        return False
-    return True
+    closure = congruence_closure(A, _pairs(partition))
+    return set(map(frozenset, closure)) == set(map(frozenset, partition))
 
 
 def congruences(A: FiniteAlgebra, bound: int = 8) -> list[Partition]:
@@ -374,10 +371,7 @@ def congruences(A: FiniteAlgebra, bound: int = 8) -> list[Partition]:
     while frontier:
         p = frontier.pop()
         for q in principals:
-            pairs = [(c[0], m) for c in p for m in c[1:]] + [
-                (c[0], m) for c in q for m in c[1:]
-            ]
-            j = congruence_closure(A, pairs)
+            j = congruence_closure(A, _pairs(p) + _pairs(q))
             if j not in found:
                 found.add(j)
                 frontier.append(j)
@@ -390,20 +384,10 @@ def quotient_algebra(
     """Quotient by a congruence; class labels are earliest-member labels."""
     if not is_congruence(A, partition):
         raise InvariantError("partition is not operation-compatible")
-    rep: dict[str, str] = {}
-    for c in partition:
-        earliest = min(c, key=A.carrier.elements.index)
-        for x in c:
-            rep[x] = earliest
-    labels = tuple(
-        sorted({rep[x] for x in A.carrier.elements}, key=A.carrier.elements.index)
-    )
-    tables: dict[str, dict[tuple[str, ...], str]] = {}
-    for sym, arity in A.signature.ops:
-        table = {}
-        for args in itertools.product(labels, repeat=arity):
-            table[args] = rep[A.op(sym, args)]
-        tables[sym] = table
+    rep = {x: min(c, key=A.carrier.elements.index) for c in partition for x in c}
+    # each class's label first occurs at its earliest member
+    labels = tuple(dict.fromkeys(rep[x] for x in A.carrier.elements))
+    tables = tabulate(A.signature, labels, lambda sym, args: rep[A.op(sym, args)])
     Q = FiniteAlgebra(name or f"{A.name}/~", A.signature, FinSetObj(labels), tables)
     return Q, AlgHom(A, Q, tuple(rep[x] for x in A.carrier.elements))
 

@@ -35,6 +35,9 @@ from .theories import (
 
 _GRP_CAT = FinGrpCat()
 
+# most assignments (|A|^n) a term function is evaluated or tabulated over
+_MAX_ASSIGNMENTS = 4096
+
 
 # -- term enumeration ------------------------------------------------------
 
@@ -72,7 +75,7 @@ def identities_of(
     that A satisfies. Deduplicated modulo derivability from earlier output
     (bounded search); pass raw=True for every valid pair.
     """
-    if len(A.carrier) ** n_vars > 4096:
+    if len(A.carrier) ** n_vars > _MAX_ASSIGNMENTS:
         raise BoundsTooLarge("too many assignments to evaluate")
     terms = enumerate_terms(A.signature, n_vars, depth)
     by_function: dict[tuple[str, ...], list[Term]] = {}
@@ -226,10 +229,9 @@ def replay_hsp_witness(B: FiniteAlgebra, A: FiniteAlgebra, w: HspWitness) -> boo
     S, _ = alg.sub_algebra(power, members)
     if S.carrier != w.subalgebra.carrier:
         return False
-    if not alg.is_congruence(S, w.congruence):
-        return False
-    Q, _ = alg.quotient_algebra(S, w.congruence)
     try:
+        # the quotient raises unless the congruence is one
+        Q, _ = alg.quotient_algebra(S, w.congruence)
         iso = alg.AlgHom(Q, B, w.isomorphism.table)
     except Exception:
         return False
@@ -257,45 +259,33 @@ def free_algebra_in_variety(A: FiniteAlgebra, n: int, cap: int = 100_000) -> Fre
     function's value tuple over all assignments in carrier-lexicographic
     order.
     """
-    if len(A.carrier) ** n > 4096:
+    size = len(A.carrier) ** n
+    if size > _MAX_ASSIGNMENTS:
         raise BoundsTooLarge("too many assignments to tabulate")
-    envs = list(alg.assignments(A, n))
-    projections = [tuple(env[i] for env in envs) for i in range(n)]
-    funcs: dict[tuple[str, ...], Term] = {}
-    order: list[tuple[str, ...]] = []
+    projections = alg.projections(A, n)
+    funcs: dict[tuple[str, ...], Term] = {}  # in order of discovery
     for i, p in enumerate(projections):
-        if p not in funcs:
-            funcs[p] = Var(i)
-            order.append(p)
+        funcs.setdefault(p, Var(i))
     # constants enter through arity-0 symbols even with n = 0 generators,
     # since a nullary product has exactly one (empty) argument tuple
     while True:
-        new: list[tuple[str, ...]] = []
+        order = list(funcs)
         for sym, arity in A.signature.ops:
             for combo in itertools.product(order, repeat=arity):
-                out = tuple(
-                    A.op(sym, tuple(col[i] for col in combo)) for i in range(len(envs))
-                )
+                out = alg.pointwise(A, sym, combo, size)
                 if out not in funcs:
                     funcs[out] = App(sym, tuple(funcs[c] for c in combo))
-                    new.append(out)
                     if len(funcs) > cap:
                         raise BoundsTooLarge("term-function closure exceeds cap")
-        if not new:
+        if len(funcs) == len(order):
             break
-        order.extend(new)
-    labels = [tuple_label(f) for f in order]
-    unpack = dict(zip(labels, order))
-    tables: dict[str, dict[tuple[str, ...], str]] = {}
-    for sym, arity in A.signature.ops:
-        table = {}
-        for args in itertools.product(labels, repeat=arity):
-            cols = [unpack[a] for a in args]
-            out = tuple(
-                A.op(sym, tuple(col[i] for col in cols)) for i in range(len(envs))
-            )
-            table[args] = tuple_label(out)
-        tables[sym] = table
+    labels = [tuple_label(f) for f in funcs]
+    unpack = dict(zip(labels, funcs))
+
+    def value(sym, args):
+        return tuple_label(alg.pointwise(A, sym, [unpack[a] for a in args], size))
+
+    tables = alg.tabulate(A.signature, labels, value)
     F = FiniteAlgebra(
         f"Free({A.name},{n})", A.signature, FinSetObj(tuple(labels)), tables
     )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from group_oracle import oracle_commutator_subgroup, oracle_quotient_group
@@ -98,6 +100,10 @@ def test_hsp_chain_in_semilattice_square():
     assert res.yes
     assert res.witness.k == 2
     assert replay_hsp_witness(chain3(), semilattice2(), res.witness)
+    # a class listed twice is not a partition, so the witness does not replay
+    theta = res.witness.congruence
+    bad = dataclasses.replace(res.witness, congruence=theta + theta[:1])
+    assert not replay_hsp_witness(chain3(), semilattice2(), bad)
 
 
 def test_hsp_rejects_non_idempotent_with_certificate():

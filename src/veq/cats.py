@@ -149,37 +149,43 @@ def category_from_generators(
                 if len(words) > max_morphisms:
                     raise InvariantError(f"{name}: generated category exceeds bound")
 
-    morphs = tuple(sorted(names))
-    src = {m: word_src(names[m][1], names[m][0]) for m in morphs}
-    tgt = {m: names[m][0] for m in morphs}
-    ids = {x: words[(x, ())] for x in objects}
-    comp: dict[tuple[str, str], str] = {}
-    for g in morphs:
-        for f in morphs:
-            if src[g] != tgt[f]:
-                continue
-            gw, fw = names[g][1], names[f][1]
-            nw = rewrite(gw + fw)
-            at = tgt[g]
-            key = (at, nw)
-            if key not in words:
-                raise InvariantError(f"{name}: relations do not close composition")
-            comp[(g, f)] = words[key]
-    return FiniteCategory(name, tuple(objects), morphs, src, tgt, ids, comp)
+    def compose(g: str, f: str) -> str:
+        key = (names[g][0], rewrite(names[g][1] + names[f][1]))
+        if key not in words:
+            raise InvariantError(f"{name}: relations do not close composition")
+        return words[key]
+
+    return tabulate_category(
+        name,
+        objects,
+        {m: (word_src(names[m][1], names[m][0]), names[m][0]) for m in sorted(names)},
+        {x: words[(x, ())] for x in objects},
+        compose,
+    )
 
 
 def discrete_category(name: str, objects: list[str]) -> FiniteCategory:
     ids = {x: f"id_{x}" for x in objects}
-    morphs = tuple(ids[x] for x in objects)
-    return FiniteCategory(
-        name,
-        tuple(objects),
-        morphs,
-        {ids[x]: x for x in objects},
-        {ids[x]: x for x in objects},
-        ids,
-        {(ids[x], ids[x]): ids[x] for x in objects},
+    return tabulate_category(
+        name, objects, {ids[x]: (x, x) for x in objects}, ids, lambda g, f: g
     )
+
+
+def tabulate_category(
+    name: str,
+    objects,
+    arrows: dict[str, tuple[str, str]],
+    ids: dict[str, str],
+    compose,
+) -> FiniteCategory:
+    """The category whose arrows map each label to its (source, target), in
+    order, with ids giving each object's identity and compose(g, f) the
+    label of g o f for every composable pair. The constructor validates
+    the result."""
+    src = {m: s for m, (s, _) in arrows.items()}
+    tgt = {m: t for m, (_, t) in arrows.items()}
+    comp = {(g, f): compose(g, f) for g in arrows for f in arrows if src[g] == tgt[f]}
+    return FiniteCategory(name, tuple(objects), tuple(arrows), src, tgt, ids, comp)
 
 
 @dataclass(frozen=True)

@@ -55,49 +55,52 @@ def _check_parallel(F: cats.FunctorData, G: cats.FunctorData):
         raise NotParallel("the two functors must share source and target")
 
 
+def _category_over(name: str, base: cats.FiniteCategory, over: dict[str, str], admits, label):
+    """The category whose objects p lie over the base objects over[p] and
+    whose arrows p -> q are the base arrows d: over[p] -> over[q] with
+    admits(p, q, d), labelled label(d, p, q); identities and composites are
+    the base's. Returns it with the base arrow under each of its arrows."""
+    arrows: dict[str, tuple[str, str]] = {}
+    base_of: dict[str, str] = {}
+    for p in over:
+        for q in over:
+            for d in base.hom(over[p], over[q]):
+                if admits(p, q, d):
+                    m = label(d, p, q)
+                    arrows[m] = (p, q)
+                    base_of[m] = d
+    cat = cats.tabulate_category(
+        name,
+        over,
+        arrows,
+        {p: label(base.ids[over[p]], p, p) for p in over},
+        lambda g, f: label(base.comp[(base_of[g], base_of[f])], arrows[f][0], arrows[g][1]),
+    )
+    return cat, base_of
+
+
 def inserter(F: cats.FunctorData, G: cats.FunctorData, name: str | None = None) -> InserterResult:
     """Build the category of pairs (A, r: FA -> GA) over the source of F."""
     _check_parallel(F, G)
     base, target = F.source, F.target
-    pairs: dict[str, tuple[str, str]] = {}
-    objects: list[str] = []
-    for x in base.objects:
-        for r in target.hom(F.obj_map[x], G.obj_map[x]):
-            lab = pair_label(x, r)
-            pairs[lab] = (x, r)
-            objects.append(lab)
-    morphisms: list[str] = []
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    base_of: dict[str, str] = {}
-    for p in objects:
-        x, r = pairs[p]
-        for q in objects:
-            y, s = pairs[q]
-            for d in base.hom(x, y):
-                if target.comp[(G.mor_map[d], r)] == target.comp[(s, F.mor_map[d])]:
-                    m = _mor_label(d, p, q)
-                    morphisms.append(m)
-                    src[m] = p
-                    tgt[m] = q
-                    base_of[m] = d
-    ids = {p: _mor_label(base.ids[pairs[p][0]], p, p) for p in objects}
-    comp: dict[tuple[str, str], str] = {}
-    for after in morphisms:
-        for first in morphisms:
-            if src[after] != tgt[first]:
-                continue
-            d = base.comp[(base_of[after], base_of[first])]
-            comp[(after, first)] = _mor_label(d, src[first], tgt[after])
-    cat = cats.FiniteCategory(
+    pairs = {
+        pair_label(x, r): (x, r)
+        for x in base.objects
+        for r in target.hom(F.obj_map[x], G.obj_map[x])
+    }
+    cat, base_of = _category_over(
         name or f"Ins({base.name},{target.name})",
-        tuple(objects), tuple(morphisms), src, tgt, ids, comp,
+        base,
+        {p: x for p, (x, _) in pairs.items()},
+        lambda p, q, d: target.comp[(G.mor_map[d], pairs[p][1])]
+        == target.comp[(pairs[q][1], F.mor_map[d])],
+        _mor_label,
     )
-    forgetful = cats.FunctorData(cat, base, {p: pairs[p][0] for p in objects}, base_of)
+    forgetful = cats.FunctorData(cat, base, {p: pairs[p][0] for p in cat.objects}, base_of)
     inserted = cats.NatTransData(
         cats.compose_functors(F, forgetful),
         cats.compose_functors(G, forgetful),
-        {p: pairs[p][1] for p in objects},
+        {p: pairs[p][1] for p in cat.objects},
     )
     return InserterResult(cat, forgetful, inserted, pairs, F, G)
 
@@ -154,13 +157,7 @@ def mediating_functor(ins: InserterResult, V: cats.FunctorData, alpha: cats.NatT
         raise SourceMismatch("transformation must start at the first functor composed with the cone")
     if not cats.functors_equal(alpha.target, cats.compose_functors(G, V)):
         raise SourceMismatch("transformation must end at the second functor composed with the cone")
-    shape = V.source
-    obj_map = {x: pair_label(V.obj_map[x], alpha.at(x)) for x in shape.objects}
-    mor_map = {
-        m: _mor_label(V.mor_map[m], obj_map[shape.src[m]], obj_map[shape.tgt[m]])
-        for m in shape.morphisms
-    }
-    return cats.FunctorData(shape, ins.category, obj_map, mor_map)
+    return _lift(ins, V, {x: pair_label(V.obj_map[x], alpha.at(x)) for x in V.source.objects})
 
 
 def verify_universal_property(ins: InserterResult, V: cats.FunctorData, alpha: cats.NatTransData) -> bool:
@@ -181,15 +178,28 @@ def verify_universal_property(ins: InserterResult, V: cats.FunctorData, alpha: c
     return matches == 1
 
 
-def _concrete_functor(src_ins: InserterResult, tgt_ins: InserterResult, obj_map: dict[str, str]) -> cats.FunctorData:
-    """A functor between pair categories acting as the identity on base
-    arrows; the object map decides everything else."""
-    C = src_ins.category
+def _lift(ins: InserterResult, V: cats.FunctorData, obj_map: dict[str, str]) -> cats.FunctorData:
+    """The functor into the pair category that sends each object x of V's
+    source to obj_map[x] and each arrow m to the pair-category arrow over
+    the base arrow V(m)."""
+    shape = V.source
     mor_map = {
-        m: _mor_label(src_ins.forgetful.mor_map[m], obj_map[C.src[m]], obj_map[C.tgt[m]])
-        for m in C.morphisms
+        m: _mor_label(V.mor_map[m], obj_map[shape.src[m]], obj_map[shape.tgt[m]])
+        for m in shape.morphisms
     }
-    return cats.FunctorData(C, tgt_ins.category, obj_map, mor_map)
+    return cats.FunctorData(shape, ins.category, obj_map, mor_map)
+
+
+def _shift(ins: InserterResult, shifted: InserterResult, there, back) -> tuple[cats.FunctorData, cats.FunctorData]:
+    """The functors ins -> shifted and shifted -> ins between two pair
+    categories over one base that keep every base arrow; a pair (x, r) goes
+    to (x, there(x, r)) one way and to (x, back(x, r)) the other."""
+
+    def across(src: InserterResult, tgt: InserterResult, rule) -> cats.FunctorData:
+        obj_map = {p: pair_label(x, rule(x, r)) for p, (x, r) in src.pairs.items()}
+        return _lift(tgt, src.forgetful, obj_map)
+
+    return across(ins, shifted, there), across(shifted, ins, back)
 
 
 def shift_left(F: cats.FunctorData, G: cats.FunctorData, adj: cats.AdjunctionData) -> tuple[cats.FunctorData, cats.FunctorData]:
@@ -201,18 +211,12 @@ def shift_left(F: cats.FunctorData, G: cats.FunctorData, adj: cats.AdjunctionDat
         raise AdjunctionInvalid("the adjunction's right side must be the second functor")
     H = adj.left
     base, target = F.source, F.target
-    ins_fg = inserter(F, G)
-    ins_shift = inserter(cats.compose_functors(H, F), cats.identity_functor(base))
-    there_obj = {}
-    for p, (x, r) in ins_fg.pairs.items():
-        there_obj[p] = pair_label(x, base.comp[(adj.counit.at(x), H.mor_map[r])])
-    there = _concrete_functor(ins_fg, ins_shift, there_obj)
-    back_obj = {}
-    for p, (x, r) in ins_shift.pairs.items():
-        eta = adj.unit.at(F.obj_map[x])
-        back_obj[p] = pair_label(x, target.comp[(G.mor_map[r], eta)])
-    back = _concrete_functor(ins_shift, ins_fg, back_obj)
-    return there, back
+    return _shift(
+        inserter(F, G),
+        inserter(cats.compose_functors(H, F), cats.identity_functor(base)),
+        lambda x, r: base.comp[(adj.counit.at(x), H.mor_map[r])],
+        lambda x, r: target.comp[(G.mor_map[r], adj.unit.at(F.obj_map[x]))],
+    )
 
 
 def shift_right(F: cats.FunctorData, G: cats.FunctorData, adj: cats.AdjunctionData) -> tuple[cats.FunctorData, cats.FunctorData]:
@@ -223,18 +227,12 @@ def shift_right(F: cats.FunctorData, G: cats.FunctorData, adj: cats.AdjunctionDa
         raise AdjunctionInvalid("the adjunction's left side must be the first functor")
     H = adj.right
     base, target = F.source, F.target
-    ins_fg = inserter(F, G)
-    ins_shift = inserter(cats.identity_functor(base), cats.compose_functors(H, G))
-    there_obj = {}
-    for p, (x, r) in ins_fg.pairs.items():
-        there_obj[p] = pair_label(x, base.comp[(H.mor_map[r], adj.unit.at(x))])
-    there = _concrete_functor(ins_fg, ins_shift, there_obj)
-    back_obj = {}
-    for p, (x, s) in ins_shift.pairs.items():
-        eps = adj.counit.at(G.obj_map[x])
-        back_obj[p] = pair_label(x, target.comp[(eps, F.mor_map[s])])
-    back = _concrete_functor(ins_shift, ins_fg, back_obj)
-    return there, back
+    return _shift(
+        inserter(F, G),
+        inserter(cats.identity_functor(base), cats.compose_functors(H, G)),
+        lambda x, r: base.comp[(H.mor_map[r], adj.unit.at(x))],
+        lambda x, s: target.comp[(adj.counit.at(G.obj_map[x]), F.mor_map[s])],
+    )
 
 
 def inserter_poset(f: po.MonotoneMap, g: po.MonotoneMap) -> tuple[po.Poset, po.MonotoneMap]:
@@ -490,9 +488,9 @@ def free_f_algebra(functor: PolyFunctor, generators: fs.FinSetObj, depth: int, c
                     index.add(t)
                     layer.append(t)
                     recipes[t] = (cons, args)
+                    if len(seen) + len(layer) > cap:
+                        raise BoundsTooLarge(f"free carrier exceeds {cap} terms")
         seen.extend(layer)
-        if len(seen) > cap:
-            raise BoundsTooLarge(f"free carrier exceeds {cap} terms")
     carrier = fs.FinSetObj(tuple(seen))
     applied = functor.on_set(carrier)
     structure = {lab: lab for lab in applied.elements if lab in index}
@@ -502,6 +500,9 @@ def free_f_algebra(functor: PolyFunctor, generators: fs.FinSetObj, depth: int, c
         functor, generators, depth, carrier, insertion, applied,
         structure, frontier, recipes,
     )
+
+
+_EXHAUSTIVE_CAP = 1_000_000  # candidate maps; alg.all_alg_homs' default cap
 
 
 def free_universal_map(free: FreeFAlgebra, target: fs.FinFunction, gen_map: fs.FinFunction, exhaustive: bool = False) -> fs.FinFunction:
@@ -517,6 +518,16 @@ def free_universal_map(free: FreeFAlgebra, target: fs.FinFunction, gen_map: fs.F
         raise SourceMismatch("generator assignment must start at the generators")
     if gen_map.cod != B:
         raise SourceMismatch("generator assignment must land in the target carrier")
+
+    def is_hom(h: dict[str, str]) -> bool:
+        for e in free.applied.elements:
+            if e not in free.frontier:
+                # only the identity polynomial applies to a bare generator
+                cons, args = free.recipes.get(e, ("", (e,)))
+                if h[free.structure[e]] != target(functor.term(cons, tuple(h[a] for a in args))):
+                    return False
+        return True
+
     values: dict[str, str] = {}
     for t in free.carrier.elements:
         if t in free.recipes:
@@ -524,38 +535,20 @@ def free_universal_map(free: FreeFAlgebra, target: fs.FinFunction, gen_map: fs.F
             values[t] = target(functor.term(cons, tuple(values[a] for a in args)))
         else:
             values[t] = gen_map(t)
-    h = fs.fin_function(free.carrier, B, values)
-    for e in free.applied.elements:
-        if e in free.frontier:
-            continue
-        cons, args = free.recipes.get(e, (None, None))
-        if cons is None:
-            # the functor image of a carrier element that is itself a
-            # generator only happens for the identity polynomial
-            mapped = values[e]
-        else:
-            mapped = target(functor.term(cons, tuple(values[a] for a in args)))
-        if values[free.structure[e]] != mapped:
-            raise InvariantError("constructed map fails the homomorphism law")
+    if not is_hom(values):
+        raise InvariantError("constructed map fails the homomorphism law")
     if exhaustive:
+        planned = len(B) ** len(free.carrier)
+        if planned > _EXHAUSTIVE_CAP:
+            raise BoundsTooLarge(f"exhaustive check would try {planned} maps (cap {_EXHAUSTIVE_CAP})")
         count = 0
         for combo in itertools.product(B.elements, repeat=len(free.carrier)):
             cand = dict(zip(free.carrier.elements, combo))
-            if any(cand[g] != gen_map(g) for g in free.generators.elements):
-                continue
-            good = True
-            for e in free.applied.elements:
-                if e in free.frontier:
-                    continue
-                cons, args = free.recipes.get(e, ("", (e,)))
-                if cand[free.structure[e]] != target(functor.term(cons, tuple(cand[a] for a in args))):
-                    good = False
-                    break
-            if good:
+            if all(cand[g] == gen_map(g) for g in free.generators.elements) and is_hom(cand):
                 count += 1
         if count != 1:
             raise InvariantError(f"universal map is not unique: {count} candidates")
-    return h
+    return fs.fin_function(free.carrier, B, values)
 
 
 # --- signature algebras as a pair category ---------------------------------
@@ -653,18 +646,13 @@ class _FamilyCatBuilder:
                 raise BoundTooLarge(f"category closure exceeds {cap} morphisms")
 
     def build(self, name: str) -> cats.FiniteCategory:
-        objects = tuple(self.objects)
-        morphs = tuple(self.entries)
-        src = {m: self.entries[m][0] for m in morphs}
-        tgt = {m: self.entries[m][1] for m in morphs}
-        ids = {x: self.identity(x) for x in objects}
-        comp = {}
-        for after in morphs:
-            for first in morphs:
-                if src[after] != tgt[first]:
-                    continue
-                comp[(after, first)] = self.rev[self.compose_key(after, first)]
-        return cats.FiniteCategory(name, objects, morphs, src, tgt, ids, comp)
+        return cats.tabulate_category(
+            name,
+            self.objects,
+            {m: (src, tgt) for m, (src, tgt, _) in self.entries.items()},
+            {x: self.identity(x) for x in self.objects},
+            lambda after, first: self.rev[self.compose_key(after, first)],
+        )
 
 
 def _family_name(prefix: str, comps) -> str:
@@ -782,7 +770,6 @@ def sigma_alg_as_inserter(sig: SortedSignature, size_bound: int,
     ins = inserter(arg_functor, res_functor, name="Ins(args,results)")
 
     # direct side: objects are (family, one output table per operation)
-    alg_objects: list[str] = []
     alg_content: dict[str, tuple[str, tuple]] = {}
     content_index: dict[tuple[str, tuple], str] = {}
     for xn, comps in families.items():
@@ -792,44 +779,27 @@ def sigma_alg_as_inserter(sig: SortedSignature, size_bound: int,
             pools.append(list(itertools.product(res_obj.elements, repeat=len(dom_obj))))
         for k, tables in enumerate(itertools.product(*pools)):
             name = f"{xn}!{k}"
-            alg_objects.append(name)
             alg_content[name] = (xn, tuple(tables))
             content_index[(xn, tuple(tables))] = name
-            if len(alg_objects) > direct_cap:
+            if len(alg_content) > direct_cap:
                 raise BoundTooLarge(f"more than {direct_cap} algebras at this bound")
 
-    alg_morphs: list[str] = []
-    asrc: dict[str, str] = {}
-    atgt: dict[str, str] = {}
-    abase: dict[str, str] = {}
-    for d in base_cat.morphisms:
-        xn, yn, tables = base_b.entries[d]
-        xcomps, ycomps = families[xn], families[yn]
-        for an in alg_objects:
-            if alg_content[an][0] != xn:
-                continue
-            for bn in alg_objects:
-                if alg_content[bn][0] != yn:
-                    continue
-                if _is_family_hom(sig, sort_index, xcomps, ycomps,
-                                  alg_content[an][1], alg_content[bn][1], tables):
-                    m = f"{an}>{bn}|{d}"
-                    alg_morphs.append(m)
-                    asrc[m], atgt[m], abase[m] = an, bn, d
-    aids = {an: f"{an}>{an}|{base_cat.ids[alg_content[an][0]]}" for an in alg_objects}
-    acomp = {}
-    for after in alg_morphs:
-        for first in alg_morphs:
-            if asrc[after] != atgt[first]:
-                continue
-            d = base_cat.comp[(abase[after], abase[first])]
-            acomp[(after, first)] = f"{asrc[first]}>{atgt[after]}|{d}"
-    direct_cat = cats.FiniteCategory(
-        "SigAlg", tuple(alg_objects), tuple(alg_morphs), asrc, atgt, aids, acomp)
+    def alg_label(d: str, an: str, bn: str) -> str:
+        return f"{an}>{bn}|{d}"
+
+    direct_cat, _ = _category_over(
+        "SigAlg",
+        base_cat,
+        {an: xn for an, (xn, _) in alg_content.items()},
+        lambda an, bn, d: _is_family_hom(
+            sig, sort_index, families[alg_content[an][0]], families[alg_content[bn][0]],
+            alg_content[an][1], alg_content[bn][1], base_b.entries[d][2]),
+        alg_label,
+    )
 
     # match the two sides
     object_map: dict[str, str] = {}
-    matched = len(ins.category.objects) == len(alg_objects)
+    matched = len(ins.category.objects) == len(alg_content)
     for p, (xn, r) in ins.pairs.items():
         tables = sigma_b.entries[r][2]
         direct = content_index.get((xn, tables))
@@ -839,19 +809,15 @@ def sigma_alg_as_inserter(sig: SortedSignature, size_bound: int,
         object_map[p] = direct
     if matched and len(set(object_map.values())) != len(object_map):
         matched = False
-    mor_matched = matched and len(ins.category.morphisms) == len(alg_morphs)
-    if mor_matched:
-        direct_set = set(alg_morphs)
-        for m in ins.category.morphisms:
-            d = ins.forgetful.mor_map[m]
-            lifted = f"{object_map[ins.category.src[m]]}>{object_map[ins.category.tgt[m]]}|{d}"
-            if lifted not in direct_set:
-                mor_matched = False
-                break
+    # object_map is injective here, so distinct arrows lift to distinct labels
+    mor_matched = matched and set(direct_cat.morphisms) == {
+        alg_label(d, object_map[ins.category.src[m]], object_map[ins.category.tgt[m]])
+        for m, d in ins.forgetful.mor_map.items()
+    }
     return {
         "matched": bool(matched and mor_matched),
-        "object_count": len(alg_objects),
-        "morphism_count": len(alg_morphs),
+        "object_count": len(alg_content),
+        "morphism_count": len(direct_cat.morphisms),
         "object_map": object_map,
         "ins_category": ins.category,
         "direct_category": direct_cat,

@@ -497,90 +497,57 @@ class FinCatCat(CompCategory):
 def _subcategory_inclusion(
     C: cats.FiniteCategory, objs: list[str], morphs: list[str]
 ) -> cats.FunctorData:
-    oset, mset = set(objs), set(morphs)
-    for x in objs:
-        if C.ids[x] not in mset:
-            raise InvariantError("subcategory misses an identity")
-    for g in morphs:
-        for f in morphs:
-            if C.src[g] == C.tgt[f] and C.comp[(g, f)] not in mset:
-                raise InvariantError("subcategory not closed under composition")
-    sub = cats.FiniteCategory(
+    """The inclusion of the subcategory on the given objects and arrows; the
+    category constructor rejects a choice that misses an identity or is not
+    closed under composition."""
+    sub = cats.tabulate_category(
         f"{C.name}|sub",
-        tuple(objs),
-        tuple(morphs),
-        {m: C.src[m] for m in morphs},
-        {m: C.tgt[m] for m in morphs},
+        objs,
+        {m: (C.src[m], C.tgt[m]) for m in morphs},
         {x: C.ids[x] for x in objs},
-        {
-            (g, f): C.comp[(g, f)]
-            for g in morphs
-            for f in morphs
-            if C.src[g] == C.tgt[f]
-        },
+        lambda g, f: C.comp[(g, f)],
     )
     return cats.FunctorData(sub, C, {x: x for x in objs}, {m: m for m in morphs})
 
 
 class _CatProductResult:
-    def __init__(self, obj, projections, pair_obj, pair_mor):
+    def __init__(self, obj, projections):
         self.obj = obj
         self.projections = projections
-        self._pair_obj = pair_obj
-        self._pair_mor = pair_mor
 
     def tuple_of(self, legs):
         dom = legs[0].source
-        obj_map = {
-            x: self._pair_obj[tuple(leg.obj_map[x] for leg in legs)] for x in dom.objects
-        }
-        mor_map = {
-            m: self._pair_mor[tuple(leg.mor_map[m] for leg in legs)]
-            for m in dom.morphisms
-        }
+        obj_map = {x: fs.tuple_label([leg.obj_map[x] for leg in legs]) for x in dom.objects}
+        mor_map = {m: fs.tuple_label([leg.mor_map[m] for leg in legs]) for m in dom.morphisms}
         return cats.FunctorData(dom, self.obj, obj_map, mor_map)
 
 
 def _cat_product(objs: list[cats.FiniteCategory]) -> _CatProductResult:
+    """Objects and arrows are the tuples of the factors', labelled by
+    fs.tuple_label; everything else is componentwise."""
     obj_combos = list(itertools.product(*(C.objects for C in objs)))
-    mor_combos = list(itertools.product(*(C.morphisms for C in objs)))
-    pair_obj = {c: fs.tuple_label(c) for c in obj_combos}
-    pair_mor = {c: fs.tuple_label(c) for c in mor_combos}
-    src = {
-        pair_mor[c]: pair_obj[tuple(objs[i].src[c[i]] for i in range(len(objs)))]
-        for c in mor_combos
-    }
-    tgt = {
-        pair_mor[c]: pair_obj[tuple(objs[i].tgt[c[i]] for i in range(len(objs)))]
-        for c in mor_combos
-    }
-    ids = {
-        pair_obj[c]: pair_mor[tuple(objs[i].ids[c[i]] for i in range(len(objs)))]
-        for c in obj_combos
-    }
-    comp = {}
-    for g in mor_combos:
-        for f in mor_combos:
-            if all(objs[i].src[g[i]] == objs[i].tgt[f[i]] for i in range(len(objs))):
-                comp[(pair_mor[g], pair_mor[f])] = pair_mor[
-                    tuple(objs[i].comp[(g[i], f[i])] for i in range(len(objs)))
-                ]
-    P = cats.FiniteCategory(
+    mor_combos = {fs.tuple_label(c): c for c in itertools.product(*(C.morphisms for C in objs))}
+
+    def each(tables, keys) -> str:
+        return fs.tuple_label([t[k] for t, k in zip(tables, keys)])
+
+    P = cats.tabulate_category(
         fs.tuple_label([C.name for C in objs]),
-        tuple(pair_obj[c] for c in obj_combos),
-        tuple(pair_mor[c] for c in mor_combos),
-        src,
-        tgt,
-        ids,
-        comp,
+        [fs.tuple_label(c) for c in obj_combos],
+        {
+            m: (each([C.src for C in objs], c), each([C.tgt for C in objs], c))
+            for m, c in mor_combos.items()
+        },
+        {fs.tuple_label(c): each([C.ids for C in objs], c) for c in obj_combos},
+        lambda g, f: each([C.comp for C in objs], zip(mor_combos[g], mor_combos[f])),
     )
     projections = tuple(
         cats.FunctorData(
             P,
             objs[i],
-            {pair_obj[c]: c[i] for c in obj_combos},
-            {pair_mor[c]: c[i] for c in mor_combos},
+            {fs.tuple_label(c): c[i] for c in obj_combos},
+            {m: c[i] for m, c in mor_combos.items()},
         )
         for i in range(len(objs))
     )
-    return _CatProductResult(P, projections, pair_obj, pair_mor)
+    return _CatProductResult(P, projections)

@@ -16,6 +16,7 @@ from .cats import (
     NatTransData,
     compose_functors,
     identity_functor,
+    tabulate_category,
 )
 from .errors import InvariantError
 
@@ -172,16 +173,14 @@ def sub_poset(P: Poset, members, name: str | None = None) -> tuple[Poset, Monoto
 
 def to_category(P: Poset) -> FiniteCategory:
     """The thin category: one arrow x -> y exactly when x <= y."""
-    morphs = tuple(_arrow_name(x, y) for x, y in sorted(P.rel))
-    src = {_arrow_name(x, y): x for x, y in P.rel}
-    tgt = {_arrow_name(x, y): y for x, y in P.rel}
-    ids = {x: _arrow_name(x, x) for x in P.elements}
-    comp = {}
-    for g in morphs:
-        for f in morphs:
-            if src[g] == tgt[f]:
-                comp[(g, f)] = _arrow_name(src[f], tgt[g])
-    return FiniteCategory(f"cat({P.name})", P.elements, morphs, src, tgt, ids, comp)
+    arrows = {_arrow_name(x, y): (x, y) for x, y in sorted(P.rel)}
+    return tabulate_category(
+        f"cat({P.name})",
+        P.elements,
+        arrows,
+        {x: _arrow_name(x, x) for x in P.elements},
+        lambda g, f: _arrow_name(arrows[f][0], arrows[g][1]),
+    )
 
 
 def to_functor(f: MonotoneMap, CP: FiniteCategory | None = None, CQ: FiniteCategory | None = None) -> FunctorData:

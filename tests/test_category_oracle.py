@@ -1,0 +1,278 @@
+"""Every finite category built through cats.tabulate_category, and every pair
+category built through inserters._category_over, against the hand-written
+constructions kept in category_oracle.
+
+FiniteCategory's own == compares only name, objects and morphisms, so these
+tests compare all seven fields, and functors by their object and arrow maps
+as well.
+"""
+
+import os
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from category_oracle import (
+    oracle_cat_product,
+    oracle_category_from_generators,
+    oracle_discrete_category,
+    oracle_family_build,
+    oracle_free_universal_map,
+    oracle_inserter,
+    oracle_mediating_functor,
+    oracle_shift_left,
+    oracle_shift_right,
+    oracle_sigalg_direct,
+    oracle_subcategory_inclusion,
+    oracle_to_category,
+)
+from veq import cats, dsl
+from veq import finset as fs
+from veq import inserters as inserters_mod
+from veq import posets as po
+from veq.errors import InvariantError
+from veq.inserters import (
+    PolyFunctor,
+    SortedSignature,
+    free_f_algebra,
+    free_universal_map,
+    inserter,
+    inserter_poset,
+    mediating_functor,
+    shift_left,
+    shift_right,
+    sigma_alg_as_inserter,
+)
+from veq.instances import FinCatCat, _subcategory_inclusion
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CC = FinCatCat()
+
+
+def fields(C: cats.FiniteCategory):
+    return (C.name, C.objects, C.morphisms, C.src, C.tgt, C.ids, C.comp)
+
+
+def assert_same_functor(F: cats.FunctorData, G: cats.FunctorData):
+    assert fields(F.source) == fields(G.source)
+    assert fields(F.target) == fields(G.target)
+    assert F.obj_map == G.obj_map
+    assert F.mor_map == G.mor_map
+
+
+def assert_same_inserter(r, s):
+    assert fields(r.category) == fields(s.category)
+    assert_same_functor(r.forgetful, s.forgetful)
+    assert r.inserted.components == s.inserted.components
+    assert r.pairs == s.pairs
+
+
+def assert_same_product(prod, expected):
+    assert fields(prod.obj) == fields(expected.obj)
+    for p, q in zip(prod.projections, expected.projections, strict=True):
+        assert_same_functor(p, q)
+    assert_same_functor(
+        prod.tuple_of(list(prod.projections)),
+        expected.tuple_of(list(expected.projections)),
+    )
+
+
+def oracle_equalizer(p: cats.FunctorData, q: cats.FunctorData) -> cats.FunctorData:
+    C = p.source
+    objs = [x for x in C.objects if p.obj_map[x] == q.obj_map[x]]
+    morphs = [
+        m for m in C.morphisms
+        if C.src[m] in objs and C.tgt[m] in objs and p.mor_map[m] == q.mor_map[m]
+    ]
+    return oracle_subcategory_inclusion(C, objs, morphs)
+
+
+def assert_pair_matches(F: cats.FunctorData, G: cats.FunctorData):
+    """Inserter, mediating functor of its own cone, and equalizer of a
+    parallel pair, against the oracle."""
+    ins, expected = inserter(F, G), oracle_inserter(F, G)
+    assert_same_inserter(ins, expected)
+    assert_same_functor(
+        mediating_functor(ins, ins.forgetful, ins.inserted),
+        oracle_mediating_functor(expected, expected.forgetful, expected.inserted),
+    )
+    assert_same_functor(CC.equalizer(F, G), oracle_equalizer(F, G))
+    return ins
+
+
+@pytest.fixture
+def corpus_cats(monkeypatch):
+    """The corpus workspace, with the arguments of every generated category."""
+    presented = []
+    real = cats.category_from_generators
+
+    def spy(*args):
+        presented.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cats, "category_from_generators", spy)
+    ws = dsl.parse_files([os.path.join(ROOT, "corpus", "cats.veq")])
+    return ws, presented
+
+
+def test_corpus_categories_match_oracle(corpus_cats):
+    ws, presented = corpus_cats
+    assert len(presented) == len(ws.defs["category"]) > 0
+    for args in presented:
+        assert fields(ws.get("category", args[0])) == fields(oracle_category_from_generators(*args))
+    for C in ws.defs["category"].values():
+        for D in ws.defs["category"].values():
+            assert_same_product(CC.product([C, D]), oracle_cat_product([C, D]))
+
+
+def test_presentations_with_relations_match_oracle():
+    cases = [
+        ("Idem", ["x"], {"e": ("x", "x")}, {("e", "e"): ("e",)}),
+        ("Iso", ["a", "b"], {"f": ("a", "b"), "g": ("b", "a")},
+         {("g", "f"): (), ("f", "g"): ()}),
+        ("Z3", ["x"], {"t": ("x", "x")}, {("t", "t", "t"): ()}),
+        ("Square", ["a", "b", "c", "d"],
+         {"f": ("a", "b"), "g": ("b", "d"), "h": ("a", "c"), "k": ("c", "d")},
+         {("g", "f"): ("k", "h")}),
+    ]
+    for args in cases:
+        assert fields(cats.category_from_generators(*args)) == fields(
+            oracle_category_from_generators(*args))
+    for objects in ([], ["a"], ["a", "b", "c"]):
+        assert fields(cats.discrete_category("D", objects)) == fields(
+            oracle_discrete_category("D", objects))
+
+
+def test_corpus_functor_pairs_and_adjunctions_match_oracle(corpus_cats):
+    ws, _ = corpus_cats
+    functors = list(ws.defs["functor"].values())
+    pairs = 0
+    for F in functors:
+        for G in functors:
+            if F.source == G.source and F.target == G.target:
+                assert_pair_matches(F, G)
+                pairs += 1
+    assert pairs > len(functors)
+    shifts = 0
+    for adj in ws.defs["adjunction"].values():
+        for F in functors:
+            if F.source == adj.right.source and F.target == adj.right.target:
+                for got, want in zip(shift_left(F, adj.right, adj),
+                                     oracle_shift_left(F, adj.right, adj), strict=True):
+                    assert_same_functor(got, want)
+                shifts += 1
+            if F.source == adj.left.source and F.target == adj.left.target:
+                for got, want in zip(shift_right(adj.left, F, adj),
+                                     oracle_shift_right(adj.left, F, adj), strict=True):
+                    assert_same_functor(got, want)
+                shifts += 1
+    assert shifts >= 3
+
+
+def test_subcategory_inclusion_rejects_what_the_oracle_rejects():
+    C = po.to_category(po.chain("P", ["0", "1", "2"]))
+    good = (["0", "1"], ["0->0", "0->1", "1->1"])
+    missing_identity = (["0", "1"], ["0->0", "0->1"])
+    not_closed = (["0", "1", "2"], ["0->0", "1->1", "2->2", "0->1", "1->2"])
+    assert_same_functor(_subcategory_inclusion(C, *good), oracle_subcategory_inclusion(C, *good))
+    for objs, morphs in (missing_identity, not_closed):
+        with pytest.raises(InvariantError):
+            oracle_subcategory_inclusion(C, objs, morphs)
+        with pytest.raises(InvariantError):
+            _subcategory_inclusion(C, objs, morphs)
+
+
+def _galois_setup(rng):
+    A, B, G, H = po.random_galois_instance(rng)
+    return A, B, G, H, po.adjunction_from_galois(H, G)
+
+
+def test_galois_shifts_match_oracle():
+    # the corpora of test_inserters' shift round-trip tests
+    rng = random.Random(23)
+    for _ in range(10):
+        A, B, G, H, adj = _galois_setup(rng)
+        F = po.to_functor(rng.choice(po.all_monotone_maps(A, B)))
+        for got, want in zip(shift_left(F, adj.right, adj),
+                             oracle_shift_left(F, adj.right, adj), strict=True):
+            assert_same_functor(got, want)
+        assert_pair_matches(F, adj.right)
+    rng = random.Random(29)
+    for _ in range(10):
+        A, B, G, H, adj = _galois_setup(rng)
+        second = po.to_functor(rng.choice(po.all_monotone_maps(B, A)))
+        for got, want in zip(shift_right(adj.left, second, adj),
+                             oracle_shift_right(adj.left, second, adj), strict=True):
+            assert_same_functor(got, want)
+
+
+@pytest.mark.parametrize("ops", [
+    (),
+    (("u", ("s",), "s"),),
+    (("m", ("s", "s"), "s"),),
+])
+def test_signature_algebras_match_oracle(monkeypatch, ops):
+    builds, inserted = [], []
+    real_build, real_inserter = inserters_mod._FamilyCatBuilder.build, inserters_mod.inserter
+
+    def spy_build(self, name):
+        builds.append((self, name, real_build(self, name)))
+        return builds[-1][2]
+
+    def spy_inserter(F, G, name=None):
+        inserted.append((F, G, name, real_inserter(F, G, name)))
+        return inserted[-1][3]
+
+    monkeypatch.setattr(inserters_mod._FamilyCatBuilder, "build", spy_build)
+    monkeypatch.setattr(inserters_mod, "inserter", spy_inserter)
+    sig = SortedSignature(("s",), ops)
+    report = sigma_alg_as_inserter(sig, 2)
+    assert report["matched"] is True
+    assert [name for _, name, _ in builds] == ["SetFam", "OpFam"]
+    for builder, name, cat in builds:
+        assert fields(cat) == fields(oracle_family_build(builder, name))
+    [(F, G, name, ins)] = inserted
+    assert_same_inserter(ins, oracle_inserter(F, G, name))
+    base_b, _, base_cat = builds[0]
+    got = report["direct_category"]
+    want = oracle_sigalg_direct(sig, base_b, base_cat)
+    # arrows come out grouped by object pair, the oracle's by base arrow
+    assert len(got.morphisms) == len(want.morphisms)
+    assert set(got.morphisms) == set(want.morphisms)
+    assert (got.name, got.objects, got.src, got.tgt, got.ids, got.comp) == (
+        want.name, want.objects, want.src, want.tgt, want.ids, want.comp)
+    assert report["morphism_count"] == len(want.morphisms)
+
+
+def test_free_universal_maps_match_oracle():
+    B = fs.FinSetObj(("0", "1", "2"))
+    numerals = PolyFunctor((("succ", 1), ("zero", 0)))
+    pairs = PolyFunctor((("pair", 2), ("leaf", 0)))
+    rng = random.Random(5)
+    for functor, gens, depth in ((numerals, (), 3), (numerals, ("g",), 2), (pairs, ("g",), 1)):
+        free = free_f_algebra(functor, fs.FinSetObj(gens), depth)
+        applied = functor.on_set(B)
+        for _ in range(4):
+            target = fs.FinFunction(applied, B, tuple(rng.choice(B.elements) for _ in applied.elements))
+            gen_map = fs.FinFunction(free.generators, B, tuple(rng.choice(B.elements) for _ in gens))
+            for exhaustive in (False, True):
+                assert free_universal_map(free, target, gen_map, exhaustive) == (
+                    oracle_free_universal_map(free, target, gen_map, exhaustive))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(1, 4))
+def test_poset_categories_match_oracle(seed, m, n):
+    rng = random.Random(seed)
+    P, Q = po.random_poset(rng, m, "P"), po.random_poset(rng, n, "Q")
+    CP, CQ = po.to_category(P), po.to_category(Q)
+    assert fields(CP) == fields(oracle_to_category(P))
+    assert fields(CQ) == fields(oracle_to_category(Q))
+    assert_same_product(CC.product([CP, CQ]), oracle_cat_product([CP, CQ]))
+    maps = po.all_monotone_maps(P, Q)
+    f, g = rng.choice(maps), rng.choice(maps)
+    ins = assert_pair_matches(po.to_functor(f, CP, CQ), po.to_functor(g, CP, CQ))
+    kept, _ = inserter_poset(f, g)
+    assert [ins.pairs[p][0] for p in ins.category.objects] == list(kept.elements)

@@ -322,6 +322,58 @@ def test_free_algebra_cap():
         free_f_algebra(pairs, fs.FinSetObj(("g",)), 4, cap=30)
 
 
+def test_free_algebra_cap_stops_inside_a_layer():
+    built = set()
+
+    class Counting(PolyFunctor):
+        def term(self, cons, args):
+            t = super().term(cons, args)
+            built.add(t)
+            return t
+
+    pairs = Counting((("pair", 2),))
+    gens = fs.FinSetObj(("a", "b"))
+    # the second layer alone holds 32 new terms; the cap is met inside it
+    with pytest.raises(BoundsTooLarge, match="free carrier exceeds 30 terms"):
+        free_f_algebra(pairs, gens, 4, cap=30)
+    assert len(built - set(gens.elements)) <= 31
+    assert len(free_f_algebra(pairs, gens, 2, cap=38).carrier) == 38
+
+
+def test_free_universal_map_exhaustive_cap(monkeypatch):
+    numerals = PolyFunctor((("succ", 1), ("zero", 0)))
+    B = fs.FinSetObj(("0", "1", "2"))
+    target = fs.fin_function(
+        numerals.on_set(B), B,
+        {"succ(0)": "1", "succ(1)": "2", "succ(2)": "0", "zero": "0"})
+    gen_map = fs.FinFunction(fs.FinSetObj(()), B, ())
+    deep = free_f_algebra(numerals, fs.FinSetObj(()), 13)  # 3^13 > 10^6 maps
+    assert free_universal_map(deep, target, gen_map).table[-1] == "0"
+    with pytest.raises(BoundsTooLarge, match="1594323 maps"):
+        free_universal_map(deep, target, gen_map, exhaustive=True)
+    free = free_f_algebra(numerals, fs.FinSetObj(()), 4)  # 3^4 = 81 maps
+    monkeypatch.setattr(inserters_mod, "_EXHAUSTIVE_CAP", 81)
+    assert free_universal_map(free, target, gen_map, exhaustive=True).table == (
+        "0", "1", "2", "0")
+    monkeypatch.setattr(inserters_mod, "_EXHAUSTIVE_CAP", 80)
+    with pytest.raises(BoundsTooLarge):
+        free_universal_map(free, target, gen_map, exhaustive=True)
+
+
+def test_free_universal_map_identity_polynomial_law():
+    # the structure map of the identity polynomial's free algebra is the
+    # identity, so a homomorphism must send each generator to a fixed point
+    gens = fs.FinSetObj(("g",))
+    free = free_f_algebra(IDENTITY_POLY, gens, 2)
+    B = fs.FinSetObj(("0", "1"))
+    swap = fs.FinFunction(B, B, ("1", "0"))
+    fixed = fs.FinFunction(B, B, ("0", "0"))
+    to_zero = fs.FinFunction(gens, B, ("0",))
+    assert free_universal_map(free, fixed, to_zero, exhaustive=True).table == ("0",)
+    with pytest.raises(InvariantError, match="homomorphism law"):
+        free_universal_map(free, swap, to_zero)
+
+
 def test_parse_poly():
     assert parse_poly("X") == IDENTITY_POLY
     assert parse_poly("succ:X + zero:1").summands == (("succ", 1), ("zero", 0))

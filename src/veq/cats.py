@@ -220,12 +220,6 @@ class FunctorData:
                 ]:
                     raise InvariantError(f"functor: composition broken at ({g}, {f})")
 
-    def on_obj(self, x: str) -> str:
-        return self.obj_map[x]
-
-    def on_mor(self, m: str) -> str:
-        return self.mor_map[m]
-
 
 def identity_functor(C: FiniteCategory) -> FunctorData:
     return FunctorData(C, C, {x: x for x in C.objects}, {m: m for m in C.morphisms})

@@ -63,9 +63,6 @@ class Poset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def down_set(self, y: str) -> tuple[str, ...]:
-        return tuple(x for x in self.elements if self.leq(x, y))
-
     def least(self, members) -> str | None:
         """The least element of the subset, if one exists."""
         members = list(members)

@@ -5,12 +5,19 @@ coefficients actually known. Binary operations keep the minimum of the two
 precisions, each derivative consumes exactly one coefficient, and
 multiplying by x gains one (the new window is fully determined). Zero is
 only ever reported as zero-within-precision.
+
+Coefficients are `Fraction` at every boundary. Inside, the Wronskian (the
+costly step of recurrence detection) is integer arithmetic: each column is
+scaled by the common denominator of its coefficients, the cofactor expansion
+runs on integer coefficient lists, and one division comes at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, perm
+from operator import mul
 
 from .errors import (
     AllZeroCoefficients,
@@ -199,10 +206,20 @@ def apply_op(op: DiffOpExpr, f: TruncatedSeries) -> TruncatedSeries:
 # --- Wronskians and the recurrence criterion --------------------------------
 
 
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The product of two integer coefficient lists of one length, truncated
+    to that length."""
+    return [sum(map(mul, a[:k + 1], b[k::-1])) for k in range(len(a))]
+
+
 def wronskian(entries) -> TruncatedSeries:
     """Determinant of the matrix whose row i holds the i-th derivatives of
-    the inputs. Expanded by exact cofactors: the truncated window has zero
-    divisors, so pivot-division schemes are out."""
+    the inputs, expanded by exact cofactors (the truncated window has zero
+    divisors) on integer coefficient vectors: column j is scaled by the
+    common denominator d_j of its coefficients, whose derivatives stay
+    integer, and the result is divided by d_1...d_n at the end. Its precision
+    is the lowest input precision minus n - 1, the precision of the last
+    row."""
     entries = list(entries)
     if not entries:
         raise EmptyList("wronskian of nothing")
@@ -211,28 +228,36 @@ def wronskian(entries) -> TruncatedSeries:
     if low < n:
         raise PrecisionExhausted(
             f"wronskian of {n} series needs precision at least {n}, have {low}")
-    rows = [entries]
-    for _ in range(n - 1):
-        rows.append([derivative(f) for f in rows[-1]])
-    memo: dict[tuple[int, tuple[int, ...]], TruncatedSeries] = {}
+    p = low - (n - 1)
+    scale, columns = 1, []
+    for f in entries:
+        window = f.coeffs[:low]
+        d = lcm(*(c.denominator for c in window))
+        scale *= d
+        columns.append([c.numerator * (d // c.denominator) for c in window])
+    # coefficient k of the r-th derivative of v is (k+1)(k+2)...(k+r) v[k+r]
+    rows = [[[perm(k + r, r) * v[k + r] for k in range(p)] for v in columns]
+            for r in range(n)]
+    memo: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
-    def minor(r: int, cols: tuple[int, ...]) -> TruncatedSeries:
+    def minor(r: int, cols: tuple[int, ...]) -> list[int]:
         if len(cols) == 1:
             return rows[r][cols[0]]
         key = (r, cols)
         if key in memo:
             return memo[key]
-        acc = None
+        acc = [0] * p
         for j, c in enumerate(cols):
-            rest = cols[:j] + cols[j + 1:]
-            term = rows[r][c] * minor(r + 1, rest)
+            term = _convolve(rows[r][c], minor(r + 1, cols[:j] + cols[j + 1:]))
             if j % 2 == 1:
-                term = -term
-            acc = term if acc is None else acc + term
+                acc = [s - t for s, t in zip(acc, term)]
+            else:
+                acc = [s + t for s, t in zip(acc, term)]
         memo[key] = acc
         return acc
 
-    return minor(0, tuple(range(n)))
+    return TruncatedSeries(tuple(
+        Fraction(c, scale) for c in minor(0, tuple(range(n)))))
 
 
 @dataclass(frozen=True)
@@ -252,6 +277,18 @@ def classify(f: TruncatedSeries):
     return Nonzero(idx)
 
 
+def _recurrence_columns(f: TruncatedSeries, order: int) -> list[TruncatedSeries]:
+    """D^order(x^i f) for i = 0..order, each in one pass: coefficient k is
+    (k+1)(k+2)...(k+order) f[k+order-i], at precision f.precision+i-order."""
+    rises = [perm(k + order, order) for k in range(f.precision)]
+    zero = Fraction(0)
+    return [
+        TruncatedSeries(tuple(
+            rises[k] * f.coeffs[k + order - i] if k + order >= i else zero
+            for k in range(f.precision + i - order)))
+        for i in range(order + 1)]
+
+
 def is_linear_recurrence(f: TruncatedSeries, order: int):
     """Wronskian criterion: f satisfies some linear recurrence of order at
     most n exactly when the n-th derivatives of f, xf, ..., x^n f are
@@ -261,15 +298,7 @@ def is_linear_recurrence(f: TruncatedSeries, order: int):
     if f.precision < 2 * order + 2:
         raise PrecisionExhausted(
             f"order-{order} test needs precision {2 * order + 2}, have {f.precision}")
-    columns = []
-    g = f
-    for i in range(order + 1):
-        h = g
-        for _ in range(order):
-            h = derivative(h)
-        columns.append(h)
-        g = shift_x(g)
-    return classify(wronskian(columns))
+    return classify(wronskian(_recurrence_columns(f, order)))
 
 
 def recurrence_equivalence_check(f: TruncatedSeries, coeff_vector) -> bool:

@@ -3,14 +3,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from series_oracle import (
+    oracle_is_linear_recurrence,
+    oracle_recurrence_columns,
+    oracle_wronskian,
+)
 from veq.errors import (
     AllZeroCoefficients,
     EmptyList,
     InvariantError,
     PrecisionExhausted,
+    VeqError,
 )
 from veq.series import (
+    _recurrence_columns,
     OP_D,
     OP_ID,
     DiffOpExpr,
@@ -245,3 +254,75 @@ def test_monotonicity_report():
     assert pair["counterexample_at_precision"] is False
     with pytest.raises(EmptyList):
         wronskian_monotonicity_check([OP_ID], geo)
+
+
+def outcome(fn, *args):
+    """The result, or the type of the package error raised instead."""
+    try:
+        return fn(*args)
+    except VeqError as e:
+        return type(e)
+
+
+RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def zero_heavy(low, high):
+    """Rational coefficients behind a run of zeros of random length, at a
+    precision in [low, high]: low coefficients are often zero, and
+    denominators and precisions differ between entries."""
+    return st.builds(
+        lambda zeros, rest, precision: series(([0] * zeros + rest)[:precision]),
+        st.integers(0, 3), st.lists(RATIONAL, min_size=high, max_size=high),
+        st.integers(low, high))
+
+
+def recurrent(low, high):
+    """A window of a rational recurrence of order 1-3, at a precision in
+    [low, high]."""
+    return st.integers(1, 3).flatmap(lambda m: st.builds(
+        from_recurrence, st.lists(RATIONAL, min_size=m, max_size=m),
+        st.lists(RATIONAL, min_size=m, max_size=m), st.integers(low, high)))
+
+
+# n entries at precisions from n to n + 6, or from n - 1 (one short) to n.
+WRONSKIAN_INPUTS = st.integers(1, 5).flatmap(lambda n: st.one_of(
+    st.lists(zero_heavy(n, n + 6), min_size=n, max_size=n),
+    st.lists(zero_heavy(max(1, n - 1), n), min_size=n, max_size=n)))
+# An order from -1 (invalid) to 5 and a window from one short of the
+# 2 * order + 2 coefficients the test needs to six over.
+RECURRENCE_INPUTS = st.integers(-1, 5).flatmap(lambda order: st.tuples(
+    st.one_of(zero_heavy(max(1, 2 * order + 1), 2 * order + 8),
+              recurrent(max(1, 2 * order + 1), 2 * order + 8)),
+    st.just(order)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(WRONSKIAN_INPUTS)
+def test_wronskian_matches_fraction_oracle(entries):
+    got, expect = outcome(wronskian, entries), outcome(oracle_wronskian, entries)
+    if isinstance(expect, type):
+        assert got is expect
+    else:
+        assert got.coeffs == expect.coeffs
+        assert got.precision == expect.precision
+    assert outcome(wronskian, []) is outcome(oracle_wronskian, []) is EmptyList
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(RECURRENCE_INPUTS)
+def test_recurrence_detection_matches_fraction_oracle(case):
+    f, order = case
+    got = outcome(is_linear_recurrence, f, order)
+    assert got == outcome(oracle_is_linear_recurrence, f, order)
+    if 0 <= order < f.precision:
+        assert _recurrence_columns(f, order) == oracle_recurrence_columns(f, order)
+
+
+def test_seven_series_wronskian_pins_precision():
+    rng = random.Random(19)
+    entries = [rand_series(rng, precision) for precision in (15, 11, 13, 12, 16, 14, 17)]
+    got = wronskian(entries)
+    assert got.precision == 11 - 6
+    assert got == oracle_wronskian(entries)
+    assert isinstance(classify(got), Nonzero)

@@ -99,14 +99,15 @@ def identities_of(
     pairs.sort(key=lambda p: (term_size(p[0]) + term_size(p[1]), repr(p)))
     kept: list[tuple[Term, Term]] = []
     rules: list[tuple[Term, Term]] = []  # size-decreasing orientations
+    theory = None  # the presentation of kept, rebuilt each time kept grows
     for l, r in pairs:
         if kept:
             if _normal_form(l, rules) == _normal_form(r, rules):
                 continue
-            theory = TheoryPresentation("derived", A.signature, tuple(kept))
             if congruent(theory, l, r, Budget(steps=budget)).provable:
                 continue
         kept.append((l, r))
+        theory = TheoryPresentation("derived", A.signature, tuple(kept))
         if term_size(l) < term_size(r):
             rules.append((r, l))
         elif term_size(r) < term_size(l):

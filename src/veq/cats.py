@@ -59,14 +59,16 @@ class FiniteCategory:
                 raise InvariantError(f"{self.name}: right identity fails at {f}")
             if self.comp[(self.ids[self.tgt[f]], f)] != f:
                 raise InvariantError(f"{self.name}: left identity fails at {f}")
+        # arrows by target, in order, so only composable triples are visited
+        into: dict[str, list[str]] = {x: [] for x in self.objects}
+        for m in self.morphisms:
+            into[self.tgt[m]].append(m)
+        comp = self.comp
         for h in self.morphisms:
-            for g in self.morphisms:
-                if self.src[h] != self.tgt[g]:
-                    continue
-                for f in self.morphisms:
-                    if self.src[g] != self.tgt[f]:
-                        continue
-                    if self.comp[(self.comp[(h, g)], f)] != self.comp[(h, self.comp[(g, f)])]:
+            for g in into[self.src[h]]:
+                hg = comp[(h, g)]
+                for f in into[self.src[g]]:
+                    if comp[(hg, f)] != comp[(h, comp[(g, f)])]:
                         raise InvariantError(
                             f"{self.name}: associativity fails at ({h}, {g}, {f})"
                         )

@@ -16,6 +16,14 @@ The order in which proof search generates successors (positions in
 preorder; at each position axioms in order, forward before backward) is part
 of the certificate contract: it fixes which certificate congruent() finds
 and its expansion count.
+
+Within one search, congruent() keeps a memo from each subterm met to the
+list of its one-step rewrites, so a subterm shared by many frontier terms
+is matched and rewritten once, and each successor costs one new node on top
+of its argument's cached list. A term's list is its own root rewrites
+followed by each argument's list in argument order, lifted one level, which
+is preorder again: the successor order, and with it every certificate and
+expansion count, is unchanged. The memo lives and dies with the search.
 """
 
 from __future__ import annotations
@@ -417,25 +425,54 @@ def _rule_table(theory: TheoryPresentation):
     return any_head, by_head
 
 
-def _one_step_rewrites(table, t: Term, max_size: int):
-    """Deterministic successor enumeration under a _rule_table: (new term, step)."""
+def _rewrites(table, t: Term, max_size: int, memo: dict) -> list:
+    """t's one-step rewrites under a _rule_table, in successor order, as
+    (new term, growth in size, position, axiom, forward, binding) entries.
+
+    memo maps each subterm met so far in one search to its own entries, so
+    a subterm shared by many frontier terms is rewritten once; it is filled
+    in post-order. A subterm u keeps only entries whose growth fits in
+    max_size - size(u): no term containing u can use the others. t's own
+    list is taken out of memo, since each frontier term is expanded once.
+    """
     any_head, by_head = table
-    slack = max_size - t._size
-    for pos, sub in subterms(t):
-        rules = any_head if sub.__class__ is Var else by_head.get(sub.symbol, any_head)
+    todo = [(t, False)]
+    while todo:
+        u, ready = todo.pop()
+        if not ready:
+            if u in memo:
+                continue
+            if u.__class__ is App:
+                todo.append((u, True))
+                todo.extend((a, False) for a in reversed(u.args))
+                continue
+        slack = max_size - u._size
+        entries = []
+        rules = any_head if u.__class__ is Var else by_head.get(u.symbol, any_head)
         for i, forward, src, dst in rules:
-            binding = match(src, sub)
+            binding = match(src, u)
             if binding is None:
                 continue
             instance = substitute(dst, binding)
-            if instance._size - sub._size > slack:
-                continue
-            step = ProofStep(pos, i, tuple(sorted(binding.items())), forward)
-            yield replace_at(t, pos, instance), step
+            growth = instance._size - u._size
+            if growth <= slack:
+                entries.append((instance, growth, (), i, forward, binding))
+        if u.__class__ is App:
+            symbol, args = u.symbol, u.args
+            for j, a in enumerate(args):
+                before, after = args[:j], args[j + 1:]
+                for new, growth, pos, i, forward, binding in memo[a]:
+                    if growth <= slack:
+                        entries.append((App(symbol, before + (new,) + after), growth,
+                                        (j,) + pos, i, forward, binding))
+        memo[u] = entries
+    return memo.pop(t)
 
 
-def _invert(step: ProofStep) -> ProofStep:
-    return ProofStep(step.position, step.axiom, step.subst, not step.forward)
+def _step(entry, forward: bool = True) -> ProofStep:
+    """The ProofStep of a _rewrites entry, inverted when forward is False."""
+    _, _, pos, axiom, fwd, binding = entry
+    return ProofStep(pos, axiom, tuple(sorted(binding.items())), fwd == forward)
 
 
 def congruent(
@@ -452,25 +489,26 @@ def congruent(
     if lhs == rhs:
         return CongruenceResult("provable", (), 0)
 
-    # parents[side][term] = (previous term, step applied to previous)
+    # parents[side][term] = (previous term, _rewrites entry applied to previous)
     sides = ({lhs: None}, {rhs: None})
     frontiers = (deque([lhs]), deque([rhs]))
     expansions = 0
     table = _rule_table(theory)
+    memo: dict = {}
 
     def build(meeting: Term) -> tuple[ProofStep, ...]:
         fwd = []
         cur = meeting
         while sides[0][cur] is not None:
-            prev, step = sides[0][cur]
-            fwd.append(step)
+            prev, entry = sides[0][cur]
+            fwd.append(_step(entry))
             cur = prev
         fwd.reverse()
         back = []
         cur = meeting
         while sides[1][cur] is not None:
-            prev, step = sides[1][cur]
-            back.append(_invert(step))
+            prev, entry = sides[1][cur]
+            back.append(_step(entry, False))
             cur = prev
         return tuple(fwd + back)
 
@@ -480,10 +518,11 @@ def congruent(
             side = 1 - side
         current = frontiers[side].popleft()
         expansions += 1
-        for new, step in _one_step_rewrites(table, current, budget.max_term_size):
+        for entry in _rewrites(table, current, budget.max_term_size, memo):
+            new = entry[0]
             if new in sides[side]:
                 continue
-            sides[side][new] = (current, step)
+            sides[side][new] = (current, entry)
             if new in sides[1 - side]:
                 return CongruenceResult("provable", build(new), expansions)
             frontiers[side].append(new)

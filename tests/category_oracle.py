@@ -10,6 +10,8 @@ hand, the shift isomorphisms go through `_concrete_functor`, and
 `free_universal_map` states the homomorphism law twice. `oracle_family_build`
 is `_FamilyCatBuilder.build` with the builder passed in, and
 `oracle_sigalg_direct` is the direct side of `sigma_alg_as_inserter`.
+`oracle_validate` is the earlier `FiniteCategory.__post_init__`, whose
+associativity check scans every arrow f for each composable (h, g).
 """
 
 from __future__ import annotations
@@ -31,6 +33,52 @@ from veq.inserters import (
     pair_label,
 )
 from veq.posets import Poset, _arrow_name
+
+
+def oracle_validate(name, objects, morphisms, src, tgt, ids, comp) -> None:
+    """Raise the InvariantError FiniteCategory(name, ...) raises, if any."""
+    if len(set(objects)) != len(objects):
+        raise InvariantError(f"{name}: duplicate objects")
+    if len(set(morphisms)) != len(morphisms):
+        raise InvariantError(f"{name}: duplicate morphisms")
+    for m in morphisms:
+        if src.get(m) not in objects or tgt.get(m) not in objects:
+            raise InvariantError(f"{name}: morphism {m} has bad endpoints")
+    for x in objects:
+        i = ids.get(x)
+        if i not in morphisms or src[i] != x or tgt[i] != x:
+            raise InvariantError(f"{name}: bad identity at {x}")
+    for g in morphisms:
+        for f in morphisms:
+            composable = src[g] == tgt[f]
+            if composable != ((g, f) in comp):
+                raise InvariantError(
+                    f"{name}: composition table mismatch at ({g}, {f})"
+                )
+            if composable:
+                gf = comp[(g, f)]
+                if gf not in morphisms:
+                    raise InvariantError(f"{name}: composite {gf} unknown")
+                if src[gf] != src[f] or tgt[gf] != tgt[g]:
+                    raise InvariantError(
+                        f"{name}: composite ({g}, {f}) has wrong endpoints"
+                    )
+    for f in morphisms:
+        if comp[(f, ids[src[f]])] != f:
+            raise InvariantError(f"{name}: right identity fails at {f}")
+        if comp[(ids[tgt[f]], f)] != f:
+            raise InvariantError(f"{name}: left identity fails at {f}")
+    for h in morphisms:
+        for g in morphisms:
+            if src[h] != tgt[g]:
+                continue
+            for f in morphisms:
+                if src[g] != tgt[f]:
+                    continue
+                if comp[(comp[(h, g)], f)] != comp[(h, comp[(g, f)])]:
+                    raise InvariantError(
+                        f"{name}: associativity fails at ({h}, {g}, {f})"
+                    )
 
 
 def oracle_category_from_generators(

@@ -27,6 +27,7 @@ from category_oracle import (
     oracle_sigalg_direct,
     oracle_subcategory_inclusion,
     oracle_to_category,
+    oracle_validate,
 )
 from veq import cats, dsl
 from veq import finset as fs
@@ -276,3 +277,61 @@ def test_poset_categories_match_oracle(seed, m, n):
     ins = assert_pair_matches(po.to_functor(f, CP, CQ), po.to_functor(g, CP, CQ))
     kept, _ = inserter_poset(f, g)
     assert [ins.pairs[p][0] for p in ins.category.objects] == list(kept.elements)
+
+
+def corrupt(rng, C: cats.FiniteCategory):
+    """C's seven fields with one table entry broken at random."""
+    name, objects, morphisms, src, tgt, ids, comp = fields(C)
+    src, tgt, ids, comp = dict(src), dict(tgt), dict(ids), dict(comp)
+    kind = rng.randrange(6)
+    key = rng.choice(sorted(comp))
+    if kind == 0:  # any arrow as a composite
+        comp[key] = rng.choice(morphisms)
+    elif kind == 1:  # a parallel arrow as a composite
+        g, f = key
+        comp[key] = rng.choice(C.hom(src[f], tgt[g]))
+    elif kind == 2:
+        del comp[key]
+    elif kind == 3:  # an entry for a pair that does not compose
+        g, f = rng.choice(morphisms), rng.choice(morphisms)
+        comp[(g, f)] = g
+    elif kind == 4:
+        x = rng.choice(objects)
+        ids[x] = rng.choice(C.hom(x, x))
+    else:
+        tgt[rng.choice(morphisms)] = rng.choice(objects)
+    return name, objects, morphisms, src, tgt, ids, comp
+
+
+def validation_error(check, *args):
+    try:
+        check(*args)
+    except InvariantError as e:
+        return str(e)
+    return None
+
+
+def test_corrupted_categories_fail_as_the_oracle_fails(corpus_cats):
+    ws, _ = corpus_cats
+    corpus = list(ws.defs["category"].values())
+    corpus += [CC.product([C, D]).obj for C in corpus for D in corpus]
+    corpus += [inserter(F, G).category for F in ws.defs["functor"].values()
+               for G in ws.defs["functor"].values()
+               if F.source == G.source and F.target == G.target]
+    corpus.append(cats.category_from_generators(
+        "Z3", ["x"], {"t": ("x", "x")}, {("t", "t", "t"): ()}))
+    corpus.append(cats.category_from_generators(
+        "Square", ["a", "b", "c", "d"],
+        {"f": ("a", "b"), "g": ("b", "d"), "h": ("a", "c"), "k": ("c", "d")},
+        {("g", "f"): ("k", "h")}))
+    corpus = [C for C in corpus if C.morphisms]
+    rng = random.Random(20231007)
+    messages = set()
+    for _ in range(400):
+        args = corrupt(rng, rng.choice(corpus))
+        expected = validation_error(oracle_validate, *args)
+        assert validation_error(cats.FiniteCategory, *args) == expected
+        messages.add(expected and expected.split(": ", 1)[1].split(" ")[0])
+    # every kind of failure is reached, associativity among them
+    assert {"associativity", "composition", "composite", "right", "left",
+            "bad"} <= messages

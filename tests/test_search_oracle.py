@@ -1,8 +1,10 @@
-"""The proof search against the recursive term walkers it replaced.
+"""The proof search against the implementations it replaced.
 
-Terms now cache their hash, size and variables, and congruent() works out
-its rewrite rules once per search. The functions below are the earlier
-implementation, kept verbatim as an oracle: the fast path must produce the
+Terms now cache their hash, size and variables, congruent() works out its
+rewrite rules once per search, and it rewrites each subterm once per search
+through a memo. Two earlier implementations are kept verbatim as oracles:
+the recursive term walkers (slow_*) and the flat successor enumeration that
+rebuilt every successor in full (flat_*). The fast path must produce the
 same successors in the same order, hence the same certificates and
 expansion counts.
 """
@@ -14,6 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veq import birkhoff, dsl
 from veq import theories as th
@@ -135,6 +139,67 @@ def slow_congruent(theory, lhs, rhs, budget):
     return th.CongruenceResult("unknown", None, expansions)
 
 
+# -- the flat enumeration, before the per-search rewrite memo -------------------
+
+def flat_one_step_rewrites(table, t, max_size):
+    """Deterministic successor enumeration under a _rule_table: (new term, step)."""
+    any_head, by_head = table
+    slack = max_size - t._size
+    for pos, sub in th.subterms(t):
+        rules = any_head if sub.__class__ is Var else by_head.get(sub.symbol, any_head)
+        for i, forward, src, dst in rules:
+            binding = th.match(src, sub)
+            if binding is None:
+                continue
+            instance = th.substitute(dst, binding)
+            if instance._size - sub._size > slack:
+                continue
+            step = ProofStep(pos, i, tuple(sorted(binding.items())), forward)
+            yield th.replace_at(t, pos, instance), step
+
+
+def flat_congruent(theory, lhs, rhs, budget):
+    if lhs == rhs:
+        return th.CongruenceResult("provable", (), 0)
+
+    # parents[side][term] = (previous term, step applied to previous)
+    sides = ({lhs: None}, {rhs: None})
+    frontiers = (deque([lhs]), deque([rhs]))
+    expansions = 0
+    table = th._rule_table(theory)
+
+    def build(meeting):
+        fwd = []
+        cur = meeting
+        while sides[0][cur] is not None:
+            prev, step = sides[0][cur]
+            fwd.append(step)
+            cur = prev
+        fwd.reverse()
+        back = []
+        cur = meeting
+        while sides[1][cur] is not None:
+            prev, step = sides[1][cur]
+            back.append(ProofStep(step.position, step.axiom, step.subst, not step.forward))
+            cur = prev
+        return tuple(fwd + back)
+
+    while expansions < budget.steps and (frontiers[0] or frontiers[1]):
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) and frontiers[0] else 1
+        if not frontiers[side]:
+            side = 1 - side
+        current = frontiers[side].popleft()
+        expansions += 1
+        for new, step in flat_one_step_rewrites(table, current, budget.max_term_size):
+            if new in sides[side]:
+                continue
+            sides[side][new] = (current, step)
+            if new in sides[1 - side]:
+                return th.CongruenceResult("provable", build(new), expansions)
+            frontiers[side].append(new)
+    return th.CongruenceResult("unknown", None, expansions)
+
+
 # -- inputs ------------------------------------------------------------------
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -185,7 +250,9 @@ def derived_theories():
 
 
 def successors(theory, t, max_size):
-    return list(th._one_step_rewrites(th._rule_table(theory), t, max_size))
+    """congruent()'s successors of t in order, as (new term, step) pairs."""
+    entries = th._rewrites(th._rule_table(theory), t, max_size, {})
+    return [(entry[0], th._step(entry)) for entry in entries]
 
 
 def assert_same_search(theory, lhs, rhs, steps):
@@ -246,6 +313,69 @@ def test_derived_theories_match_oracle():
         for lhs, rhs in rng.sample(candidates, min(2, len(candidates))):
             for steps in (20, 100, 200):
                 assert_same_search(theory, lhs, rhs, steps)
+
+
+# -- the per-search rewrite memo against the flat enumeration ------------------
+
+@pytest.fixture(scope="module")
+def search_theories(word_theories):
+    """Mon, CMon and the identity bases of the two-element tables, with
+    whether their signature has the unit e."""
+    derived = [(theory, False) for theory, _ in derived_theories()]
+    return [(word_theories["Mon"], True), (word_theories["CMon"], True)] + derived
+
+
+def word_terms(with_unit):
+    leaves = st.integers(0, 3).map(Var)
+    if with_unit:
+        leaves = leaves | st.just(App("e"))
+    return st.recursive(
+        leaves, lambda sub: st.tuples(sub, sub).map(lambda p: App("m", p)), max_leaves=8)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data(), max_size=st.integers(3, 64), steps=st.integers(1, 200))
+def test_memo_search_matches_flat_oracle(search_theories, data, max_size, steps):
+    theory, with_unit = data.draw(st.sampled_from(search_theories))
+    lhs = data.draw(word_terms(with_unit))
+    rhs = data.draw(word_terms(with_unit))
+    budget = Budget(steps=steps, max_term_size=max_size)
+    fast = th.congruent(theory, lhs, rhs, budget)
+    assert fast == flat_congruent(theory, lhs, rhs, budget)
+    if fast.provable:
+        assert th.replay_certificate(theory, lhs, rhs, fast.certificate)
+
+
+def left_nested(leaves):
+    t = leaves[0]
+    for leaf in leaves[1:]:
+        t = App("m", (t, leaf))
+    return t
+
+
+def test_deep_term_matches_flat_oracle(word_theories):
+    T = word_theories["Mon"]
+    t = left_nested([Var(i % 4) for i in range(601)])
+    assert th.term_depth(t) == 600
+    budget = Budget(steps=3)
+    lhs = App("m", (t, Var(1)))
+    assert th.congruent(T, lhs, t, budget) == flat_congruent(T, lhs, t, budget)
+
+
+def test_memo_keeps_only_growth_that_fits(word_theories):
+    """A subterm larger than max_term_size keeps only shrinking rewrites;
+    the growing ones (such as x -> m(e, x) at a leaf) could never fit."""
+    T = word_theories["Mon"]
+    max_size = 16
+    t = left_nested([Var(0), App("e")] * 8)
+    memo = {}
+    th._rewrites(th._rule_table(T), t, max_size, memo)
+    assert t not in memo
+    big = [u for u in memo if th.term_size(u) > max_size]
+    assert big and any(memo[u] for u in big)
+    for u in big:
+        assert all(growth <= max_size - th.term_size(u) < 0
+                   for _, growth, *_ in memo[u])
 
 
 # -- repr and hash are those of the plain frozen dataclasses --------------------

@@ -213,14 +213,10 @@ class FunctorData:
         for x in C.objects:
             if self.mor_map[C.ids[x]] != D.ids[self.obj_map[x]]:
                 raise InvariantError(f"functor: identity broken at {x}")
-        for g in C.morphisms:
-            for f in C.morphisms:
-                if C.src[g] != C.tgt[f]:
-                    continue
-                if self.mor_map[C.comp[(g, f)]] != D.comp[
-                    (self.mor_map[g], self.mor_map[f])
-                ]:
-                    raise InvariantError(f"functor: composition broken at ({g}, {f})")
+        F = self.mor_map
+        for (g, f), gf in C.comp.items():
+            if F[gf] != D.comp[(F[g], F[f])]:
+                raise InvariantError(f"functor: composition broken at ({g}, {f})")
 
 
 def identity_functor(C: FiniteCategory) -> FunctorData:

@@ -2,10 +2,13 @@
 abstract equation calculus: finite sets, finite groups, finite algebras,
 finite posets, and finite categories.
 
-Groups, algebras and posets share one base whose morphisms are tables on a
-labelled carrier: equalizers, intersections, coequalizers, pullbacks and
-factorization are written once, over each instance's sub-object and
-quotient. Group quotients are taken in the group algebra over {mul, inv, e}.
+Groups, algebras, posets and categories share one base that reads a
+morphism only through its source, target and table of values on a labelled
+carrier: equalizers, intersections, coequalizers, pullbacks, the mono test
+and factorization are written once, over each instance's sub-object and
+quotient. A functor's table runs over the source's objects and then its
+arrows, tagged by kind. Group quotients are taken in the group algebra over
+{mul, inv, e}.
 
 Each instance normalizes its canonical-subobject values (inclusions) into
 plain morphisms on input, so general solutions flow back through compose,
@@ -24,7 +27,7 @@ from . import finset as fs
 from . import groups as grp
 from . import posets as po
 from .equations import CompCategory
-from .errors import CarrierTooLarge, CodMismatch, InvariantError, NotParallel
+from .errors import CarrierTooLarge, CodMismatch, EmptyList, InvariantError, NotParallel
 
 _POOL_CAP = 1_000_000  # factor's candidate tables; alg.all_alg_homs' default cap
 
@@ -67,10 +70,7 @@ class FinSetCat(CompCategory):
         return fs.equalizer(self._m(p), self._m(q))
 
     def intersection(self, monos):
-        out = monos[0]
-        for m in monos[1:]:
-            out = fs.intersect([out, m])
-        return out
+        return fs.intersect(monos)
 
     def product(self, objs):
         return fs.product(objs)
@@ -99,15 +99,17 @@ class FinSetCat(CompCategory):
 
 
 class _TableCategory(CompCategory):
-    """Objects with a labelled carrier; a morphism f carries f.dom, f.cod and
-    a table of values aligned with carrier(f.dom).
+    """Objects with a labelled carrier; a morphism f runs from source(f) to
+    target(f) and has a table of values aligned with carrier(source(f)).
+    source, target and table read f.dom, f.cod and f.table unless a subclass
+    says otherwise; nothing else here looks inside a morphism.
 
     Subclasses supply carrier(obj), morphism(dom, cod, table) (the validating
     constructor), compose, identity and hom, plus sub(obj, members) (the
-    inclusion of a closed member set) and quotient(obj, pairs) (the
-    projection onto the least quotient identifying the pairs). A subclass
-    whose hom enumerates fewer tables than all of them says how many in
-    hom_size, which factor uses to pick its search.
+    inclusion of a closed member set) and, where coequalizers are offered,
+    quotient(obj, pairs) (the projection onto the least quotient identifying
+    the pairs). A subclass whose hom enumerates fewer tables than all of
+    them says how many in hom_size, which factor uses to pick its search.
     """
 
     has_equalizers = True
@@ -122,45 +124,51 @@ class _TableCategory(CompCategory):
     def target(self, f):
         return f.cod
 
+    def table(self, f):
+        return f.table
+
+    def _parallel(self, f, g) -> bool:
+        return self.source(f) == self.source(g) and self.target(f) == self.target(g)
+
     def morphisms_equal(self, f, g) -> bool:
-        return f.dom == g.dom and f.cod == g.cod and f.table == g.table
+        return self._parallel(f, g) and self.table(f) == self.table(g)
 
     def is_mono(self, f) -> bool:
-        return len(set(f.table)) == len(f.table)
+        table = self.table(f)
+        return len(set(table)) == len(table)
 
     def equalizer(self, p, q):
-        if p.dom != q.dom or p.cod != q.cod:
+        if not self._parallel(p, q):
             raise NotParallel("equalizer needs a parallel pair")
-        return self.sub(p.dom, [
-            x for x, a, b in zip(self.carrier(p.dom), p.table, q.table) if a == b
+        dom = self.source(p)
+        return self.sub(dom, [
+            x for x, a, b in zip(self.carrier(dom), self.table(p), self.table(q)) if a == b
         ])
 
     def intersection(self, monos):
-        target = monos[0].cod
+        if not monos:
+            raise EmptyList("intersection of no subobjects is undefined here")
+        target = self.target(monos[0])
         members = set(self.carrier(target))
         for m in monos:
-            if m.cod != target:
+            if self.target(m) != target:
                 raise CodMismatch("intersection needs a common target")
-            members &= set(m.table)
+            members &= set(self.table(m))
         return self.sub(target, [x for x in self.carrier(target) if x in members])
 
     def coequalizer(self, p, q):
-        if p.dom != q.dom or p.cod != q.cod:
+        if not self._parallel(p, q):
             raise NotParallel("coequalizer needs a parallel pair")
-        return self.quotient(p.cod, list(zip(p.table, q.table)))
+        return self.quotient(self.target(p), list(zip(self.table(p), self.table(q))))
 
     def pullback(self, f, m):
-        if f.cod != m.cod:
+        """The equalizer of f o p0 and m o p1 on the product of the sources,
+        followed by each projection."""
+        if self.target(f) != self.target(m):
             raise CodMismatch("pullback needs a cospan")
-        prod = self.product([f.dom, m.dom])
-        p0, p1 = prod.projections
-        members = [
-            x
-            for x, a, b in zip(self.carrier(prod.obj), p0.table, p1.table)
-            if f(a) == m(b)
-        ]
-        incl = self.sub(prod.obj, members)
-        return self.compose(p0, incl), self.compose(p1, incl)
+        p0, p1 = self.product([self.source(f), self.source(m)]).projections
+        e = self.equalizer(self.compose(f, p0), self.compose(m, p1))
+        return self.compose(p0, e), self.compose(p1, e)
 
     def hom_size(self, x, a) -> int:
         """How many tables hom(x, a) enumerates: every table, by default."""
@@ -171,22 +179,26 @@ class _TableCategory(CompCategory):
         pools of g in carrier order (one table when g is injective), or in
         hom order when hom enumerates fewer tables than the pools hold.
         """
-        if f.cod != g.cod:
+        if self.target(f) != self.target(g):
             raise CodMismatch("factorization needs a common target")
-        pools = [[x for x, gx in zip(self.carrier(g.dom), g.table) if gx == y] for y in f.table]
+        dom, mid = self.source(f), self.source(g)
+        preimages: dict = {}
+        for x, gx in zip(self.carrier(mid), self.table(g)):
+            preimages.setdefault(gx, []).append(x)
+        pools = [preimages.get(y, []) for y in self.table(f)]
         if not all(pools):
             return None
         size = math.prod(map(len, pools))
-        if size > 1 and size > self.hom_size(f.dom, g.dom):
-            for h in self.hom(f.dom, g.dom):
-                if self.compose(g, h).table == f.table:
+        if size > 1 and size > self.hom_size(dom, mid):
+            for h in self.hom(dom, mid):
+                if self.table(self.compose(g, h)) == self.table(f):
                     return h
             return None
         if size > _POOL_CAP:
             raise CarrierTooLarge(f"{size} candidate tables exceed {_POOL_CAP}")
         for table in itertools.product(*pools):
             try:
-                return self.morphism(f.dom, g.dom, table)
+                return self.morphism(dom, mid, table)
             except InvariantError:
                 continue
         return None
@@ -392,20 +404,21 @@ def _poset_collapse(P: po.Poset, pairs) -> po.MonotoneMap:
     return po.MonotoneMap(P, Q, tuple(rep[uf.find(x)] for x in P.elements))
 
 
-class FinCatCat(CompCategory):
-    """Finite categories and functors. Equalizers are agreement
-    subcategories; coequalizers are not offered (quotient categories need
-    free composition). Hom enumeration is exponential; keep sources tiny.
+class FinCatCat(_TableCategory):
+    """Finite categories and functors. A functor's table runs over the
+    source's objects and then its arrows, each entry tagged by its kind, so
+    an object and an arrow that share a label stay apart. Equalizers are
+    agreement subcategories; coequalizers are not offered (quotient
+    categories need free composition). Hom enumeration is exponential; keep
+    sources tiny.
     """
 
     name = "FinCat"
 
-    has_equalizers = True
-    has_intersections = True
+    has_coequalizers = False
     has_products = True
     has_pullbacks = True
-    has_mono_test = True
-    has_factorization = True
+    coequalizer = CompCategory.coequalizer
 
     def source(self, f: cats.FunctorData):
         return f.source
@@ -413,85 +426,41 @@ class FinCatCat(CompCategory):
     def target(self, f: cats.FunctorData):
         return f.target
 
+    def carrier(self, obj: cats.FiniteCategory):
+        return [("obj", x) for x in obj.objects] + [("arr", m) for m in obj.morphisms]
+
+    def table(self, f: cats.FunctorData):
+        return [("obj", f.obj_map[x]) for x in f.source.objects] + [
+            ("arr", f.mor_map[m]) for m in f.source.morphisms
+        ]
+
+    def morphism(self, dom, cod, table):
+        labels = [label for _, label in table]
+        return cats.FunctorData(
+            dom,
+            cod,
+            dict(zip(dom.objects, labels)),
+            dict(zip(dom.morphisms, labels[len(dom.objects):])),
+        )
+
     def compose(self, g, f):
         return cats.compose_functors(g, f)
 
     def identity(self, obj: cats.FiniteCategory):
         return cats.identity_functor(obj)
 
-    def morphisms_equal(self, f, g) -> bool:
-        return cats.functors_equal(f, g)
+    def hom(self, x: cats.FiniteCategory, a: cats.FiniteCategory):
+        return cats.all_functors(x, a)
 
-    def equalizer(self, p: cats.FunctorData, q: cats.FunctorData):
-        if p.source != q.source or p.target != q.target:
-            raise NotParallel("equalizer needs a parallel pair")
-        C = p.source
-        objs = [x for x in C.objects if p.obj_map[x] == q.obj_map[x]]
-        oset = set(objs)
-        morphs = [
-            m
-            for m in C.morphisms
-            if C.src[m] in oset and C.tgt[m] in oset and p.mor_map[m] == q.mor_map[m]
-        ]
-        return _subcategory_inclusion(C, objs, morphs)
-
-    def intersection(self, monos):
-        C = monos[0].target
-        objs = set(C.objects)
-        morphs = set(C.morphisms)
-        for m in monos:
-            if m.target != C:
-                raise CodMismatch("intersection needs a common target")
-            objs &= {m.obj_map[x] for x in m.source.objects}
-            morphs &= {m.mor_map[f] for f in m.source.morphisms}
+    def sub(self, obj: cats.FiniteCategory, members):
         return _subcategory_inclusion(
-            C,
-            [x for x in C.objects if x in objs],
-            [f for f in C.morphisms if f in morphs],
+            obj,
+            [x for kind, x in members if kind == "obj"],
+            [m for kind, m in members if kind == "arr"],
         )
 
     def product(self, objs):
         return _cat_product(list(objs))
-
-    def pullback(self, f: cats.FunctorData, m: cats.FunctorData):
-        if f.target != m.target:
-            raise CodMismatch("pullback needs a cospan")
-        prod = _cat_product([f.source, m.source])
-        p0, p1 = prod.projections
-        objs = [
-            x
-            for x in prod.obj.objects
-            if f.obj_map[p0.obj_map[x]] == m.obj_map[p1.obj_map[x]]
-        ]
-        oset = set(objs)
-        morphs = [
-            mm
-            for mm in prod.obj.morphisms
-            if prod.obj.src[mm] in oset
-            and prod.obj.tgt[mm] in oset
-            and f.mor_map[p0.mor_map[mm]] == m.mor_map[p1.mor_map[mm]]
-        ]
-        incl = _subcategory_inclusion(prod.obj, objs, morphs)
-        return (
-            cats.compose_functors(p0, incl),
-            cats.compose_functors(p1, incl),
-        )
-
-    def is_mono(self, f: cats.FunctorData) -> bool:
-        return len(set(f.obj_map.values())) == len(f.source.objects) and len(
-            set(f.mor_map.values())
-        ) == len(f.source.morphisms)
-
-    def factor(self, f: cats.FunctorData, g: cats.FunctorData):
-        if f.target != g.target:
-            raise CodMismatch("factorization needs a common target")
-        for h in cats.all_functors(f.source, g.source):
-            if cats.functors_equal(cats.compose_functors(g, h), f):
-                return h
-        return None
-
-    def hom(self, x: cats.FiniteCategory, a: cats.FiniteCategory):
-        return cats.all_functors(x, a)
 
 
 def _subcategory_inclusion(

@@ -11,7 +11,14 @@ hand, the shift isomorphisms go through `_concrete_functor`, and
 is `_FamilyCatBuilder.build` with the builder passed in, and
 `oracle_sigalg_direct` is the direct side of `sigma_alg_as_inserter`.
 `oracle_validate` is the earlier `FiniteCategory.__post_init__`, whose
-associativity check scans every arrow f for each composable (h, g).
+associativity check scans every arrow f for each composable (h, g), and
+`oracle_validate_functor` the earlier `FunctorData.__post_init__`, whose
+composition check scans every pair of arrows.
+
+`OracleFinCat` holds the functor-shaped equalizer, intersection, pullback,
+mono test and factorization that `FinCatCat` kept before it joined the
+table-category base, and `oracle_table_pullback` that base's earlier
+pullback, which asked each morphism for its value at a point.
 """
 
 from __future__ import annotations
@@ -21,7 +28,14 @@ import itertools
 from veq import cats
 from veq import finset as fs
 from veq.cats import FiniteCategory
-from veq.errors import AdjunctionInvalid, BoundTooLarge, InvariantError, SourceMismatch
+from veq.errors import (
+    AdjunctionInvalid,
+    BoundTooLarge,
+    CodMismatch,
+    InvariantError,
+    NotParallel,
+    SourceMismatch,
+)
 from veq.inserters import (
     FreeFAlgebra,
     InserterResult,
@@ -32,6 +46,7 @@ from veq.inserters import (
     _word_product,
     pair_label,
 )
+from veq.instances import _cat_product, _subcategory_inclusion
 from veq.posets import Poset, _arrow_name
 
 
@@ -79,6 +94,112 @@ def oracle_validate(name, objects, morphisms, src, tgt, ids, comp) -> None:
                     raise InvariantError(
                         f"{name}: associativity fails at ({h}, {g}, {f})"
                     )
+
+
+def oracle_validate_functor(C, D, obj_map, mor_map) -> None:
+    """Raise the InvariantError FunctorData(C, D, obj_map, mor_map) raises, if any."""
+    for x in C.objects:
+        if obj_map.get(x) not in D.objects:
+            raise InvariantError(f"functor: object {x} unmapped or mapped outside")
+    for m in C.morphisms:
+        fm = mor_map.get(m)
+        if fm not in D.morphisms:
+            raise InvariantError(f"functor: morphism {m} unmapped or mapped outside")
+        if D.src[fm] != obj_map[C.src[m]] or D.tgt[fm] != obj_map[C.tgt[m]]:
+            raise InvariantError(f"functor: endpoints broken at {m}")
+    for x in C.objects:
+        if mor_map[C.ids[x]] != D.ids[obj_map[x]]:
+            raise InvariantError(f"functor: identity broken at {x}")
+    for g in C.morphisms:
+        for f in C.morphisms:
+            if C.src[g] != C.tgt[f]:
+                continue
+            if mor_map[C.comp[(g, f)]] != D.comp[(mor_map[g], mor_map[f])]:
+                raise InvariantError(f"functor: composition broken at ({g}, {f})")
+
+
+class OracleFinCat:
+    """The constructions FinCatCat wrote for functors by hand."""
+
+    def equalizer(self, p: cats.FunctorData, q: cats.FunctorData):
+        if p.source != q.source or p.target != q.target:
+            raise NotParallel("equalizer needs a parallel pair")
+        C = p.source
+        objs = [x for x in C.objects if p.obj_map[x] == q.obj_map[x]]
+        oset = set(objs)
+        morphs = [
+            m
+            for m in C.morphisms
+            if C.src[m] in oset and C.tgt[m] in oset and p.mor_map[m] == q.mor_map[m]
+        ]
+        return _subcategory_inclusion(C, objs, morphs)
+
+    def intersection(self, monos):
+        C = monos[0].target
+        objs = set(C.objects)
+        morphs = set(C.morphisms)
+        for m in monos:
+            if m.target != C:
+                raise CodMismatch("intersection needs a common target")
+            objs &= {m.obj_map[x] for x in m.source.objects}
+            morphs &= {m.mor_map[f] for f in m.source.morphisms}
+        return _subcategory_inclusion(
+            C,
+            [x for x in C.objects if x in objs],
+            [f for f in C.morphisms if f in morphs],
+        )
+
+    def pullback(self, f: cats.FunctorData, m: cats.FunctorData):
+        if f.target != m.target:
+            raise CodMismatch("pullback needs a cospan")
+        prod = _cat_product([f.source, m.source])
+        p0, p1 = prod.projections
+        objs = [
+            x
+            for x in prod.obj.objects
+            if f.obj_map[p0.obj_map[x]] == m.obj_map[p1.obj_map[x]]
+        ]
+        oset = set(objs)
+        morphs = [
+            mm
+            for mm in prod.obj.morphisms
+            if prod.obj.src[mm] in oset
+            and prod.obj.tgt[mm] in oset
+            and f.mor_map[p0.mor_map[mm]] == m.mor_map[p1.mor_map[mm]]
+        ]
+        incl = _subcategory_inclusion(prod.obj, objs, morphs)
+        return (
+            cats.compose_functors(p0, incl),
+            cats.compose_functors(p1, incl),
+        )
+
+    def is_mono(self, f: cats.FunctorData) -> bool:
+        return len(set(f.obj_map.values())) == len(f.source.objects) and len(
+            set(f.mor_map.values())
+        ) == len(f.source.morphisms)
+
+    def factor(self, f: cats.FunctorData, g: cats.FunctorData):
+        if f.target != g.target:
+            raise CodMismatch("factorization needs a common target")
+        for h in cats.all_functors(f.source, g.source):
+            if cats.functors_equal(cats.compose_functors(g, h), f):
+                return h
+        return None
+
+
+def oracle_table_pullback(cat, f, m):
+    """The pullback of _TableCategory before it went through the equalizer."""
+    if f.cod != m.cod:
+        raise CodMismatch("pullback needs a cospan")
+    prod = cat.product([f.dom, m.dom])
+    p0, p1 = prod.projections
+    members = [
+        x
+        for x, a, b in zip(cat.carrier(prod.obj), p0.table, p1.table)
+        if f(a) == m(b)
+    ]
+    incl = cat.sub(prod.obj, members)
+    return cat.compose(p0, incl), cat.compose(p1, incl)
 
 
 def oracle_category_from_generators(

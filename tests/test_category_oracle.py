@@ -1,6 +1,8 @@
-"""Every finite category built through cats.tabulate_category, and every pair
-category built through inserters._category_over, against the hand-written
-constructions kept in category_oracle.
+"""Every finite category built through cats.tabulate_category, every pair
+category built through inserters._category_over, and FinCat's equalizer,
+intersection, pullback, mono test and factorization through the shared
+table-category base, against the hand-written constructions kept in
+category_oracle.
 
 FiniteCategory's own == compares only name, objects and morphisms, so these
 tests compare all seven fields, and functors by their object and arrow maps
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from category_oracle import (
+    OracleFinCat,
     oracle_cat_product,
     oracle_category_from_generators,
     oracle_discrete_category,
@@ -26,14 +29,17 @@ from category_oracle import (
     oracle_shift_right,
     oracle_sigalg_direct,
     oracle_subcategory_inclusion,
+    oracle_table_pullback,
     oracle_to_category,
     oracle_validate,
+    oracle_validate_functor,
 )
+from veq import algebras as alg
 from veq import cats, dsl
 from veq import finset as fs
 from veq import inserters as inserters_mod
 from veq import posets as po
-from veq.errors import InvariantError
+from veq.errors import CarrierTooLarge, InvariantError
 from veq.inserters import (
     PolyFunctor,
     SortedSignature,
@@ -46,10 +52,12 @@ from veq.inserters import (
     shift_right,
     sigma_alg_as_inserter,
 )
-from veq.instances import FinCatCat, _subcategory_inclusion
+from veq.instances import FinAlgCat, FinCatCat, FinPosetCat, _subcategory_inclusion
+from veq.theories import Signature
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CC = FinCatCat()
+ORACLE = OracleFinCat()
 
 
 def fields(C: cats.FiniteCategory):
@@ -335,3 +343,163 @@ def test_corrupted_categories_fail_as_the_oracle_fails(corpus_cats):
     # every kind of failure is reached, associativity among them
     assert {"associativity", "composition", "composite", "right", "left",
             "bad"} <= messages
+
+
+# -- FinCat on the table-category base -------------------------------------------
+
+T = cats.tabulate_category("T", ["a"], {"a": ("a", "a")}, {"a": "a"}, lambda g, f: "a")
+
+
+def fincat_inputs():
+    """The corpus categories, six random thin categories, the Idem and Iso
+    presentations, and T, whose object and identity arrow are both `a`."""
+    ws = dsl.parse_files([os.path.join(ROOT, "corpus", "cats.veq")])
+    rng = random.Random(8)
+    return (
+        list(ws.defs["category"].values())
+        + [po.to_category(po.random_poset(rng, rng.randint(1, 3), f"R{i}")) for i in range(6)]
+        + [cats.category_from_generators("Idem", ["x"], {"e": ("x", "x")}, {("e", "e"): ("e",)}),
+           cats.category_from_generators("Iso", ["a", "b"], {"f": ("a", "b"), "g": ("b", "a")},
+                                         {("g", "f"): (), ("f", "g"): ()}),
+           T]
+    )
+
+
+def assert_same_result(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert_same_functor(got, want)
+
+
+def test_fincat_constructions_match_oracle():
+    inputs = fincat_inputs()
+    homs = {(C.name, D.name): cats.all_functors(C, D) for C in inputs for D in inputs}
+    counts = dict.fromkeys(("equalizer", "intersection", "pullback", "factor", "non-mono"), 0)
+    for D in inputs:
+        into = [F for C in inputs for F in homs[(C.name, D.name)]]
+        monos = [F for F in into if ORACLE.is_mono(F)]
+        for F in into:
+            assert CC.is_mono(F) == ORACLE.is_mono(F)
+        for C in inputs:
+            parallel = homs[(C.name, D.name)]
+            subs = []
+            for p in parallel:
+                for q in parallel:
+                    subs.append(CC.equalizer(p, q))
+                    assert_same_functor(subs[-1], ORACLE.equalizer(p, q))
+                    counts["equalizer"] += 1
+            for a in monos + subs[::4]:
+                for b in monos + subs[::4]:
+                    if a.target == b.target == C:
+                        assert_same_functor(CC.intersection([a, b]), ORACLE.intersection([a, b]))
+                        counts["intersection"] += 1
+        for f in into:
+            for m in into:
+                if len(f.source.morphisms) * len(m.source.morphisms) <= 9:
+                    for got, want in zip(CC.pullback(f, m), ORACLE.pullback(f, m), strict=True):
+                        assert_same_functor(got, want)
+                    counts["pullback"] += 1
+                if len(f.source.morphisms) <= 3 and len(m.source.morphisms) <= 3:
+                    assert_same_result(CC.factor(f, m), ORACLE.factor(f, m))
+                    counts["factor"] += 1
+                    counts["non-mono"] += not ORACLE.is_mono(m)
+    assert min(counts.values()) > 100
+
+
+def test_fincat_tags_keep_objects_and_arrows_apart():
+    X = cats.discrete_category("X", ["x"])
+    F = cats.FunctorData(X, T, {"x": "a"}, {"id_x": "a"})
+    assert CC.is_mono(F) and ORACLE.is_mono(F)
+    h = CC.factor(F, CC.identity(T))
+    assert_same_functor(h, ORACLE.factor(F, CC.identity(T)))
+    assert_same_functor(CC.intersection([F, F]), ORACLE.intersection([F, F]))
+
+
+def test_fincat_factor_through_a_mono_reads_one_table(monkeypatch):
+    chain = [po.to_category(po.chain(f"C{n}", [str(i) for i in range(n)])) for n in (3, 4, 5)]
+    g = next(G for G in cats.all_functors(chain[1], chain[2]) if CC.is_mono(G))
+    fs_ = cats.all_functors(chain[0], chain[2])
+    want = [ORACLE.factor(f, g) for f in fs_]
+    monkeypatch.setattr(cats, "all_functors", None)  # the mono case never enumerates
+    for f, w in zip(fs_, want, strict=True):
+        assert_same_result(CC.factor(f, g), w)
+    assert any(w is not None for w in want) and any(w is None for w in want)
+
+
+def test_fincat_factor_through_a_non_mono_is_capped():
+    D = cats.discrete_category("D", ["0"])
+    B = cats.discrete_category("B", ["0", "1"])
+    A = cats.discrete_category("A", [f"{i:02d}" for i in range(21)])
+    g = next(iter(cats.all_functors(B, D)))
+    f = next(iter(cats.all_functors(A, D)))
+    with pytest.raises(CarrierTooLarge):  # more than 2^21 functors A -> B
+        CC.factor(f, g)
+
+
+SEMILATTICE = Signature((("meet", 2),))
+
+
+def table_hom_fields(h):
+    def obj(X):
+        if isinstance(X, po.Poset):
+            return X
+        return X.name, X.carrier, X.tables
+    return obj(h.dom), obj(h.cod), h.table
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_table_pullbacks_match_oracle(seed):
+    rng = random.Random(seed)
+    PC, AC = FinPosetCat(), FinAlgCat()
+    P, Q, R = (po.random_poset(rng, rng.randint(1, 3), n) for n in "PQR")
+    cases = [(PC, f, m) for f in po.all_monotone_maps(P, R) for m in po.all_monotone_maps(Q, R)]
+    algebras = [
+        alg.make_algebra(n, SEMILATTICE, [str(i) for i in range(k)], {"meet": min})
+        for n, k in (("A", rng.randint(1, 3)), ("B", rng.randint(1, 3)), ("S", 2))
+    ]
+    A, B, S = algebras
+    cases += [(AC, f, m) for f in alg.all_alg_homs(A, S) for m in alg.all_alg_homs(B, S)]
+    for cat, f, m in cases:
+        for got, want in zip(cat.pullback(f, m), oracle_table_pullback(cat, f, m), strict=True):
+            assert table_hom_fields(got) == table_hom_fields(want)
+
+
+def corrupt_functor(rng, F: cats.FunctorData):
+    """F's object and arrow maps with one entry broken at random."""
+    C, D = F.source, F.target
+    obj_map, mor_map = dict(F.obj_map), dict(F.mor_map)
+    kind = rng.randrange(6)
+    if kind == 0:
+        obj_map[rng.choice(C.objects)] = rng.choice(D.objects)
+    elif kind == 1:
+        del obj_map[rng.choice(C.objects)]
+    elif kind == 2:
+        del mor_map[rng.choice(C.morphisms)]
+    elif kind == 3:
+        mor_map[rng.choice(C.morphisms)] = rng.choice(D.morphisms)
+    else:  # a parallel arrow, which breaks only identities or composition
+        m = rng.choice(C.morphisms)
+        mor_map[m] = rng.choice(D.hom(D.src[mor_map[m]], D.tgt[mor_map[m]]))
+    return C, D, obj_map, mor_map
+
+
+def test_corrupted_functors_fail_as_the_oracle_fails():
+    inputs = fincat_inputs()
+    inputs.append(cats.category_from_generators(
+        "Z3", ["x"], {"t": ("x", "x")}, {("t", "t", "t"): ()}))
+    inputs.append(cats.category_from_generators(
+        "Square", ["a", "b", "c", "d"],
+        {"f": ("a", "b"), "g": ("b", "d"), "h": ("a", "c"), "k": ("c", "d")},
+        {("g", "f"): ("k", "h")}))
+    functors = [F for C in inputs for D in inputs
+                for F in cats.all_functors(C, D)[:20] if C.morphisms]
+    rng = random.Random(20231007)
+    messages = set()
+    for _ in range(600):
+        args = corrupt_functor(rng, rng.choice(functors))
+        expected = validation_error(oracle_validate_functor, *args)
+        assert validation_error(cats.FunctorData, *args) == expected
+        messages.add(expected and expected.split(": ", 1)[1].split(" ")[0])
+    # every kind of failure is reached, composition among them
+    assert {"object", "morphism", "endpoints", "identity", "composition"} <= messages

@@ -15,7 +15,7 @@ from veq.equations import (
     general_cosolution,
     general_solution,
 )
-from veq.errors import CapabilityMissing, CarrierTooLarge, NotParallel
+from veq.errors import CapabilityMissing, CarrierTooLarge, EmptyList, NotParallel
 from veq.instances import FinAlgCat, FinCatCat, FinGrpCat, FinPosetCat, FinSetCat
 from veq.theories import Signature
 
@@ -399,3 +399,10 @@ OFFERED = [
 @pytest.mark.parametrize("cat,offered", OFFERED, ids=[c.name for c, _ in OFFERED])
 def test_capability_flags_per_instance(cat, offered):
     assert {f for f in FLAGS if getattr(cat, f)} == offered
+
+
+@pytest.mark.parametrize("cat,offered", OFFERED, ids=[c.name for c, _ in OFFERED])
+def test_intersection_of_no_subobjects_is_refused(cat, offered):
+    assert "has_intersections" in offered
+    with pytest.raises(EmptyList):
+        cat.intersection([])

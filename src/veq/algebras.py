@@ -149,12 +149,8 @@ class AlgHom:
     dom: FiniteAlgebra
     cod: FiniteAlgebra
     table: tuple[str, ...]
-    # derived once on construction; not part of equality, hash or repr
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {x: i for i, x in enumerate(self.dom.carrier.elements)})
         if self.dom.signature != self.cod.signature:
             raise SignatureMismatch("homomorphism endpoints disagree on signature")
         if len(self.table) != len(self.dom.carrier):
@@ -171,7 +167,7 @@ class AlgHom:
                     raise InvariantError(f"not a homomorphism at {sym}{args}")
 
     def __call__(self, x: str) -> str:
-        return self.table[self._index[x]]
+        return self.table[self.dom.carrier._index[x]]
 
     def mapping(self) -> dict[str, str]:
         return dict(zip(self.dom.carrier.elements, self.table))

@@ -1,8 +1,11 @@
-"""Exact finite-set engine: objects, functions, and the (co)limit toolkit.
+"""Exact finite-set engine: objects, functions, canonical subobjects,
+products, coproducts, quotients and factorization through a function.
 
-Everything is label-based and deterministic. Composite constructions emit
-structured labels: product tuples "(a,b)", coproduct tags "in0:a", quotient
-classes named by their lexicographically least member.
+Equalizers, intersections, coequalizers, cokernel pairs and pullbacks of
+finite sets come from the table-category base in veq.instances, built from
+the pieces here. Everything is label-based and deterministic. Composite
+constructions emit structured labels: product tuples "(a,b)", coproduct tags
+"in0:a", quotient classes named by their lexicographically least member.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import CodMismatch, DomainMismatch, EmptyList, InvariantError, NotParallel, TargetMismatch
+from .errors import CodMismatch, DomainMismatch, EmptyList, InvariantError
 
 
 @dataclass(frozen=True)
@@ -18,10 +21,15 @@ class FinSetObj:
     """A finite set: distinct string labels in a fixed canonical order."""
 
     elements: tuple[str, ...]
+    # label -> position, derived once on construction; not part of equality,
+    # hash or repr
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+        index = {x: i for i, x in enumerate(self.elements)}
+        if len(index) != len(self.elements):
             raise InvariantError(f"duplicate labels in {self.elements!r}")
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -30,7 +38,7 @@ class FinSetObj:
         return iter(self.elements)
 
     def __contains__(self, label: str) -> bool:
-        return label in self.elements
+        return label in self._index
 
     def __repr__(self) -> str:
         return "FinSetObj({" + ", ".join(self.elements) + "})"
@@ -57,8 +65,8 @@ class FinFunction:
 
     def __call__(self, label: str) -> str:
         try:
-            return self.table[self.dom.elements.index(label)]
-        except ValueError:
+            return self.table[self.dom._index[label]]
+        except KeyError:
             raise DomainMismatch(f"{label!r} not in domain") from None
 
     def mapping(self) -> dict[str, str]:
@@ -131,13 +139,6 @@ def sub(target: FinSetObj, labels) -> SubobjectMono:
     keep = set(labels)
     carrier = FinSetObj(tuple(x for x in target.elements if x in keep))
     return SubobjectMono(carrier, target, FinFunction(carrier, target, carrier.elements))
-
-
-def equalizer(p: FinFunction, q: FinFunction) -> SubobjectMono:
-    """Largest subobject of the common domain on which p and q agree."""
-    if p.dom != q.dom or p.cod != q.cod:
-        raise NotParallel("equalizer needs a parallel pair")
-    return sub(p.dom, (x for x, a, b in zip(p.dom.elements, p.table, q.table) if a == b))
 
 
 def tuple_label(labels) -> str:
@@ -247,71 +248,9 @@ def partition_quotient(base: FinSetObj, pairs) -> FinFunction:
     for x in base.elements:
         classes.setdefault(uf.find(x), []).append(x)
     rep = {root: min(members) for root, members in classes.items()}
-    order = sorted(rep.values(), key=base.elements.index)
+    order = sorted(rep.values(), key=base._index.__getitem__)
     qobj = FinSetObj(tuple(order))
     return FinFunction(base, qobj, tuple(rep[uf.find(x)] for x in base.elements))
-
-
-def coequalizer(p: FinFunction, q: FinFunction) -> FinFunction:
-    """Canonical surjection of the codomain identifying p(x) with q(x)."""
-    if p.dom != q.dom or p.cod != q.cod:
-        raise NotParallel("coequalizer needs a parallel pair")
-    return partition_quotient(p.cod, zip(p.table, q.table))
-
-
-def cokernel_pair(f: FinFunction) -> tuple[FinFunction, FinFunction]:
-    """Pushout of f along itself: two maps cod(f) -> Q agreeing exactly on im(f)."""
-    cp = coproduct([f.cod, f.cod])
-    glue = partition_quotient(cp.obj, ((tag_label(0, y), tag_label(1, y)) for y in f.table))
-    p = compose(glue, cp.coprojections[0])
-    q = compose(glue, cp.coprojections[1])
-    return p, q
-
-
-@dataclass(frozen=True)
-class PullbackSquare:
-    apex: FinSetObj
-    to_f_dom: FinFunction
-    to_m_dom: FinFunction
-    f: FinFunction
-    m: FinFunction
-
-
-def pullback(f: FinFunction, m: FinFunction) -> PullbackSquare:
-    """Pullback of f and m along their shared codomain; apex labels are pairs."""
-    if f.cod != m.cod:
-        raise CodMismatch("pullback legs must share a codomain")
-    combos = [
-        (x, y)
-        for x in f.dom.elements
-        for y in m.dom.elements
-        if f(x) == m(y)
-    ]
-    apex = FinSetObj(tuple(tuple_label(c) for c in combos))
-    left = FinFunction(apex, f.dom, tuple(c[0] for c in combos))
-    right = FinFunction(apex, m.dom, tuple(c[1] for c in combos))
-    return PullbackSquare(apex, left, right, f, m)
-
-
-def intersect(monos) -> SubobjectMono:
-    """Intersection of subobjects of a common target, via image overlap."""
-    monos = tuple(monos)
-    if not monos:
-        raise EmptyList("intersection of no subobjects is undefined here")
-    target = monos[0].target if isinstance(monos[0], SubobjectMono) else monos[0].cod
-    keep = set(target.elements)
-    for m in monos:
-        if isinstance(m, SubobjectMono):
-            if m.target != target:
-                raise TargetMismatch("subobjects must share a target")
-            keep &= set(m.carrier.elements)
-        else:
-            if m.cod != target:
-                raise TargetMismatch("subobjects must share a target")
-            if not m.is_injective():
-                raise InvariantError("intersect expects monomorphisms")
-            keep &= set(m.table)
-    return sub(target, keep)
 
 
 def factor_through(f: FinFunction, g: FinFunction) -> FinFunction | None:

@@ -2,11 +2,12 @@
 abstract equation calculus: finite sets, finite groups, finite algebras,
 finite posets, and finite categories.
 
-Groups, algebras, posets and categories share one base that reads a
-morphism only through its source, target and table of values on a labelled
-carrier: equalizers, intersections, coequalizers, pullbacks, the mono test
-and factorization are written once, over each instance's sub-object and
-quotient. A functor's table runs over the source's objects and then its
+All five share one base that reads a morphism only through its source,
+target and table of values on a labelled carrier: equalizers,
+intersections, coequalizers, cokernel pairs, pullbacks, the mono test and
+factorization are written once, over each instance's sub-object, quotient,
+product and coproduct. Sets keep only their factorization, which needs no
+search. A functor's table runs over the source's objects and then its
 arrows, tagged by kind. Group quotients are taken in the group algebra over
 {mul, inv, e}.
 
@@ -27,75 +28,9 @@ from . import finset as fs
 from . import groups as grp
 from . import posets as po
 from .equations import CompCategory
-from .errors import CarrierTooLarge, CodMismatch, EmptyList, InvariantError, NotParallel
+from .errors import CarrierTooLarge, CodMismatch, EmptyList, InvariantError, NotParallel, TargetMismatch
 
 _POOL_CAP = 1_000_000  # factor's candidate tables; alg.all_alg_homs' default cap
-
-
-class FinSetCat(CompCategory):
-    """Finite sets and functions; every capability is available."""
-
-    name = "FinSet"
-
-    has_equalizers = True
-    has_intersections = True
-    has_products = True
-    has_coequalizers = True
-    has_coproducts = True
-    has_cokernel_pairs = True
-    has_pullbacks = True
-    has_mono_test = True
-    has_factorization = True
-
-    @staticmethod
-    def _m(f) -> fs.FinFunction:
-        return f.inclusion if isinstance(f, fs.SubobjectMono) else f
-
-    def source(self, f):
-        return self._m(f).dom
-
-    def target(self, f):
-        return self._m(f).cod
-
-    def compose(self, g, f):
-        return fs.compose(self._m(g), self._m(f))
-
-    def identity(self, obj):
-        return fs.identity(obj)
-
-    def morphisms_equal(self, f, g) -> bool:
-        return self._m(f) == self._m(g)
-
-    def equalizer(self, p, q):
-        return fs.equalizer(self._m(p), self._m(q))
-
-    def intersection(self, monos):
-        return fs.intersect(monos)
-
-    def product(self, objs):
-        return fs.product(objs)
-
-    def coequalizer(self, p, q):
-        return fs.coequalizer(self._m(p), self._m(q))
-
-    def coproduct(self, objs):
-        return fs.coproduct(objs)
-
-    def cokernel_pair(self, f):
-        return fs.cokernel_pair(self._m(f))
-
-    def pullback(self, f, m):
-        sq = fs.pullback(self._m(f), self._m(m))
-        return sq.to_f_dom, sq.to_m_dom
-
-    def is_mono(self, f) -> bool:
-        return self._m(f).is_injective()
-
-    def factor(self, f, g):
-        return fs.factor_through(self._m(f), self._m(g))
-
-    def hom(self, x, a):
-        return fs.all_functions(x, a)
 
 
 class _TableCategory(CompCategory):
@@ -108,8 +43,10 @@ class _TableCategory(CompCategory):
     constructor), compose, identity and hom, plus sub(obj, members) (the
     inclusion of a closed member set) and, where coequalizers are offered,
     quotient(obj, pairs) (the projection onto the least quotient identifying
-    the pairs). A subclass whose hom enumerates fewer tables than all of
-    them says how many in hom_size, which factor uses to pick its search.
+    the pairs). Pullbacks need product(objs) and cokernel pairs
+    coproduct(objs), where has_pullbacks and has_cokernel_pairs offer them.
+    A subclass whose hom enumerates fewer tables than all of them says how
+    many in hom_size, which factor uses to pick its search.
     """
 
     has_equalizers = True
@@ -146,13 +83,16 @@ class _TableCategory(CompCategory):
         ])
 
     def intersection(self, monos):
+        monos = tuple(monos)
         if not monos:
             raise EmptyList("intersection of no subobjects is undefined here")
         target = self.target(monos[0])
         members = set(self.carrier(target))
         for m in monos:
             if self.target(m) != target:
-                raise CodMismatch("intersection needs a common target")
+                raise TargetMismatch("subobjects must share a target")
+            if not self.is_mono(m):
+                raise InvariantError("intersection expects monomorphisms")
             members &= set(self.table(m))
         return self.sub(target, [x for x in self.carrier(target) if x in members])
 
@@ -160,6 +100,15 @@ class _TableCategory(CompCategory):
         if not self._parallel(p, q):
             raise NotParallel("coequalizer needs a parallel pair")
         return self.quotient(self.target(p), list(zip(self.table(p), self.table(q))))
+
+    def cokernel_pair(self, f):
+        """The coequalizer c of i0 o f and i1 o f on target(f) + target(f),
+        followed by each coprojection: c o i0 and c o i1."""
+        if not self.has_cokernel_pairs:
+            return super().cokernel_pair(f)
+        i0, i1 = self.coproduct([self.target(f)] * 2).coprojections
+        c = self.coequalizer(self.compose(i0, f), self.compose(i1, f))
+        return self.compose(c, i0), self.compose(c, i1)
 
     def pullback(self, f, m):
         """The equalizer of f o p0 and m o p1 on the product of the sources,
@@ -202,6 +151,65 @@ class _TableCategory(CompCategory):
             except InvariantError:
                 continue
         return None
+
+
+class FinSetCat(_TableCategory):
+    """Finite sets and functions; every capability is available. A
+    canonical subobject stands for its inclusion wherever a morphism is
+    expected, and equalizers and intersections return one.
+    """
+
+    name = "FinSet"
+
+    has_products = True
+    has_coproducts = True
+    has_cokernel_pairs = True
+    has_pullbacks = True
+
+    @staticmethod
+    def _m(f) -> fs.FinFunction:
+        return f.inclusion if isinstance(f, fs.SubobjectMono) else f
+
+    def source(self, f):
+        return self._m(f).dom
+
+    def target(self, f):
+        return self._m(f).cod
+
+    def table(self, f):
+        return self._m(f).table
+
+    def carrier(self, obj: fs.FinSetObj):
+        return obj.elements
+
+    def morphism(self, dom, cod, table):
+        return fs.FinFunction(dom, cod, table)
+
+    def compose(self, g, f):
+        return fs.compose(self._m(g), self._m(f))
+
+    def identity(self, obj: fs.FinSetObj):
+        return fs.identity(obj)
+
+    def hom(self, x: fs.FinSetObj, a: fs.FinSetObj):
+        return fs.all_functions(x, a)
+
+    def sub(self, obj: fs.FinSetObj, members):
+        return fs.sub(obj, members)
+
+    def quotient(self, obj: fs.FinSetObj, pairs):
+        return fs.partition_quotient(obj, pairs)
+
+    def product(self, objs):
+        return fs.product(objs)
+
+    def coproduct(self, objs):
+        return fs.coproduct(objs)
+
+    def factor(self, f, g):
+        """Every table is a function, so the least preimages factor f
+        whenever anything does; no search is needed."""
+        return fs.factor_through(self._m(f), self._m(g))
 
 
 class FinGrpCat(_TableCategory):
@@ -313,12 +321,6 @@ class FinPosetCat(_TableCategory):
 
     def coproduct(self, objs):
         return _poset_coproduct(list(objs))
-
-    def cokernel_pair(self, f: po.MonotoneMap):
-        cop = self.coproduct([f.cod, f.cod])
-        i0, i1 = cop.coprojections
-        c = self.coequalizer(self.compose(i0, f), self.compose(i1, f))
-        return self.compose(c, i0), self.compose(c, i1)
 
 
 @dataclass(frozen=True)

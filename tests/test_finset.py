@@ -2,8 +2,17 @@ import itertools
 
 import pytest
 
+from finset_oracle import coequalizer, cokernel_pair, equalizer, intersect, pullback
 from veq import finset as fs
-from veq.errors import CodMismatch, EmptyList, InvariantError, NotParallel, TargetMismatch
+from veq.errors import (
+    CodMismatch,
+    EmptyList,
+    InvariantError,
+    NotParallel,
+    TargetMismatch,
+    VeqError,
+)
+from veq.instances import FinSetCat
 
 A = fs.finset("a", "b", "c")
 BITS = fs.finset("0", "1")
@@ -38,21 +47,21 @@ def test_compose_and_identity():
 
 
 def test_equalizer_matches_brute_filter():
-    e = fs.equalizer(P, Q)
+    e = equalizer(P, Q)
     assert e.carrier.elements == ("a", "c")
     assert e.inclusion.table == ("a", "c")
 
 
 def test_equalizer_identity_and_empty_cases():
-    assert fs.equalizer(P, P).carrier == A
+    assert equalizer(P, P).carrier == A
     r = fs.FinFunction(A, BITS, ("1", "0", "0"))
-    assert fs.equalizer(P, r).carrier.elements == ()
+    assert equalizer(P, r).carrier.elements == ()
 
 
 def test_equalizer_requires_parallel_pair():
     other = fs.FinFunction(BITS, BITS, ("0", "1"))
     with pytest.raises(NotParallel):
-        fs.equalizer(P, other)
+        equalizer(P, other)
 
 
 def test_equalizer_agrees_with_filter_exhaustively():
@@ -62,7 +71,7 @@ def test_equalizer_agrees_with_filter_exhaustively():
             for p in fs.all_functions(dom, cod):
                 for q in fs.all_functions(dom, cod):
                     want = tuple(x for x in dom.elements if p(x) == q(x))
-                    assert fs.equalizer(p, q).carrier.elements == want
+                    assert equalizer(p, q).carrier.elements == want
 
 
 def test_product_sizes_and_labels():
@@ -134,17 +143,17 @@ def test_coequalizer_glues_named_pair():
     three = fs.finset("0", "1", "2")
     p = fs.FinFunction(pt, three, ("0",))
     q = fs.FinFunction(pt, three, ("1",))
-    c = fs.coequalizer(p, q)
+    c = coequalizer(p, q)
     assert c.cod.elements == ("0", "2")
     assert c.table == ("0", "0", "2")
 
 
 def test_coequalizer_identity_and_total_collapse():
-    assert fs.coequalizer(P, P).cod == BITS
+    assert coequalizer(P, P).cod == BITS
     pair = fs.finset("u", "v")
     p = fs.FinFunction(pair, A, ("a", "b"))
     q = fs.FinFunction(pair, A, ("b", "c"))
-    c = fs.coequalizer(p, q)
+    c = coequalizer(p, q)
     assert len(c.cod) == 1
     assert c.cod.elements == ("a",)
 
@@ -153,7 +162,7 @@ def test_coequalizer_universal_property_exhaustive():
     pair = fs.finset("u", "v")
     for p in fs.all_functions(pair, A):
         for q in fs.all_functions(pair, A):
-            c = fs.coequalizer(p, q)
+            c = coequalizer(p, q)
             for cod in small_objects(2):
                 for h in fs.all_functions(A, cod):
                     if fs.compose(h, p) != fs.compose(h, q):
@@ -167,7 +176,7 @@ def test_coequalizer_universal_property_exhaustive():
 def test_cokernel_pair_cases():
     pt = fs.finset("pt")
     f = fs.FinFunction(pt, BITS, ("0",))
-    p, q = fs.cokernel_pair(f)
+    p, q = cokernel_pair(f)
     assert p.cod == q.cod
     assert len(p.cod) == 3
     assert fs.compose(p, f) == fs.compose(q, f)
@@ -175,13 +184,13 @@ def test_cokernel_pair_cases():
     assert [x for x in BITS.elements if p(x) != q(x)] == ["1"]
 
     surj = fs.FinFunction(A, BITS, ("0", "1", "0"))
-    p2, q2 = fs.cokernel_pair(surj)
+    p2, q2 = cokernel_pair(surj)
     assert p2 == q2
     assert p2.is_injective() and p2.is_surjective()
 
     empty = fs.FinSetObj(())
     f3 = fs.FinFunction(empty, fs.finset("0"), ())
-    p3, q3 = fs.cokernel_pair(f3)
+    p3, q3 = cokernel_pair(f3)
     assert p3.cod.elements == ("in0:0", "in1:0")
     assert (p3.table, q3.table) == (("in0:0",), ("in1:0",))
 
@@ -189,7 +198,7 @@ def test_cokernel_pair_cases():
 def test_cokernel_pair_trivial_iff_epi():
     for dom in small_objects(3):
         for f in fs.all_functions(dom, BITS):
-            p, q = fs.cokernel_pair(f)
+            p, q = cokernel_pair(f)
             assert (p == q) == f.is_surjective()
 
 
@@ -197,21 +206,21 @@ def test_pullback_cases():
     U = fs.finset("u", "v")
     f = fs.FinFunction(BITS, U, ("u", "v"))
     m = fs.FinFunction(fs.finset("a"), U, ("u",))
-    sq = fs.pullback(f, m)
+    sq = pullback(f, m)
     assert sq.apex.elements == ("(0,a)",)
     assert sq.to_f_dom.table == ("0",)
     assert sq.to_m_dom.table == ("a",)
 
     ident = fs.identity(U)
-    sq2 = fs.pullback(f, ident)
+    sq2 = pullback(f, ident)
     assert sq2.to_m_dom.table == f.table
 
     miss = fs.FinFunction(fs.finset("a"), U, ("v",))
     const_u = fs.FinFunction(BITS, U, ("u", "u"))
-    assert len(fs.pullback(const_u, miss).apex) == 0
+    assert len(pullback(const_u, miss).apex) == 0
 
     with pytest.raises(CodMismatch):
-        fs.pullback(f, fs.FinFunction(fs.finset("a"), BITS, ("0",)))
+        pullback(f, fs.FinFunction(fs.finset("a"), BITS, ("0",)))
 
 
 def test_pullback_preserves_monos_and_universal_property():
@@ -219,7 +228,7 @@ def test_pullback_preserves_monos_and_universal_property():
     for f in fs.all_functions(BITS, U):
         for m_table in itertools.permutations(U.elements, 2):
             m = fs.FinFunction(BITS, U, m_table)
-            sq = fs.pullback(f, m)
+            sq = pullback(f, m)
             assert sq.to_f_dom.is_injective()
             # universal property over small apexes
             for apex in small_objects(2):
@@ -239,14 +248,14 @@ def test_pullback_preserves_monos_and_universal_property():
 def test_intersect():
     ac = fs.sub(A, ["a", "c"])
     ab = fs.sub(A, ["a", "b"])
-    assert fs.intersect([ac, ab]).carrier.elements == ("a",)
-    assert fs.intersect([ac]).carrier.elements == ("a", "c")
+    assert intersect([ac, ab]).carrier.elements == ("a",)
+    assert intersect([ac]).carrier.elements == ("a", "c")
     bc = fs.sub(A, ["b"])
-    assert fs.intersect([ac, bc]).carrier.elements == ()
+    assert intersect([ac, bc]).carrier.elements == ()
     with pytest.raises(EmptyList):
-        fs.intersect([])
+        intersect([])
     with pytest.raises(TargetMismatch):
-        fs.intersect([ac, fs.sub(BITS, ["0"])])
+        intersect([ac, fs.sub(BITS, ["0"])])
 
 
 def test_factor_through():
@@ -282,4 +291,54 @@ def test_determinism():
     r1 = fs.product([A, BITS])
     r2 = fs.product([A, BITS])
     assert r1 == r2
-    assert fs.coequalizer(P, Q) == fs.coequalizer(P, Q)
+    assert coequalizer(P, Q) == coequalizer(P, Q)
+
+
+def outcome(construction, *args):
+    """What a construction returns, or the class of the error it raises."""
+    try:
+        return construction(*args)
+    except VeqError as err:
+        return type(err)
+
+
+def oracle_pullback_legs(f, m):
+    sq = pullback(f, m)
+    return sq.to_f_dom, sq.to_m_dom
+
+
+def test_finset_category_matches_oracle_exhaustively():
+    """Every FinSetCat construction from the table-category base against the
+    finset functions it replaced, over all functions between sets of size
+    <= 3, errors included."""
+    SC = FinSetCat()
+    objs = small_objects(3)
+    arrows = [f for dom in objs for cod in objs for f in fs.all_functions(dom, cod)]
+    seen = set()
+    for p in arrows:
+        for q in arrows:
+            for mine, theirs in ((SC.equalizer, equalizer), (SC.coequalizer, coequalizer)):
+                got, want = outcome(mine, p, q), outcome(theirs, p, q)
+                assert got == want
+                seen.add(want if isinstance(want, type) else mine.__name__)
+            assert outcome(SC.pullback, p, q) == outcome(oracle_pullback_legs, p, q)
+            assert outcome(SC.factor, p, q) == outcome(fs.factor_through, p, q)
+            assert SC.morphisms_equal(p, q) == (p == q)
+    assert {"equalizer", "coequalizer", NotParallel} <= seen
+    for f in arrows:
+        assert SC.cokernel_pair(f) == cokernel_pair(f)
+        assert SC.is_mono(f) == f.is_injective()
+    assert outcome(SC.pullback, P, fs.identity(A)) == CodMismatch
+    assert outcome(SC.factor, P, fs.identity(A)) == CodMismatch
+    # monos given as canonical subobjects and as plain functions, and non-monos
+    subs = [fs.sub(T, labels) for T in objs
+            for n in range(len(T) + 1) for labels in itertools.combinations(T, n)]
+    candidates = subs + arrows
+    kinds = set()
+    for a in candidates:
+        for b in candidates:
+            got, want = outcome(SC.intersection, [a, b]), outcome(intersect, [a, b])
+            assert got == want
+            kinds.add(want if isinstance(want, type) else fs.SubobjectMono)
+    assert kinds == {fs.SubobjectMono, TargetMismatch, InvariantError}
+    assert outcome(SC.intersection, []) == outcome(intersect, []) == EmptyList

@@ -6,6 +6,7 @@ from group_oracle import oracle_normal_closure, oracle_quotient_group
 from poset_oracle import oracle_coprojections, oracle_poset_collapse
 from veq import algebras as alg
 from veq import cats
+from veq import finset as fs
 from veq import groups as grp
 from veq import posets as po
 from veq.equations import (
@@ -15,7 +16,14 @@ from veq.equations import (
     general_cosolution,
     general_solution,
 )
-from veq.errors import CapabilityMissing, CarrierTooLarge, EmptyList, NotParallel
+from veq.errors import (
+    CapabilityMissing,
+    CarrierTooLarge,
+    EmptyList,
+    InvariantError,
+    NotParallel,
+    TargetMismatch,
+)
 from veq.instances import FinAlgCat, FinCatCat, FinGrpCat, FinPosetCat, FinSetCat
 from veq.theories import Signature
 
@@ -406,3 +414,22 @@ def test_intersection_of_no_subobjects_is_refused(cat, offered):
     assert "has_intersections" in offered
     with pytest.raises(EmptyList):
         cat.intersection([])
+
+
+TWO_AND_ONE = [  # per instance, an object on two points and one on one point
+    (FinSetCat(), fs.finset("a", "b"), fs.finset("u")),
+    (GC, GROUPS["C2"], GROUPS["C1"]),
+    (AC, sl("A", ["0", "1"]), sl("B", ["0"])),
+    (PC, po.chain("P", ["0", "1"]), po.chain("Q", ["0"])),
+    (CC, cats.discrete_category("X", ["x", "y"]), cats.discrete_category("T", ["t"])),
+]
+
+
+@pytest.mark.parametrize("cat,two,one", TWO_AND_ONE, ids=[c.name for c, _, _ in TWO_AND_ONE])
+def test_intersection_rejects_non_monos_and_target_mismatches(cat, two, one):
+    collapse = next(iter(cat.hom(two, one)))
+    assert not cat.is_mono(collapse)
+    with pytest.raises(InvariantError):
+        cat.intersection([cat.identity(one), collapse])
+    with pytest.raises(TargetMismatch):
+        cat.intersection([cat.identity(two), cat.identity(one)])

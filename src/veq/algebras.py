@@ -16,7 +16,7 @@ from .errors import (
     SignatureMismatch,
     UnboundVariable,
 )
-from .finset import FinSetObj, _UnionFind, tuple_label
+from .finset import FinSetObj, _UnionFind, search_tables, tuple_label
 from .theories import Signature, Term, Var, _fold, term_vars
 
 
@@ -193,17 +193,28 @@ def compose_alg_homs(g: AlgHom, f: AlgHom) -> AlgHom:
     return AlgHom(f.dom, g.cod, tuple(g(v) for v in f.table))
 
 
+def hom_checks(A: FiniteAlgebra, B: FiniteAlgebra) -> list[list]:
+    """The homomorphism law A -> B for search_tables over A's carrier: one
+    check per operation-table entry."""
+    if A.signature != B.signature:
+        raise SignatureMismatch("homomorphism endpoints disagree on signature")
+    idx = A.carrier._index
+    checks: list[list] = [[] for _ in A.carrier.elements]
+    for sym, table in A.tables.items():
+        image = B.tables[sym]
+        for args, out in table.items():
+            pos, o = tuple(idx[a] for a in args), idx[out]
+            checks[max(pos + (o,))].append(
+                lambda t, pos=pos, o=o, image=image: t[o] == image[tuple(map(t.__getitem__, pos))])
+    return checks
+
+
 def all_alg_homs(A: FiniteAlgebra, B: FiniteAlgebra, cap: int = 1_000_000) -> list[AlgHom]:
-    """Brute enumeration of homomorphisms A -> B; guarded by a size cap."""
+    """Every homomorphism A -> B in table order, found by the table search."""
     if len(B.carrier) ** len(A.carrier) > cap:
         raise CarrierTooLarge("hom enumeration space too large")
-    out = []
-    for table in itertools.product(B.carrier.elements, repeat=len(A.carrier)):
-        try:
-            out.append(AlgHom(A, B, table))
-        except InvariantError:
-            continue
-    return out
+    pools = [B.carrier.elements] * len(A.carrier)
+    return [AlgHom(A, B, t) for t in search_tables(pools, hom_checks(A, B))]
 
 
 def product_algebra(As: list[FiniteAlgebra], name: str | None = None) -> "ProductAlgebraResult":
@@ -395,9 +406,6 @@ def quotient_algebra(
 def find_alg_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra) -> AlgHom | None:
     if len(A.carrier) != len(B.carrier) or A.signature != B.signature:
         return None
-    for table in itertools.permutations(B.carrier.elements):
-        try:
-            return AlgHom(A, B, table)
-        except InvariantError:
-            continue
-    return None
+    pools = [B.carrier.elements] * len(A.carrier)
+    table = next(search_tables(pools, hom_checks(A, B), injective=True), None)
+    return None if table is None else AlgHom(A, B, table)

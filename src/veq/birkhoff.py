@@ -254,11 +254,11 @@ class FreeAlgebraResult:
         return tuple_label(alg.term_function(self.base, t, self.n))
 
 
-def free_algebra_in_variety(A: FiniteAlgebra, n: int, cap: int = 100_000) -> FreeAlgebraResult:
+def free_algebra_in_variety(A: FiniteAlgebra, n: int, cap: int = 1_000_000) -> FreeAlgebraResult:
     """The algebra of n-ary term functions on A: the closure of the
     projections under pointwise operations. Carrier labels spell out the
     function's value tuple over all assignments in carrier-lexicographic
-    order.
+    order. It holds at most cap table entries (sum of |F|^arity), checked as F grows.
     """
     size = len(A.carrier) ** n
     if size > _MAX_ASSIGNMENTS:
@@ -276,8 +276,8 @@ def free_algebra_in_variety(A: FiniteAlgebra, n: int, cap: int = 100_000) -> Fre
                 out = alg.pointwise(A, sym, combo, size)
                 if out not in funcs:
                     funcs[out] = App(sym, tuple(funcs[c] for c in combo))
-                    if len(funcs) > cap:
-                        raise BoundsTooLarge("term-function closure exceeds cap")
+                    if sum(len(funcs) ** k for _, k in A.signature.ops) > cap:
+                        raise BoundsTooLarge(f"free algebra tables exceed {cap} entries")
         if len(funcs) == len(order):
             break
     labels = [tuple_label(f) for f in funcs]

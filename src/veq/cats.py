@@ -5,10 +5,10 @@ exhaustively on construction; these stay small (tens of morphisms).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import AdjunctionInvalid, InvariantError
+from .finset import search_tables
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,8 @@ class FiniteCategory:
     tgt: dict[str, str] = field(compare=False)
     ids: dict[str, str] = field(compare=False)
     comp: dict[tuple[str, str], str] = field(compare=False)
+    # (source, target) -> its arrows in order, derived once on construction
+    _homs: dict[tuple[str, str], tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.objects)) != len(self.objects):
@@ -61,8 +63,11 @@ class FiniteCategory:
                 raise InvariantError(f"{self.name}: left identity fails at {f}")
         # arrows by target, in order, so only composable triples are visited
         into: dict[str, list[str]] = {x: [] for x in self.objects}
+        homs: dict[tuple[str, str], list[str]] = {}
         for m in self.morphisms:
             into[self.tgt[m]].append(m)
+            homs.setdefault((self.src[m], self.tgt[m]), []).append(m)
+        object.__setattr__(self, "_homs", {k: tuple(v) for k, v in homs.items()})
         comp = self.comp
         for h in self.morphisms:
             for g in into[self.src[h]]:
@@ -77,7 +82,7 @@ class FiniteCategory:
         return self.comp[(g, f)]
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
-        return tuple(m for m in self.morphisms if self.src[m] == x and self.tgt[m] == y)
+        return self._homs.get((x, y), ())
 
     def is_iso(self, f: str) -> bool:
         x, y = self.src[f], self.tgt[f]
@@ -243,28 +248,34 @@ def functors_equal(F: FunctorData, G: FunctorData) -> bool:
     )
 
 
+def functor_checks(C: FiniteCategory, D: FiniteCategory) -> list[list]:
+    """The functor laws C -> D for search_tables over C's objects and then
+    its arrows, indexed apart since labels may collide: each arrow's
+    endpoints, then identities, then composites."""
+    ob = {x: i for i, x in enumerate(C.objects)}
+    ar = {m: len(ob) + j for j, m in enumerate(C.morphisms)}
+    checks: list[list] = [[] for _ in range(len(ob) + len(ar))]
+    for m, p in ar.items():
+        s, t = ob[C.src[m]], ob[C.tgt[m]]
+        checks[p].append(lambda F, p=p, s=s, t=t: D.src[F[p]] == F[s] and D.tgt[F[p]] == F[t])
+    for x, i in ob.items():
+        p = ar[C.ids[x]]
+        checks[p].append(lambda F, p=p, i=i: F[p] == D.ids[F[i]])
+    for (g, f), gf in C.comp.items():
+        pg, pf, pgf = ar[g], ar[f], ar[gf]
+        checks[max(pg, pf, pgf)].append(
+            lambda F, pg=pg, pf=pf, pgf=pgf: F[pgf] == D.comp[(F[pg], F[pf])])
+    return checks
+
+
 def all_functors(C: FiniteCategory, D: FiniteCategory) -> list[FunctorData]:
-    """Every functor C -> D, by brute enumeration. Exponential; keep C tiny."""
-    out: list[FunctorData] = []
-    non_id = [m for m in C.morphisms if m not in set(C.ids.values())]
-    for obj_choice in itertools.product(D.objects, repeat=len(C.objects)):
-        obj_map = dict(zip(C.objects, obj_choice))
-        pools = []
-        for m in non_id:
-            pools.append(
-                [d for d in D.hom(obj_map[C.src[m]], obj_map[C.tgt[m]])]
-            )
-        if any(not p for p in pools):
-            continue
-        for mor_choice in itertools.product(*pools):
-            mor_map = dict(zip(non_id, mor_choice))
-            for x in C.objects:
-                mor_map[C.ids[x]] = D.ids[obj_map[x]]
-            try:
-                out.append(FunctorData(C, D, obj_map, mor_map))
-            except InvariantError:
-                continue
-    return out
+    """Every functor C -> D in table order, by the table search."""
+    n = len(C.objects)
+    return [
+        FunctorData(C, D, dict(zip(C.objects, t)), dict(zip(C.morphisms, t[n:])))
+        for t in search_tables([D.objects] * n + [D.morphisms] * len(C.morphisms),
+                               functor_checks(C, D))
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Exact finite-set engine: objects, functions, canonical subobjects,
-products, coproducts, quotients and factorization through a function.
+products, coproducts, quotients, factorization through a function, and the
+one search over finite tables behind every hom enumeration (`search_tables`).
 
 Equalizers, intersections, coequalizers, cokernel pairs and pullbacks of
 finite sets come from the table-category base in veq.instances, built from
@@ -266,3 +267,32 @@ def factor_through(f: FinFunction, g: FinFunction) -> FinFunction | None:
             return None
         table.append(preimage[y])
     return FinFunction(f.dom, g.dom, tuple(table))
+
+
+def search_tables(pools, checks, injective=False):
+    """Every table t with t[i] from pools[i] that passes each predicate in
+    checks[i], in itertools.product order (permutations order when
+    injective: a value already in the table is skipped). A predicate reads
+    the partial table, whose entries past i are stale, and is filed under
+    the last position it reads, so it runs as soon as its inputs are set.
+    The walk is iterative, so deep tables need no recursion."""
+    n = len(pools)
+    table: list = [None] * n
+    nxt = [0] * n  # the next candidate to try at each position
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield tuple(table)
+            i -= 1
+            continue
+        pool, k = pools[i], nxt[i]
+        while k < len(pool):
+            table[i] = v = pool[k]
+            k += 1
+            if not (injective and v in table[:i]) and all(c(table) for c in checks[i]):
+                nxt[i] = k
+                i += 1
+                break
+        else:  # no candidate left here
+            nxt[i] = 0
+            i -= 1

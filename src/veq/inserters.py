@@ -109,12 +109,8 @@ def verify_forgetful(U: cats.FunctorData) -> dict[str, bool]:
     """Decide faithfulness, conservativity, amnesticity, and unique
     transportability by exhaustive search."""
     dom, cod = U.source, U.target
-    faithful = True
-    for x in dom.objects:
-        for y in dom.objects:
-            images = [U.mor_map[m] for m in dom.hom(x, y)]
-            if len(set(images)) != len(images):
-                faithful = False
+    # faithful: no two parallel arrows share an image
+    faithful = len({(dom.src[m], dom.tgt[m], U.mor_map[m]) for m in dom.morphisms}) == len(dom.morphisms)
     conservative = all(
         dom.is_iso(m) for m in dom.morphisms if cod.is_iso(U.mor_map[m])
     )
@@ -161,21 +157,18 @@ def mediating_functor(ins: InserterResult, V: cats.FunctorData, alpha: cats.NatT
 
 
 def verify_universal_property(ins: InserterResult, V: cats.FunctorData, alpha: cats.NatTransData) -> bool:
-    """Check the mediating functor exists, satisfies both equations, and is
-    the only functor that does. Exhaustive over all functors, so keep the
-    cone's shape small."""
+    """Check the mediating functor is the only functor W with U o W = V whose
+    inserted transformation restricts to alpha: the table search sends each
+    object x to a pair (V(x), alpha_x), each arrow m over V(m)."""
     W = mediating_functor(ins, V, alpha)
-    U, lam = ins.forgetful, ins.inserted
-
-    def fits(cand: cats.FunctorData) -> bool:
-        if not cats.functors_equal(cats.compose_functors(U, cand), V):
-            return False
-        return all(lam.at(cand.obj_map[x]) == alpha.at(x) for x in V.source.objects)
-
-    if not fits(W):
-        return False
-    matches = sum(1 for cand in cats.all_functors(V.source, ins.category) if fits(cand))
-    return matches == 1
+    U, lam, shape, cat = ins.forgetful, ins.inserted, V.source, ins.category
+    pools = [
+        [p for p in cat.objects if U.obj_map[p] == V.obj_map[x] and lam.at(p) == alpha.at(x)]
+        for x in shape.objects
+    ] + [[n for n in cat.morphisms if U.mor_map[n] == V.mor_map[m]] for m in shape.morphisms]
+    found = itertools.islice(fs.search_tables(pools, cats.functor_checks(shape, cat)), 2)
+    return list(found) == [tuple(W.obj_map[x] for x in shape.objects)
+                           + tuple(W.mor_map[m] for m in shape.morphisms)]
 
 
 def _lift(ins: InserterResult, V: cats.FunctorData, obj_map: dict[str, str]) -> cats.FunctorData:
@@ -247,99 +240,56 @@ def inserter_poset(f: po.MonotoneMap, g: po.MonotoneMap) -> tuple[po.Poset, po.M
 # --- limit existence and creation -----------------------------------------
 
 
-def _is_product_cone(C: cats.FiniteCategory, x: str, y: str, apex: str, p1: str, p2: str) -> bool:
-    for z in C.objects:
-        for f in C.hom(z, x):
-            for g in C.hom(z, y):
-                mediators = [
-                    u for u in C.hom(z, apex)
-                    if C.comp[(p1, u)] == f and C.comp[(p2, u)] == g
-                ]
-                if len(mediators) != 1:
-                    return False
-    return True
+def _cones(C: cats.FiniteCategory, z: str, diagram):
+    """Every cone from z over the diagram, as a table of legs. A diagram is
+    its objects and its arrows (label, i, j) from object i to object j; a
+    cone's legs commute with each arrow."""
+    objs, arrows = diagram
+    checks: list[list] = [[] for _ in objs]
+    for a, i, j in arrows:
+        checks[max(i, j)].append(lambda t, a=a, i=i, j=j: C.comp[(a, t[i])] == t[j])
+    return fs.search_tables([C.hom(z, d) for d in objs], checks)
 
 
-def binary_product_cone(C: cats.FiniteCategory, x: str, y: str):
-    """First product cone over (x, y) in object order, or None."""
-    for apex in C.objects:
-        for p1 in C.hom(apex, x):
-            for p2 in C.hom(apex, y):
-                if _is_product_cone(C, x, y, apex, p1, p2):
-                    return apex, p1, p2
-    return None
-
-
-def has_binary_products(C: cats.FiniteCategory) -> bool:
-    return all(
-        binary_product_cone(C, x, y) is not None
-        for x in C.objects for y in C.objects
-    )
-
-
-def preserves_binary_products(F: cats.FunctorData) -> bool:
-    """Every product cone the source has must map to a product cone."""
-    C, D = F.source, F.target
-    for x in C.objects:
-        for y in C.objects:
-            cone = binary_product_cone(C, x, y)
-            if cone is None:
-                continue
-            apex, p1, p2 = cone
-            if not _is_product_cone(
-                D, F.obj_map[x], F.obj_map[y],
-                F.obj_map[apex], F.mor_map[p1], F.mor_map[p2],
-            ):
+def _is_limit(C: cats.FiniteCategory, cones, apex: str, legs) -> bool:
+    """Every cone, listed by its vertex, factors through (apex, legs) exactly once."""
+    for z, from_z in cones.items():
+        mediators = C.hom(z, apex)
+        for cone in from_z:
+            if sum(all(C.comp[(leg, u)] == c for leg, c in zip(legs, cone)) for u in mediators) != 1:
                 return False
     return True
 
 
-def _is_equalizer_cone(C: cats.FiniteCategory, f: str, g: str, m: str) -> bool:
-    if C.comp[(f, m)] != C.comp[(g, m)]:
-        return False
-    x = C.src[f]
-    for z in C.objects:
-        for h in C.hom(z, x):
-            if C.comp[(f, h)] != C.comp[(g, h)]:
-                continue
-            mediators = [u for u in C.hom(z, C.src[m]) if C.comp[(m, u)] == h]
-            if len(mediators) != 1:
-                return False
-    return True
+def _limit_cone(C: cats.FiniteCategory, diagram):
+    """The first limit cone (apex, legs) in object and then cone order, or None."""
+    cones = {z: list(_cones(C, z, diagram)) for z in C.objects}
+    candidates = ((apex, legs) for apex in C.objects for legs in cones[apex])
+    return next((cone for cone in candidates if _is_limit(C, cones, *cone)), None)
 
 
-def equalizer_cone(C: cats.FiniteCategory, f: str, g: str):
-    """First equalizing arrow of the parallel pair (f, g), or None."""
-    if C.src[f] != C.src[g] or C.tgt[f] != C.tgt[g]:
-        raise NotParallel("equalizer needs a parallel pair")
-    for e in C.objects:
-        for m in C.hom(e, C.src[f]):
-            if _is_equalizer_cone(C, f, g, m):
-                return e, m
-    return None
+def _diagrams(C: cats.FiniteCategory, kind: str):
+    """Every binary-product diagram, or every pair of distinct parallel arrows."""
+    if kind == "products":
+        return [((x, y), ()) for x in C.objects for y in C.objects]
+    return [((C.src[f], C.tgt[f]), ((f, 0, 1), (g, 0, 1)))
+            for f in C.morphisms for g in C.hom(C.src[f], C.tgt[f]) if g != f]
 
 
-def has_equalizers(C: cats.FiniteCategory) -> bool:
-    for f in C.morphisms:
-        for g in C.morphisms:
-            if f == g or C.src[f] != C.src[g] or C.tgt[f] != C.tgt[g]:
-                continue
-            if equalizer_cone(C, f, g) is None:
-                return False
-    return True
+def _has_limits(C: cats.FiniteCategory, kind: str) -> bool:
+    return all(_limit_cone(C, d) is not None for d in _diagrams(C, kind))
 
 
-def preserves_equalizers(F: cats.FunctorData) -> bool:
-    C, D = F.source, F.target
-    for f in C.morphisms:
-        for g in C.morphisms:
-            if f == g or C.src[f] != C.src[g] or C.tgt[f] != C.tgt[g]:
-                continue
-            cone = equalizer_cone(C, f, g)
-            if cone is None:
-                continue
-            if not _is_equalizer_cone(D, F.mor_map[f], F.mor_map[g], F.mor_map[cone[1]]):
-                return False
+def _preserves_limits(F: cats.FunctorData, kind: str) -> bool:
+    """Every limit cone of the kind that the source has maps to one."""
+    for objs, arrows in _diagrams(F.source, kind):
+        cone = _limit_cone(F.source, (objs, arrows))
+        if cone is None:
+            continue
+        image = tuple(F.obj_map[x] for x in objs), tuple((F.mor_map[a], i, j) for a, i, j in arrows)
+        cones = {z: _cones(F.target, z, image) for z in F.target.objects}
+        if not _is_limit(F.target, cones, F.obj_map[cone[0]], [F.mor_map[m] for m in cone[1]]):
+            return False
     return True
 
 
@@ -348,21 +298,12 @@ def limit_creation_report(F: cats.FunctorData, G: cats.FunctorData) -> dict:
     functor preserves them, the pair category must have them too and the
     forgetful functor must preserve them. Reports hypothesis and outcome
     per limit kind; outcome is None when the hypothesis fails."""
-    _check_parallel(F, G)
     ins = inserter(F, G)
-    U = ins.forgetful
-    base = F.source
     report: dict[str, dict] = {}
-    prod_hyp = has_binary_products(base) and preserves_binary_products(G)
-    prod = {"hypothesis": prod_hyp, "created": None}
-    if prod_hyp:
-        prod["created"] = has_binary_products(ins.category) and preserves_binary_products(U)
-    report["products"] = prod
-    eq_hyp = has_equalizers(base) and preserves_equalizers(G)
-    eq = {"hypothesis": eq_hyp, "created": None}
-    if eq_hyp:
-        eq["created"] = has_equalizers(ins.category) and preserves_equalizers(U)
-    report["equalizers"] = eq
+    for kind in ("products", "equalizers"):
+        hyp = _has_limits(F.source, kind) and _preserves_limits(G, kind)
+        created = hyp and _has_limits(ins.category, kind) and _preserves_limits(ins.forgetful, kind)
+        report[kind] = {"hypothesis": hyp, "created": created if hyp else None}
     return report
 
 
@@ -519,36 +460,33 @@ def free_universal_map(free: FreeFAlgebra, target: fs.FinFunction, gen_map: fs.F
     if gen_map.cod != B:
         raise SourceMismatch("generator assignment must land in the target carrier")
 
-    def is_hom(h: dict[str, str]) -> bool:
-        for e in free.applied.elements:
-            if e not in free.frontier:
-                # only the identity polynomial applies to a bare generator
-                cons, args = free.recipes.get(e, ("", (e,)))
-                if h[free.structure[e]] != target(functor.term(cons, tuple(h[a] for a in args))):
-                    return False
-        return True
+    idx = free.carrier._index
+    law: list[list] = [[] for _ in free.carrier.elements]
+    for e in free.applied.elements:
+        if e not in free.frontier:
+            # only the identity polynomial applies to a bare generator
+            cons, args = free.recipes.get(e, ("", (e,)))
+            pos, out = tuple(idx[a] for a in args), idx[free.structure[e]]
+            law[max(pos + (out,))].append(
+                lambda h, cons=cons, pos=pos, out=out:
+                h[out] == target(functor.term(cons, tuple(h[p] for p in pos)))
+            )
 
-    values: dict[str, str] = {}
-    for t in free.carrier.elements:
-        if t in free.recipes:
-            cons, args = free.recipes[t]
-            values[t] = target(functor.term(cons, tuple(values[a] for a in args)))
-        else:
-            values[t] = gen_map(t)
-    if not is_hom(values):
+    # a term's value is forced by the check at its own position, which
+    # follows its arguments', so the first table is the map built term by term
+    pools = [B.elements if t in free.recipes else (gen_map(t),) for t in free.carrier.elements]
+    tables = fs.search_tables(pools, law)
+    table = next(tables, None)
+    if table is None:
         raise InvariantError("constructed map fails the homomorphism law")
     if exhaustive:
         planned = len(B) ** len(free.carrier)
         if planned > _EXHAUSTIVE_CAP:
             raise BoundsTooLarge(f"exhaustive check would try {planned} maps (cap {_EXHAUSTIVE_CAP})")
-        count = 0
-        for combo in itertools.product(B.elements, repeat=len(free.carrier)):
-            cand = dict(zip(free.carrier.elements, combo))
-            if all(cand[g] == gen_map(g) for g in free.generators.elements) and is_hom(cand):
-                count += 1
+        count = 1 + sum(1 for _ in tables)
         if count != 1:
             raise InvariantError(f"universal map is not unique: {count} candidates")
-    return fs.fin_function(free.carrier, B, values)
+    return fs.FinFunction(free.carrier, B, table)
 
 
 # --- signature algebras as a pair category ---------------------------------

@@ -46,7 +46,8 @@ class _TableCategory(CompCategory):
     the pairs). Pullbacks need product(objs) and cokernel pairs
     coproduct(objs), where has_pullbacks and has_cokernel_pairs offer them.
     A subclass whose hom enumerates fewer tables than all of them says how
-    many in hom_size, which factor uses to pick its search.
+    many in hom_size, which factor uses to pick its search, and law(x, a)
+    gives the fs.search_tables checks that a table x -> a must pass.
     """
 
     has_equalizers = True
@@ -125,8 +126,9 @@ class _TableCategory(CompCategory):
 
     def factor(self, f, g):
         """The first h with g o h = f among the tables drawn from the preimage
-        pools of g in carrier order (one table when g is injective), or in
-        hom order when hom enumerates fewer tables than the pools hold.
+        pools of g in carrier order (one table when g is injective), found by
+        the table search under the instance's law, or in hom order when hom
+        enumerates fewer tables than the pools hold.
         """
         if self.target(f) != self.target(g):
             raise CodMismatch("factorization needs a common target")
@@ -145,12 +147,8 @@ class _TableCategory(CompCategory):
             return None
         if size > _POOL_CAP:
             raise CarrierTooLarge(f"{size} candidate tables exceed {_POOL_CAP}")
-        for table in itertools.product(*pools):
-            try:
-                return self.morphism(dom, mid, table)
-            except InvariantError:
-                continue
-        return None
+        table = next(fs.search_tables(pools, self.law(dom, mid)), None)
+        return None if table is None else self.morphism(dom, mid, table)
 
 
 class FinSetCat(_TableCategory):
@@ -221,6 +219,8 @@ class FinGrpCat(_TableCategory):
 
     name = "FinGrp"
 
+    law = staticmethod(lambda x, a: alg.hom_checks(grp.group_to_algebra(x), grp.group_to_algebra(a)))
+
     def carrier(self, obj: grp.Group):
         return obj.elements
 
@@ -253,6 +253,7 @@ class FinAlgCat(_TableCategory):
     """
 
     name = "FinAlg"
+    law = staticmethod(alg.hom_checks)
 
     has_products = True
     has_pullbacks = True
@@ -289,6 +290,7 @@ class FinPosetCat(_TableCategory):
     """
 
     name = "FinPoset"
+    law = staticmethod(po.order_checks)
 
     has_products = True
     has_coproducts = True
@@ -411,8 +413,8 @@ class FinCatCat(_TableCategory):
     source's objects and then its arrows, each entry tagged by its kind, so
     an object and an arrow that share a label stay apart. Equalizers are
     agreement subcategories; coequalizers are not offered (quotient
-    categories need free composition). Hom enumeration is exponential; keep
-    sources tiny.
+    categories need free composition). Hom enumeration and factorization
+    search tables under the functor laws, pruning as they go.
     """
 
     name = "FinCat"
@@ -453,6 +455,10 @@ class FinCatCat(_TableCategory):
 
     def hom(self, x: cats.FiniteCategory, a: cats.FiniteCategory):
         return cats.all_functors(x, a)
+
+    # cats.functor_checks on the label of each tagged entry (None while unset)
+    law = staticmethod(lambda x, a: [[lambda t, c=c: c([e and e[1] for e in t]) for c in position]
+                                     for position in cats.functor_checks(x, a)])
 
     def sub(self, obj: cats.FiniteCategory, members):
         return _subcategory_inclusion(

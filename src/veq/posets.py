@@ -19,6 +19,7 @@ from .cats import (
     tabulate_category,
 )
 from .errors import InvariantError
+from .finset import search_tables
 
 ARROW = "->"
 
@@ -149,13 +150,18 @@ def compose_maps(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     return MonotoneMap(f.dom, g.cod, tuple(g(v) for v in f.table))
 
 
+def order_checks(P: Poset, Q: Poset) -> list[list]:
+    """The monotonicity law P -> Q for search_tables: one check per order pair."""
+    idx = {x: i for i, x in enumerate(P.elements)}
+    checks: list[list] = [[] for _ in P.elements]
+    for i, j in ((idx[x], idx[y]) for x, y in P.rel):
+        checks[max(i, j)].append(lambda t, i=i, j=j: (t[i], t[j]) in Q.rel)
+    return checks
+
+
 def all_monotone_maps(P: Poset, Q: Poset) -> list[MonotoneMap]:
-    out = []
-    for table in itertools.product(Q.elements, repeat=len(P.elements)):
-        cand = dict(zip(P.elements, table))
-        if all(Q.leq(cand[x], cand[y]) for x, y in P.rel):
-            out.append(MonotoneMap(P, Q, table))
-    return out
+    pools = [Q.elements] * len(P.elements)
+    return [MonotoneMap(P, Q, t) for t in search_tables(pools, order_checks(P, Q))]
 
 
 def sub_poset(P: Poset, members, name: str | None = None) -> tuple[Poset, MonotoneMap]:

@@ -1,18 +1,22 @@
-"""The per-assignment term evaluator, the loop-based congruence check and the
-product-table loop that veq.algebras replaced, kept as an oracle.
+"""The per-assignment term evaluator, the loop-based congruence check, the
+product-table loop and the brute hom and isomorphism enumerations that
+veq.algebras replaced, kept as an oracle.
 
 veq.algebras now evaluates a term column-wise (one bottom-up fold over the
 projection columns), builds every table with `tabulate`, and checks a
 congruence by asking whether the closure of its own pairs leaves it
 unchanged. These are the earlier versions, unchanged apart from their names:
 the evaluator recurses once per assignment, and the congruence check tries
-every argument position against every element of the same class.
+every argument position against every element of the same class. The hom
+and isomorphism enumerations try every table of itertools.product (or
+permutations) and keep those the AlgHom constructor accepts; veq now finds
+them with finset.search_tables under algebras.hom_checks.
 """
 
 import itertools
 
-from veq.algebras import FiniteAlgebra, Partition
-from veq.errors import SignatureMismatch, UnboundVariable
+from veq.algebras import AlgHom, FiniteAlgebra, Partition
+from veq.errors import CarrierTooLarge, InvariantError, SignatureMismatch, UnboundVariable
 from veq.finset import tuple_label
 from veq.theories import Term, Var
 
@@ -78,3 +82,27 @@ def oracle_product_tables(As: list[FiniteAlgebra]) -> dict[str, dict[tuple[str, 
             table[args] = tuple_label(out)
         tables[sym] = table
     return tables
+
+
+def oracle_all_alg_homs(A: FiniteAlgebra, B: FiniteAlgebra, cap: int = 1_000_000) -> list[AlgHom]:
+    """Brute enumeration of homomorphisms A -> B; guarded by a size cap."""
+    if len(B.carrier) ** len(A.carrier) > cap:
+        raise CarrierTooLarge("hom enumeration space too large")
+    out = []
+    for table in itertools.product(B.carrier.elements, repeat=len(A.carrier)):
+        try:
+            out.append(AlgHom(A, B, table))
+        except InvariantError:
+            continue
+    return out
+
+
+def oracle_find_alg_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra) -> AlgHom | None:
+    if len(A.carrier) != len(B.carrier) or A.signature != B.signature:
+        return None
+    for table in itertools.permutations(B.carrier.elements):
+        try:
+            return AlgHom(A, B, table)
+        except InvariantError:
+            continue
+    return None

@@ -19,11 +19,20 @@ composition check scans every pair of arrows.
 mono test and factorization that `FinCatCat` kept before it joined the
 table-category base, and `oracle_table_pullback` that base's earlier
 pullback, which asked each morphism for its value at a point.
+
+The brute searches that `finset.search_tables` replaced are here too:
+`oracle_all_functors` tries every object map and every choice of arrows in
+the hom-sets it allows, `oracle_table_factor` every table in the product of
+the preimage pools, and `oracle_verify_universal_property` every functor
+into the pair category. The binary-product and equalizer checks below are
+the two hand-written copies that `inserters._cones` and `_is_limit` made
+one, with `oracle_limit_creation_report` on top of them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from veq import cats
 from veq import finset as fs
@@ -31,6 +40,7 @@ from veq.cats import FiniteCategory
 from veq.errors import (
     AdjunctionInvalid,
     BoundTooLarge,
+    CarrierTooLarge,
     CodMismatch,
     InvariantError,
     NotParallel,
@@ -41,12 +51,14 @@ from veq.inserters import (
     InserterResult,
     SortedSignature,
     _check_parallel,
+    inserter,
+    mediating_functor,
     _is_family_hom,
     _mor_label,
     _word_product,
     pair_label,
 )
-from veq.instances import _cat_product, _subcategory_inclusion
+from veq.instances import _POOL_CAP, _cat_product, _subcategory_inclusion
 from veq.posets import Poset, _arrow_name
 
 
@@ -181,7 +193,7 @@ class OracleFinCat:
     def factor(self, f: cats.FunctorData, g: cats.FunctorData):
         if f.target != g.target:
             raise CodMismatch("factorization needs a common target")
-        for h in cats.all_functors(f.source, g.source):
+        for h in oracle_all_functors(f.source, g.source):
             if cats.functors_equal(cats.compose_functors(g, h), f):
                 return h
         return None
@@ -200,6 +212,189 @@ def oracle_table_pullback(cat, f, m):
     ]
     incl = cat.sub(prod.obj, members)
     return cat.compose(p0, incl), cat.compose(p1, incl)
+
+
+def oracle_all_functors(C: FiniteCategory, D: FiniteCategory) -> list[cats.FunctorData]:
+    """Every functor C -> D, by brute enumeration. Exponential; keep C tiny."""
+    out: list[cats.FunctorData] = []
+    non_id = [m for m in C.morphisms if m not in set(C.ids.values())]
+    for obj_choice in itertools.product(D.objects, repeat=len(C.objects)):
+        obj_map = dict(zip(C.objects, obj_choice))
+        pools = []
+        for m in non_id:
+            pools.append(
+                [d for d in D.hom(obj_map[C.src[m]], obj_map[C.tgt[m]])]
+            )
+        if any(not p for p in pools):
+            continue
+        for mor_choice in itertools.product(*pools):
+            mor_map = dict(zip(non_id, mor_choice))
+            for x in C.objects:
+                mor_map[C.ids[x]] = D.ids[obj_map[x]]
+            try:
+                out.append(cats.FunctorData(C, D, obj_map, mor_map))
+            except InvariantError:
+                continue
+    return out
+
+
+def oracle_table_factor(cat, f, g):
+    """_TableCategory.factor before the table search: every table in the
+    product of the preimage pools goes through the validating constructor."""
+    if cat.target(f) != cat.target(g):
+        raise CodMismatch("factorization needs a common target")
+    dom, mid = cat.source(f), cat.source(g)
+    preimages: dict = {}
+    for x, gx in zip(cat.carrier(mid), cat.table(g)):
+        preimages.setdefault(gx, []).append(x)
+    pools = [preimages.get(y, []) for y in cat.table(f)]
+    if not all(pools):
+        return None
+    size = math.prod(map(len, pools))
+    if size > 1 and size > cat.hom_size(dom, mid):
+        for h in cat.hom(dom, mid):
+            if cat.table(cat.compose(g, h)) == cat.table(f):
+                return h
+        return None
+    if size > _POOL_CAP:
+        raise CarrierTooLarge(f"{size} candidate tables exceed {_POOL_CAP}")
+    for table in itertools.product(*pools):
+        try:
+            return cat.morphism(dom, mid, table)
+        except InvariantError:
+            continue
+    return None
+
+
+def oracle_verify_universal_property(ins: InserterResult, V: cats.FunctorData, alpha: cats.NatTransData) -> bool:
+    """Filter every functor into the pair category through the two equations."""
+    W = mediating_functor(ins, V, alpha)
+    U, lam = ins.forgetful, ins.inserted
+
+    def fits(cand: cats.FunctorData) -> bool:
+        if not cats.functors_equal(cats.compose_functors(U, cand), V):
+            return False
+        return all(lam.at(cand.obj_map[x]) == alpha.at(x) for x in V.source.objects)
+
+    if not fits(W):
+        return False
+    matches = sum(1 for cand in oracle_all_functors(V.source, ins.category) if fits(cand))
+    return matches == 1
+
+
+def _is_product_cone(C: FiniteCategory, x: str, y: str, apex: str, p1: str, p2: str) -> bool:
+    for z in C.objects:
+        for f in C.hom(z, x):
+            for g in C.hom(z, y):
+                mediators = [
+                    u for u in C.hom(z, apex)
+                    if C.comp[(p1, u)] == f and C.comp[(p2, u)] == g
+                ]
+                if len(mediators) != 1:
+                    return False
+    return True
+
+
+def binary_product_cone(C: FiniteCategory, x: str, y: str):
+    """First product cone over (x, y) in object order, or None."""
+    for apex in C.objects:
+        for p1 in C.hom(apex, x):
+            for p2 in C.hom(apex, y):
+                if _is_product_cone(C, x, y, apex, p1, p2):
+                    return apex, p1, p2
+    return None
+
+
+def has_binary_products(C: FiniteCategory) -> bool:
+    return all(
+        binary_product_cone(C, x, y) is not None
+        for x in C.objects for y in C.objects
+    )
+
+
+def preserves_binary_products(F: cats.FunctorData) -> bool:
+    """Every product cone the source has must map to a product cone."""
+    C, D = F.source, F.target
+    for x in C.objects:
+        for y in C.objects:
+            cone = binary_product_cone(C, x, y)
+            if cone is None:
+                continue
+            apex, p1, p2 = cone
+            if not _is_product_cone(
+                D, F.obj_map[x], F.obj_map[y],
+                F.obj_map[apex], F.mor_map[p1], F.mor_map[p2],
+            ):
+                return False
+    return True
+
+
+def _is_equalizer_cone(C: FiniteCategory, f: str, g: str, m: str) -> bool:
+    if C.comp[(f, m)] != C.comp[(g, m)]:
+        return False
+    x = C.src[f]
+    for z in C.objects:
+        for h in C.hom(z, x):
+            if C.comp[(f, h)] != C.comp[(g, h)]:
+                continue
+            mediators = [u for u in C.hom(z, C.src[m]) if C.comp[(m, u)] == h]
+            if len(mediators) != 1:
+                return False
+    return True
+
+
+def equalizer_cone(C: FiniteCategory, f: str, g: str):
+    """First equalizing arrow of the parallel pair (f, g), or None."""
+    if C.src[f] != C.src[g] or C.tgt[f] != C.tgt[g]:
+        raise NotParallel("equalizer needs a parallel pair")
+    for e in C.objects:
+        for m in C.hom(e, C.src[f]):
+            if _is_equalizer_cone(C, f, g, m):
+                return e, m
+    return None
+
+
+def has_equalizers(C: FiniteCategory) -> bool:
+    for f in C.morphisms:
+        for g in C.morphisms:
+            if f == g or C.src[f] != C.src[g] or C.tgt[f] != C.tgt[g]:
+                continue
+            if equalizer_cone(C, f, g) is None:
+                return False
+    return True
+
+
+def preserves_equalizers(F: cats.FunctorData) -> bool:
+    C, D = F.source, F.target
+    for f in C.morphisms:
+        for g in C.morphisms:
+            if f == g or C.src[f] != C.src[g] or C.tgt[f] != C.tgt[g]:
+                continue
+            cone = equalizer_cone(C, f, g)
+            if cone is None:
+                continue
+            if not _is_equalizer_cone(D, F.mor_map[f], F.mor_map[g], F.mor_map[cone[1]]):
+                return False
+    return True
+
+
+def oracle_limit_creation_report(F: cats.FunctorData, G: cats.FunctorData) -> dict:
+    _check_parallel(F, G)
+    ins = inserter(F, G)
+    U = ins.forgetful
+    base = F.source
+    report: dict[str, dict] = {}
+    prod_hyp = has_binary_products(base) and preserves_binary_products(G)
+    prod = {"hypothesis": prod_hyp, "created": None}
+    if prod_hyp:
+        prod["created"] = has_binary_products(ins.category) and preserves_binary_products(U)
+    report["products"] = prod
+    eq_hyp = has_equalizers(base) and preserves_equalizers(G)
+    eq = {"hypothesis": eq_hyp, "created": None}
+    if eq_hyp:
+        eq["created"] = has_equalizers(ins.category) and preserves_equalizers(U)
+    report["equalizers"] = eq
+    return report
 
 
 def oracle_category_from_generators(

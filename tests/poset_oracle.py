@@ -1,11 +1,17 @@
-"""The earlier FinPoset quotient and coproduct legs, kept as an oracle.
+"""The earlier FinPoset quotient and coproduct legs and the brute
+monotone-map enumeration, kept as an oracle.
 
 veq.instances now collapses a poset with one Warshall closure and one merge
 of the order-cycles among the classes, and builds coproduct legs from the
 tagged labels. These are the earlier versions, unchanged apart from their
 names: the quotient re-runs the closure after every round of merges until
 none is left, and the legs are read off the coproduct carrier by offset.
+The enumeration filters every table of itertools.product by the order
+pairs; veq now finds them with finset.search_tables under
+posets.order_checks.
 """
+
+import itertools
 
 from veq import finset as fs
 from veq import posets as po
@@ -61,3 +67,12 @@ def oracle_coprojections(objs: list[po.Poset], obj: po.Poset) -> tuple[po.Monoto
         )
         offset += len(P)
     return tuple(coprojections)
+
+
+def oracle_all_monotone_maps(P: po.Poset, Q: po.Poset) -> list[po.MonotoneMap]:
+    out = []
+    for table in itertools.product(Q.elements, repeat=len(P.elements)):
+        cand = dict(zip(P.elements, table))
+        if all(Q.leq(cand[x], cand[y]) for x, y in P.rel):
+            out.append(po.MonotoneMap(P, Q, table))
+    return out

@@ -457,6 +457,7 @@ def _coarsens(A_partition, C, terms):
     return True
 
 
+@pytest.mark.slow
 def test_criterion_5_variety_membership():
     def body():
         ws = dsl.parse_files([_corpus("algebras.veq")])

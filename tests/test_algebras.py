@@ -79,6 +79,7 @@ def test_term_function_matches_oracle_on_corpus():
                 assert term_function(A, t, n) == oracle_term_function(A, t, n)
 
 
+@pytest.mark.slow
 def test_term_function_matches_oracle_on_random_algebras():
     rng = random.Random(4)
     terms = {n: enumerate_terms(SIG, n, 2) for n in range(3)}

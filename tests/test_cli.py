@@ -228,3 +228,13 @@ def test_crash_in_handler_is_internal_error(monkeypatch, capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err == "veq: internal error: ZeroDivisionError: division by zero in a handler\n"
+
+
+def test_free_algebra_past_the_table_cap_is_bounds_error(capsys):
+    # the free meet-semilattice on 10 generators has 1023 elements, so its
+    # table would hold 1023^2 > 10^6 entries
+    code = cli.main(["freealg", "Meet2", "--vars", "10", "-f", "corpus/algebras.veq"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "veq: BoundsTooLarge: free algebra tables exceed 1000000 entries\n"

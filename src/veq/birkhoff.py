@@ -254,37 +254,67 @@ class FreeAlgebraResult:
         return tuple_label(alg.term_function(self.base, t, self.n))
 
 
+def _new_tuples(old: int | None, known: int, arity: int):
+    """Argument tuples of element indices below known, in itertools.product
+    order: all of them when old is None, else those holding an index of old
+    or more."""
+    if old is None:
+        yield from itertools.product(range(known), repeat=arity)
+    elif arity:
+        for head in itertools.product(range(known), repeat=arity - 1):
+            for last in range(0 if head and max(head) >= old else old, known):
+                yield head + (last,)
+
+
 def free_algebra_in_variety(A: FiniteAlgebra, n: int, cap: int = 1_000_000) -> FreeAlgebraResult:
     """The algebra of n-ary term functions on A: the closure of the
     projections under pointwise operations. Carrier labels spell out the
     function's value tuple over all assignments in carrier-lexicographic
     order. It holds at most cap table entries (sum of |F|^arity), checked as F grows.
+
+    The closure is semi-naive: a round evaluates only the argument tuples
+    holding an element found in the round before, so each tuple is evaluated
+    once, and the tables are read off those results.
     """
     size = len(A.carrier) ** n
     if size > _MAX_ASSIGNMENTS:
         raise BoundsTooLarge("too many assignments to tabulate")
     projections = alg.projections(A, n)
-    funcs: dict[tuple[str, ...], Term] = {}  # in order of discovery
+    index: dict[tuple[str, ...], int] = {}  # each function's place in order of discovery
+    funcs: list[tuple[str, ...]] = []
+    witnesses: list[Term] = []
     for i, p in enumerate(projections):
-        funcs.setdefault(p, Var(i))
+        if p not in index:
+            index[p] = len(funcs)
+            funcs.append(p)
+            witnesses.append(Var(i))
+    # results[sym][argument indices] = index of the value
+    results: dict[str, dict[tuple[int, ...], int]] = {sym: {} for sym, _ in A.signature.ops}
     # constants enter through arity-0 symbols even with n = 0 generators,
     # since a nullary product has exactly one (empty) argument tuple
+    old = None
     while True:
-        order = list(funcs)
+        known = len(funcs)
         for sym, arity in A.signature.ops:
-            for combo in itertools.product(order, repeat=arity):
-                out = alg.pointwise(A, sym, combo, size)
-                if out not in funcs:
-                    funcs[out] = App(sym, tuple(funcs[c] for c in combo))
+            values = results[sym]
+            for combo in _new_tuples(old, known, arity):
+                out = alg.pointwise(A, sym, [funcs[i] for i in combo], size)
+                j = index.get(out)
+                if j is None:
+                    j = index[out] = len(funcs)
+                    funcs.append(out)
+                    witnesses.append(App(sym, tuple(witnesses[i] for i in combo)))
                     if sum(len(funcs) ** k for _, k in A.signature.ops) > cap:
                         raise BoundsTooLarge(f"free algebra tables exceed {cap} entries")
-        if len(funcs) == len(order):
+                values[combo] = j
+        if len(funcs) == known:
             break
+        old = known
     labels = [tuple_label(f) for f in funcs]
-    unpack = dict(zip(labels, funcs))
+    at = {label: i for i, label in enumerate(labels)}
 
     def value(sym, args):
-        return tuple_label(alg.pointwise(A, sym, [unpack[a] for a in args], size))
+        return labels[results[sym][tuple(map(at.__getitem__, args))]]
 
     tables = alg.tabulate(A.signature, labels, value)
     F = FiniteAlgebra(
@@ -293,7 +323,7 @@ def free_algebra_in_variety(A: FiniteAlgebra, n: int, cap: int = 1_000_000) -> F
     return FreeAlgebraResult(
         F,
         tuple(tuple_label(p) for p in projections),
-        {tuple_label(f): t for f, t in funcs.items()},
+        dict(zip(labels, witnesses)),
         n,
         A,
     )

@@ -24,12 +24,26 @@ of its argument's cached list. A term's list is its own root rewrites
 followed by each argument's list in argument order, lifted one level, which
 is preorder again: the successor order, and with it every certificate and
 expansion count, is unchanged. The memo lives and dies with the search.
+
+Beside the memo, congruent() keeps an intern table for the same search: it
+maps (symbol, args) to the one App with that symbol and those arguments,
+and each variable to one Var. The endpoints are rebuilt through it once,
+and every successor and root instance the search builds goes through it, so
+equal terms within a search are one object. (The variable-free parts of an
+axiom, which substitution shares instead of building, stay the axiom's own
+objects and compare by equality.) A duplicate successor then costs a
+dictionary lookup instead of a construction, and the lookups in the memo and
+the search's side tables stop at the identity check instead of comparing
+terms node by node. A term's hash and repr depend only on its symbol and
+arguments, so they, the successor order, the certificates and the expansion
+counts are unchanged. The table dies with the search, like the memo.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import is_
 
 from .errors import BudgetInvalid, InvariantError, NotParallel, SignatureMismatch, SourceMismatch
 
@@ -240,9 +254,10 @@ def print_term(t: Term, names: list[str] | None = None) -> str:
 Substitution = dict[int, Term]
 
 
-def substitute(t: Term, s: Substitution) -> Term:
+def substitute(t: Term, s: Substitution, *, intern: dict | None = None) -> Term:
     """Simultaneous substitution; variables outside s are untouched, and
-    subterms without a variable in s are shared, not copied."""
+    subterms without a variable in s are shared, not copied. With a proof
+    search's intern table, each new application is looked up in it first."""
     if t._vars.isdisjoint(s):
         return t
     if t.__class__ is Var:
@@ -266,7 +281,13 @@ def substitute(t: Term, s: Substitution) -> Term:
             stack.append((args[i], []))
             continue
         stack.pop()
-        new = App(u.symbol, tuple(built))
+        if intern is None:
+            new = App(u.symbol, tuple(built))
+        else:
+            key = (u.symbol, tuple(built))
+            new = intern.get(key)
+            if new is None:
+                new = intern[key] = App(*key)
         if not stack:
             return new
         stack[-1][1].append(new)
@@ -401,6 +422,19 @@ def replace_at(t: Term, pos: tuple[int, ...], new: Term) -> Term:
     return new
 
 
+def _interned(t: Term, intern: dict) -> Term:
+    """The one term equal to t in a proof search's intern table, adding t's
+    subterms that are not there yet."""
+    def node(u, args):
+        key = (u.symbol, tuple(args))
+        new = intern.get(key)
+        if new is None:
+            # u itself when its arguments are already the interned ones
+            new = intern[key] = u if all(map(is_, args, u.args)) else App(*key)
+        return new
+    return _fold(t, lambda u: intern.setdefault(u, u) if u.__class__ is Var else None, node)
+
+
 def _rule_table(theory: TheoryPresentation):
     """The (axiom, direction) rules proof search may apply, worked out once
     per search, as (rules for a variable subterm, rules by head symbol).
@@ -425,7 +459,7 @@ def _rule_table(theory: TheoryPresentation):
     return any_head, by_head
 
 
-def _rewrites(table, t: Term, max_size: int, memo: dict) -> list:
+def _rewrites(table, t: Term, max_size: int, memo: dict, intern: dict | None = None) -> list:
     """t's one-step rewrites under a _rule_table, in successor order, as
     (new term, growth in size, position, axiom, forward, binding) entries.
 
@@ -434,8 +468,12 @@ def _rewrites(table, t: Term, max_size: int, memo: dict) -> list:
     in post-order. A subterm u keeps only entries whose growth fits in
     max_size - size(u): no term containing u can use the others. t's own
     list is taken out of memo, since each frontier term is expanded once.
+    Every new term is built through intern, the search's intern table
+    (a fresh one when it is not given).
     """
     any_head, by_head = table
+    if intern is None:
+        intern = {}
     todo = [(t, False)]
     while todo:
         u, ready = todo.pop()
@@ -453,7 +491,7 @@ def _rewrites(table, t: Term, max_size: int, memo: dict) -> list:
             binding = match(src, u)
             if binding is None:
                 continue
-            instance = substitute(dst, binding)
+            instance = substitute(dst, binding, intern=intern)
             growth = instance._size - u._size
             if growth <= slack:
                 entries.append((instance, growth, (), i, forward, binding))
@@ -463,8 +501,11 @@ def _rewrites(table, t: Term, max_size: int, memo: dict) -> list:
                 before, after = args[:j], args[j + 1:]
                 for new, growth, pos, i, forward, binding in memo[a]:
                     if growth <= slack:
-                        entries.append((App(symbol, before + (new,) + after), growth,
-                                        (j,) + pos, i, forward, binding))
+                        key = (symbol, before + (new,) + after)
+                        lifted = intern.get(key)
+                        if lifted is None:
+                            lifted = intern[key] = App(*key)
+                        entries.append((lifted, growth, (j,) + pos, i, forward, binding))
         memo[u] = entries
     return memo.pop(t)
 
@@ -489,6 +530,8 @@ def congruent(
     if lhs == rhs:
         return CongruenceResult("provable", (), 0)
 
+    intern: dict = {}
+    lhs, rhs = _interned(lhs, intern), _interned(rhs, intern)
     # parents[side][term] = (previous term, _rewrites entry applied to previous)
     sides = ({lhs: None}, {rhs: None})
     frontiers = (deque([lhs]), deque([rhs]))
@@ -518,7 +561,7 @@ def congruent(
             side = 1 - side
         current = frontiers[side].popleft()
         expansions += 1
-        for entry in _rewrites(table, current, budget.max_term_size, memo):
+        for entry in _rewrites(table, current, budget.max_term_size, memo, intern):
             new = entry[0]
             if new in sides[side]:
                 continue

@@ -10,15 +10,20 @@ the evaluator recurses once per assignment, and the congruence check tries
 every argument position against every element of the same class. The hom
 and isomorphism enumerations try every table of itertools.product (or
 permutations) and keep those the AlgHom constructor accepts; veq now finds
-them with finset.search_tables under algebras.hom_checks.
+them with finset.search_tables under algebras.hom_checks. The free algebra's
+closure rescanned every argument tuple of the growing carrier each round and
+evaluated the tables again afterwards; veq.birkhoff now evaluates each tuple
+once, in a semi-naive closure.
 """
 
 import itertools
 
+from veq import algebras as alg
 from veq.algebras import AlgHom, FiniteAlgebra, Partition
-from veq.errors import CarrierTooLarge, InvariantError, SignatureMismatch, UnboundVariable
-from veq.finset import tuple_label
-from veq.theories import Term, Var
+from veq.birkhoff import _MAX_ASSIGNMENTS, FreeAlgebraResult
+from veq.errors import BoundsTooLarge, CarrierTooLarge, InvariantError, SignatureMismatch, UnboundVariable
+from veq.finset import FinSetObj, tuple_label
+from veq.theories import App, Term, Var
 
 
 def oracle_eval_term(A: FiniteAlgebra, t: Term, env: dict[int, str]) -> str:
@@ -106,3 +111,48 @@ def oracle_find_alg_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra) -> AlgHom | 
         except InvariantError:
             continue
     return None
+
+
+def oracle_free_algebra_in_variety(A: FiniteAlgebra, n: int, cap: int = 1_000_000) -> FreeAlgebraResult:
+    """The algebra of n-ary term functions on A: the closure of the
+    projections under pointwise operations. Carrier labels spell out the
+    function's value tuple over all assignments in carrier-lexicographic
+    order. It holds at most cap table entries (sum of |F|^arity), checked as F grows.
+    """
+    size = len(A.carrier) ** n
+    if size > _MAX_ASSIGNMENTS:
+        raise BoundsTooLarge("too many assignments to tabulate")
+    projections = alg.projections(A, n)
+    funcs: dict[tuple[str, ...], Term] = {}  # in order of discovery
+    for i, p in enumerate(projections):
+        funcs.setdefault(p, Var(i))
+    # constants enter through arity-0 symbols even with n = 0 generators,
+    # since a nullary product has exactly one (empty) argument tuple
+    while True:
+        order = list(funcs)
+        for sym, arity in A.signature.ops:
+            for combo in itertools.product(order, repeat=arity):
+                out = alg.pointwise(A, sym, combo, size)
+                if out not in funcs:
+                    funcs[out] = App(sym, tuple(funcs[c] for c in combo))
+                    if sum(len(funcs) ** k for _, k in A.signature.ops) > cap:
+                        raise BoundsTooLarge(f"free algebra tables exceed {cap} entries")
+        if len(funcs) == len(order):
+            break
+    labels = [tuple_label(f) for f in funcs]
+    unpack = dict(zip(labels, funcs))
+
+    def value(sym, args):
+        return tuple_label(alg.pointwise(A, sym, [unpack[a] for a in args], size))
+
+    tables = alg.tabulate(A.signature, labels, value)
+    F = FiniteAlgebra(
+        f"Free({A.name},{n})", A.signature, FinSetObj(tuple(labels)), tables
+    )
+    return FreeAlgebraResult(
+        F,
+        tuple(tuple_label(p) for p in projections),
+        {tuple_label(f): t for f, t in funcs.items()},
+        n,
+        A,
+    )

@@ -1,9 +1,14 @@
 import dataclasses
+import itertools
+import os
+import random
 
 import pytest
 
+from algebra_oracle import oracle_free_algebra_in_variety
 from group_oracle import oracle_commutator_subgroup, oracle_quotient_group
 from veq import algebras as alg
+from veq import dsl
 from veq import groups as grp
 from veq.algebras import Identity, make_algebra, satisfies
 from veq.birkhoff import (
@@ -164,6 +169,53 @@ def test_free_algebra_of_constants_only():
     A = make_algebra("pt2", sig, ["0", "1"], {"c": "1"})
     F = free_algebra_in_variety(A, 0)
     assert len(F.algebra) == 1  # just the constant
+
+
+def free_algebra_outcome(free, A, n, cap):
+    """The whole result, orders included, or the bound error's message."""
+    try:
+        F = free(A, n, cap)
+    except BoundsTooLarge as exc:
+        return str(exc)
+    G = F.algebra
+    return (G.name, G.signature, G.carrier.elements,
+            [(sym, list(table.items())) for sym, table in G.tables.items()],
+            F.generators, list(F.witnesses.items()), F.n, F.base)
+
+
+def test_free_algebra_matches_oracle_on_corpus():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ws = dsl.parse_files([os.path.join(root, "corpus", "algebras.veq")])
+    for A in list(ws.defs["algebra"].values()) + [semilattice2(), chain3(), flip2(), z2_algebra()]:
+        for n in range(4):
+            want = free_algebra_outcome(oracle_free_algebra_in_variety, A, n, 1_000_000)
+            assert not isinstance(want, str)
+            assert free_algebra_outcome(free_algebra_in_variety, A, n, 1_000_000) == want
+
+
+def test_free_algebra_matches_oracle_on_random_algebras():
+    """Random algebras of size 1-3 over subsets of c/0, u/1, b/2, t/3 (in a
+    random declaration order), n = 0-3, under caps that stop some closures
+    part way: the same result, or the same bound error."""
+    ops = [("c", 0), ("u", 1), ("b", 2), ("t", 3)]
+    rng = random.Random(12)
+    finished = stopped = 0
+    for k in range(120):
+        sig = Signature(tuple(rng.sample(ops, rng.randint(1, 3))))
+        elems = [str(i) for i in range(rng.randint(1, 3))]
+        A = make_algebra(f"r{k}", sig, elems, {
+            sym: {args: rng.choice(elems) for args in itertools.product(elems, repeat=arity)}
+            for sym, arity in sig.ops
+        })
+        n = rng.randint(0, 3)
+        cap = rng.choice((30, 300, 3000))
+        want = free_algebra_outcome(oracle_free_algebra_in_variety, A, n, cap)
+        assert free_algebra_outcome(free_algebra_in_variety, A, n, cap) == want
+        if isinstance(want, str):
+            stopped += 1
+        else:
+            finished += 1
+    assert finished > 40 and stopped > 20
 
 
 def test_centralizer_via_engine_matches_brute():

@@ -238,3 +238,18 @@ def test_free_algebra_past_the_table_cap_is_bounds_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "veq: BoundsTooLarge: free algebra tables exceed 1000000 entries\n"
+
+
+def test_decide_two_thousand_deep_endpoint(capsys):
+    deep = "x"
+    for _ in range(2000):
+        deep = f"m({deep},y)"
+    code = cli.main(["decide", "Mon", f"m(e,{deep})", deep, "--json",
+                     "-f", "corpus/theories.veq"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert out["status"] == "unknown"
+    # no successor of a 4000-node endpoint fits the 64-node size cap
+    assert out["payload"] == {"expansions": 2, "certificate": None}

@@ -296,3 +296,59 @@ def test_large_variable_index():
     assert th.term_vars(t) == {0, 10**12}
     assert th.substitute(t, {10**12: y}) == App("f", (y, x))
     assert th.unify(t, App("f", (x, x))) == {10**12: x}
+
+
+# -- the intern table of one proof search ---------------------------------------
+
+def test_equal_successors_in_one_search_are_one_object():
+    """Every term a search builds goes through its intern table, so equal
+    successors of different frontier terms are the same object."""
+    intern, memo = {}, {}
+    table = th._rule_table(GROUP)
+    start = th._interned(mul(mul(x, inv(y)), mul(E, mul(y, z))), intern)
+    assert th._interned(mul(mul(x, inv(y)), mul(E, mul(y, z))), intern) is start
+    seen = {start: start}
+    frontier, duplicates = [start], 0
+    for _ in range(3):
+        found = []
+        for t in frontier:
+            for new, *_ in th._rewrites(table, t, 16, memo, intern):
+                if new in seen:
+                    assert seen[new] is new
+                    duplicates += 1
+                else:
+                    seen[new] = new
+                    found.append(new)
+        frontier = found
+    assert duplicates > 1000
+    # the table holds one application per (symbol, args), built from its
+    # own entries, and one Var per index
+    for key, t in intern.items():
+        if t.__class__ is Var:
+            assert key is t
+        else:
+            assert (t.symbol, t.args) == key
+            assert all(intern[a if a.__class__ is Var else (a.symbol, a.args)] is a
+                       for a in t.args)
+
+
+def chain(depth, leaf):
+    for _ in range(depth):
+        leaf = App("f", (leaf,))
+    return leaf
+
+
+def test_congruent_on_a_2000_deep_endpoint():
+    T = TheoryPresentation("fab", Signature((("f", 1), ("a", 0), ("b", 0))),
+                           ((App("f", (App("a"),)), App("b")),))
+    lhs, rhs = chain(2000, App("a")), chain(1999, App("b"))
+    res = th.congruent(T, lhs, rhs, Budget(steps=10, max_term_size=4096))
+    assert res.provable and res.expansions == 1
+    assert res.certificate == (th.ProofStep((0,) * 1999, 0, (), True),)
+    assert th.replay_certificate(T, lhs, rhs, res.certificate)
+    # at the default size cap no successor of either endpoint fits
+    assert th.congruent(T, lhs, rhs) == th.CongruenceResult("unknown", None, 2)
+    deep = x
+    for _ in range(2000):
+        deep = mul(deep, y)
+    assert th.congruent(MONOID, mul(E, deep), deep, 3).status == "unknown"

@@ -209,10 +209,9 @@ def hom_checks(A: FiniteAlgebra, B: FiniteAlgebra) -> list[list]:
     return checks
 
 
-def all_alg_homs(A: FiniteAlgebra, B: FiniteAlgebra, cap: int = 1_000_000) -> list[AlgHom]:
-    """Every homomorphism A -> B in table order, found by the table search."""
-    if len(B.carrier) ** len(A.carrier) > cap:
-        raise CarrierTooLarge("hom enumeration space too large")
+def all_alg_homs(A: FiniteAlgebra, B: FiniteAlgebra) -> list[AlgHom]:
+    """Every homomorphism A -> B in table order, found by the table search,
+    which raises CarrierTooLarge past its candidate budget."""
     pools = [B.carrier.elements] * len(A.carrier)
     return [AlgHom(A, B, t) for t in search_tables(pools, hom_checks(A, B))]
 

@@ -1,6 +1,8 @@
 """Exact finite-set engine: objects, functions, canonical subobjects,
 products, coproducts, quotients, factorization through a function, and the
 one search over finite tables behind every hom enumeration (`search_tables`).
+One call of it tries at most `_TABLE_BUDGET` candidate values, the only
+bound on the hom enumerations, factorizations and limit checks built on it.
 
 Equalizers, intersections, coequalizers, cokernel pairs and pullbacks of
 finite sets come from the table-category base in veq.instances, built from
@@ -14,7 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import CodMismatch, DomainMismatch, EmptyList, InvariantError
+from .errors import CarrierTooLarge, CodMismatch, DomainMismatch, EmptyList, InvariantError
+
+_TABLE_BUDGET = 2_000_000  # candidate values one search_tables call may try
 
 
 @dataclass(frozen=True)
@@ -275,10 +279,12 @@ def search_tables(pools, checks, injective=False):
     injective: a value already in the table is skipped). A predicate reads
     the partial table, whose entries past i are stale, and is filed under
     the last position it reads, so it runs as soon as its inputs are set.
-    The walk is iterative, so deep tables need no recursion."""
+    The walk is iterative, so deep tables need no recursion. Trying more
+    than _TABLE_BUDGET candidate values in one call raises CarrierTooLarge."""
     n = len(pools)
     table: list = [None] * n
     nxt = [0] * n  # the next candidate to try at each position
+    left = _TABLE_BUDGET
     i = 0
     while i >= 0:
         if i == n:
@@ -289,6 +295,9 @@ def search_tables(pools, checks, injective=False):
         while k < len(pool):
             table[i] = v = pool[k]
             k += 1
+            left -= 1
+            if left < 0:
+                raise CarrierTooLarge(f"table search tried more than {_TABLE_BUDGET} candidates")
             if not (injective and v in table[:i]) and all(c(table) for c in checks[i]):
                 nxt[i] = k
                 i += 1

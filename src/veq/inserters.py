@@ -443,13 +443,12 @@ def free_f_algebra(functor: PolyFunctor, generators: fs.FinSetObj, depth: int, c
     )
 
 
-_EXHAUSTIVE_CAP = 1_000_000  # candidate maps; alg.all_alg_homs' default cap
-
-
 def free_universal_map(free: FreeFAlgebra, target: fs.FinFunction, gen_map: fs.FinFunction, exhaustive: bool = False) -> fs.FinFunction:
     """The unique map into a finite algebra (target: F(B) -> B) extending
     gen_map and commuting with the structure maps wherever the free one is
-    defined. With exhaustive=True, uniqueness is re-checked by enumeration."""
+    defined. With exhaustive=True, uniqueness is re-checked by running the
+    table search to the end, which raises CarrierTooLarge past its candidate
+    budget."""
     functor = free.functor
     B = target.cod
     expected = functor.on_set(B)
@@ -480,9 +479,6 @@ def free_universal_map(free: FreeFAlgebra, target: fs.FinFunction, gen_map: fs.F
     if table is None:
         raise InvariantError("constructed map fails the homomorphism law")
     if exhaustive:
-        planned = len(B) ** len(free.carrier)
-        if planned > _EXHAUSTIVE_CAP:
-            raise BoundsTooLarge(f"exhaustive check would try {planned} maps (cap {_EXHAUSTIVE_CAP})")
         count = 1 + sum(1 for _ in tables)
         if count != 1:
             raise InvariantError(f"universal map is not unique: {count} candidates")
@@ -618,13 +614,15 @@ def _mapped_word_label(word_comps, combo, tables_by_sort, sort_index, word):
     return fs.tuple_label(outs)
 
 
-def sigma_alg_as_inserter(sig: SortedSignature, size_bound: int,
-                          base_cap: int = 4000, sigma_cap: int = 4000,
-                          direct_cap: int = 4000) -> dict:
+_SIGMA_CAP = 4000  # planned morphisms of each family category, and direct-side algebras
+
+
+def sigma_alg_as_inserter(sig: SortedSignature, size_bound: int) -> dict:
     """Build the category of signature algebras with carriers of size up to
     the bound twice: directly, and as the pair category for the arity
     functors (argument-tuple family vs result family). Returns the matching
-    report with the object bijection."""
+    report with the object bijection. Each side stops with BoundTooLarge
+    past _SIGMA_CAP."""
     if size_bound < 0:
         raise InvariantError("size bound must be non-negative")
     sorts = sig.sorts
@@ -641,15 +639,15 @@ def sigma_alg_as_inserter(sig: SortedSignature, size_bound: int,
     planned = sum(
         _hom_size(x, y) for x in families.values() for y in families.values()
     )
-    if planned > base_cap:
-        raise BoundTooLarge(f"base category would hold {planned} morphisms (cap {base_cap})")
+    if planned > _SIGMA_CAP:
+        raise BoundTooLarge(f"base category would hold {planned} morphisms (cap {_SIGMA_CAP})")
     base_b = _FamilyCatBuilder()
     for name, comps in families.items():
         base_b.add_object(name, comps)
     for xn in families:
         for yn in families:
             base_b.add_all_functions(xn, yn)
-    base_b.close(base_cap * 2)
+    base_b.close(_SIGMA_CAP * 2)
     base_cat = base_b.build("SetFam")
 
     def shape_src(comps):
@@ -671,8 +669,8 @@ def sigma_alg_as_inserter(sig: SortedSignature, size_bound: int,
         _hom_size(sigma_b.objects[src_name[xn]], sigma_b.objects[tgt_name[yn]])
         for xn in families for yn in families
     )
-    if planned > sigma_cap:
-        raise BoundTooLarge(f"operation-family category would hold {planned} morphisms (cap {sigma_cap})")
+    if planned > _SIGMA_CAP:
+        raise BoundTooLarge(f"operation-family category would hold {planned} morphisms (cap {_SIGMA_CAP})")
     seen_pairs = set()
     for xn in families:
         for yn in families:
@@ -698,7 +696,7 @@ def sigma_alg_as_inserter(sig: SortedSignature, size_bound: int,
         src_mor[d] = sigma_b.morphism(src_name[xn], src_name[yn], out_src)
         out_tgt = [tables[sort_index[res]] for _, _, res in sig.ops]
         tgt_mor[d] = sigma_b.morphism(tgt_name[xn], tgt_name[yn], out_tgt)
-    sigma_b.close(sigma_cap * 4)
+    sigma_b.close(_SIGMA_CAP * 4)
     sigma_cat = sigma_b.build("OpFam")
 
     arg_functor = cats.FunctorData(
@@ -719,8 +717,8 @@ def sigma_alg_as_inserter(sig: SortedSignature, size_bound: int,
             name = f"{xn}!{k}"
             alg_content[name] = (xn, tuple(tables))
             content_index[(xn, tuple(tables))] = name
-            if len(alg_content) > direct_cap:
-                raise BoundTooLarge(f"more than {direct_cap} algebras at this bound")
+            if len(alg_content) > _SIGMA_CAP:
+                raise BoundTooLarge(f"more than {_SIGMA_CAP} algebras at this bound")
 
     def alg_label(d: str, an: str, bn: str) -> str:
         return f"{an}>{bn}|{d}"

@@ -19,7 +19,6 @@ factor, and the rest without ceremony.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from . import algebras as alg
@@ -28,9 +27,7 @@ from . import finset as fs
 from . import groups as grp
 from . import posets as po
 from .equations import CompCategory
-from .errors import CarrierTooLarge, CodMismatch, EmptyList, InvariantError, NotParallel, TargetMismatch
-
-_POOL_CAP = 1_000_000  # factor's candidate tables; alg.all_alg_homs' default cap
+from .errors import CodMismatch, EmptyList, InvariantError, NotParallel, TargetMismatch
 
 
 class _TableCategory(CompCategory):
@@ -45,9 +42,7 @@ class _TableCategory(CompCategory):
     quotient(obj, pairs) (the projection onto the least quotient identifying
     the pairs). Pullbacks need product(objs) and cokernel pairs
     coproduct(objs), where has_pullbacks and has_cokernel_pairs offer them.
-    A subclass whose hom enumerates fewer tables than all of them says how
-    many in hom_size, which factor uses to pick its search, and law(x, a)
-    gives the fs.search_tables checks that a table x -> a must pass.
+    law(x, a) gives the fs.search_tables checks that a table x -> a must pass.
     """
 
     has_equalizers = True
@@ -120,15 +115,11 @@ class _TableCategory(CompCategory):
         e = self.equalizer(self.compose(f, p0), self.compose(m, p1))
         return self.compose(p0, e), self.compose(p1, e)
 
-    def hom_size(self, x, a) -> int:
-        """How many tables hom(x, a) enumerates: every table, by default."""
-        return len(self.carrier(a)) ** len(self.carrier(x))
-
     def factor(self, f, g):
         """The first h with g o h = f among the tables drawn from the preimage
         pools of g in carrier order (one table when g is injective), found by
-        the table search under the instance's law, or in hom order when hom
-        enumerates fewer tables than the pools hold.
+        the table search under the instance's law; past the search's
+        candidate budget it raises CarrierTooLarge.
         """
         if self.target(f) != self.target(g):
             raise CodMismatch("factorization needs a common target")
@@ -139,14 +130,6 @@ class _TableCategory(CompCategory):
         pools = [preimages.get(y, []) for y in self.table(f)]
         if not all(pools):
             return None
-        size = math.prod(map(len, pools))
-        if size > 1 and size > self.hom_size(dom, mid):
-            for h in self.hom(dom, mid):
-                if self.table(self.compose(g, h)) == self.table(f):
-                    return h
-            return None
-        if size > _POOL_CAP:
-            raise CarrierTooLarge(f"{size} candidate tables exceed {_POOL_CAP}")
         table = next(fs.search_tables(pools, self.law(dom, mid)), None)
         return None if table is None else self.morphism(dom, mid, table)
 
@@ -235,9 +218,6 @@ class FinGrpCat(_TableCategory):
 
     def hom(self, x: grp.Group, a: grp.Group):
         return grp.all_homs(x, a)
-
-    def hom_size(self, x: grp.Group, a: grp.Group) -> int:
-        return len(a) ** len(grp.generating_set(x))
 
     def sub(self, obj: grp.Group, members):
         return grp.sub_group(obj, members)[1]

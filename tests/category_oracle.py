@@ -23,10 +23,12 @@ pullback, which asked each morphism for its value at a point.
 The brute searches that `finset.search_tables` replaced are here too:
 `oracle_all_functors` tries every object map and every choice of arrows in
 the hom-sets it allows, `oracle_table_factor` every table in the product of
-the preimage pools, and `oracle_verify_universal_property` every functor
-into the pair category. The binary-product and equalizer checks below are
-the two hand-written copies that `inserters._cones` and `_is_limit` made
-one, with `oracle_limit_creation_report` on top of them.
+the preimage pools (under the table-count cap and the hom-order branch that
+the search's candidate budget replaced), and
+`oracle_verify_universal_property` every functor into the pair category.
+The binary-product and equalizer checks below are the two hand-written
+copies that `inserters._cones` and `_is_limit` made one, with
+`oracle_limit_creation_report` on top of them.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import math
 
 from veq import cats
 from veq import finset as fs
+from veq import groups as grp
 from veq.cats import FiniteCategory
 from veq.errors import (
     AdjunctionInvalid,
@@ -58,7 +61,7 @@ from veq.inserters import (
     _word_product,
     pair_label,
 )
-from veq.instances import _POOL_CAP, _cat_product, _subcategory_inclusion
+from veq.instances import FinGrpCat, _cat_product, _subcategory_inclusion
 from veq.posets import Poset, _arrow_name
 
 
@@ -238,6 +241,17 @@ def oracle_all_functors(C: FiniteCategory, D: FiniteCategory) -> list[cats.Funct
     return out
 
 
+_POOL_CAP = 1_000_000  # the most candidate tables oracle_table_factor tries
+
+
+def oracle_hom_size(cat, x, a) -> int:
+    """How many tables cat.hom(x, a) enumerates: one per image of a
+    generating set for groups, every table otherwise."""
+    if isinstance(cat, FinGrpCat):
+        return len(a) ** len(grp.generating_set(x))
+    return len(cat.carrier(a)) ** len(cat.carrier(x))
+
+
 def oracle_table_factor(cat, f, g):
     """_TableCategory.factor before the table search: every table in the
     product of the preimage pools goes through the validating constructor."""
@@ -251,7 +265,7 @@ def oracle_table_factor(cat, f, g):
     if not all(pools):
         return None
     size = math.prod(map(len, pools))
-    if size > 1 and size > cat.hom_size(dom, mid):
+    if size > 1 and size > oracle_hom_size(cat, dom, mid):
         for h in cat.hom(dom, mid):
             if cat.table(cat.compose(g, h)) == cat.table(f):
                 return h

@@ -427,13 +427,20 @@ def test_fincat_factor_through_a_mono_reads_one_table(monkeypatch):
     assert any(w is not None for w in want) and any(w is None for w in want)
 
 
-def test_fincat_factor_through_a_non_mono_is_capped():
+def test_fincat_factor_through_a_non_mono_is_capped(monkeypatch):
     D = cats.discrete_category("D", ["0"])
     B = cats.discrete_category("B", ["0", "1"])
     A = cats.discrete_category("A", [f"{i:02d}" for i in range(21)])
     g = next(iter(cats.all_functors(B, D)))
     f = next(iter(cats.all_functors(A, D)))
-    with pytest.raises(CarrierTooLarge):  # more than 2^21 functors A -> B
+    # 2^21 functors A -> B, but the first one is found in 42 candidates
+    monkeypatch.setattr(fs, "_TABLE_BUDGET", 42)
+    h = CC.factor(f, g)
+    assert h.obj_map == {x: "0" for x in A.objects}
+    assert h.mor_map == {A.ids[x]: B.ids["0"] for x in A.objects}
+    assert cats.functors_equal(cats.compose_functors(g, h), f)
+    monkeypatch.setattr(fs, "_TABLE_BUDGET", 41)
+    with pytest.raises(CarrierTooLarge, match="more than 41 candidates"):
         CC.factor(f, g)
 
 

@@ -4,12 +4,12 @@ import pytest
 
 from veq import cats
 from veq import finset as fs
-from veq import inserters as inserters_mod
 from veq import posets as po
 from veq.errors import (
     AdjunctionInvalid,
     BoundsTooLarge,
     BoundTooLarge,
+    CarrierTooLarge,
     DepthTooSmall,
     InvariantError,
     NotParallel,
@@ -349,14 +349,17 @@ def test_free_universal_map_exhaustive_cap(monkeypatch):
     gen_map = fs.FinFunction(fs.FinSetObj(()), B, ())
     deep = free_f_algebra(numerals, fs.FinSetObj(()), 13)  # 3^13 > 10^6 maps
     assert free_universal_map(deep, target, gen_map).table[-1] == "0"
-    with pytest.raises(BoundsTooLarge, match="1594323 maps"):
-        free_universal_map(deep, target, gen_map, exhaustive=True)
+    # the exhaustive search prunes all but 39 candidates
+    monkeypatch.setattr(fs, "_TABLE_BUDGET", 39)
+    assert free_universal_map(deep, target, gen_map, exhaustive=True).table == (
+        ("0", "1", "2") * 4 + ("0",))
     free = free_f_algebra(numerals, fs.FinSetObj(()), 4)  # 3^4 = 81 maps
-    monkeypatch.setattr(inserters_mod, "_EXHAUSTIVE_CAP", 81)
+    monkeypatch.setattr(fs, "_TABLE_BUDGET", 12)
     assert free_universal_map(free, target, gen_map, exhaustive=True).table == (
         "0", "1", "2", "0")
-    monkeypatch.setattr(inserters_mod, "_EXHAUSTIVE_CAP", 80)
-    with pytest.raises(BoundsTooLarge):
+    monkeypatch.setattr(fs, "_TABLE_BUDGET", 11)
+    assert free_universal_map(free, target, gen_map).table == ("0", "1", "2", "0")
+    with pytest.raises(CarrierTooLarge, match="more than 11 candidates"):
         free_universal_map(free, target, gen_map, exhaustive=True)
 
 

@@ -17,33 +17,32 @@ preorder; at each position axioms in order, forward before backward) is part
 of the certificate contract: it fixes which certificate congruent() finds
 and its expansion count.
 
+Proof search runs on integer ids, not on terms. Each search keeps a term
+store (_TermStore) in which every distinct term is one int: the key
+(symbol, *argument ids) of an application, or (index,) of a variable, maps
+to its id, and a parallel list holds each id's size. Equal terms are one
+id, so the search's memo, side tables and frontiers compare ints. The
+axiom sides are compiled once per theory into patterns over those keys
+(_rule_table, cached on the presentation), and the theory's ground terms
+get the first ids of every store. Terms are built back from ids, each id
+once, only for the bindings of the certificate a search returns.
+
 Within one search, congruent() keeps a memo from each subterm met to the
 list of its one-step rewrites, so a subterm shared by many frontier terms
-is matched and rewritten once, and each successor costs one new node on top
-of its argument's cached list. A term's list is its own root rewrites
+is matched and rewritten once. A term's list is its own root rewrites
 followed by each argument's list in argument order, lifted one level, which
 is preorder again: the successor order, and with it every certificate and
-expansion count, is unchanged. The memo lives and dies with the search.
-
-Beside the memo, congruent() keeps an intern table for the same search: it
-maps (symbol, args) to the one App with that symbol and those arguments,
-and each variable to one Var. The endpoints are rebuilt through it once,
-and every successor and root instance the search builds goes through it, so
-equal terms within a search are one object. (The variable-free parts of an
-axiom, which substitution shares instead of building, stay the axiom's own
-objects and compare by equality.) A duplicate successor then costs a
-dictionary lookup instead of a construction, and the lookups in the memo and
-the search's side tables stop at the identity check instead of comparing
-terms node by node. A term's hash and repr depend only on its symbol and
-arguments, so they, the successor order, the certificates and the expansion
-counts are unchanged. The table dies with the search, like the memo.
+expansion count, is that of rewriting whole terms. A lifted successor costs
+one key tuple and one dictionary lookup; its position is a link to the
+argument's entry and is read only when a ProofStep is built. The store and
+the memo live and die with the search.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import is_
+from functools import cached_property
 
 from .errors import BudgetInvalid, InvariantError, NotParallel, SignatureMismatch, SourceMismatch
 
@@ -254,10 +253,9 @@ def print_term(t: Term, names: list[str] | None = None) -> str:
 Substitution = dict[int, Term]
 
 
-def substitute(t: Term, s: Substitution, *, intern: dict | None = None) -> Term:
+def substitute(t: Term, s: Substitution) -> Term:
     """Simultaneous substitution; variables outside s are untouched, and
-    subterms without a variable in s are shared, not copied. With a proof
-    search's intern table, each new application is looked up in it first."""
+    subterms without a variable in s are shared, not copied."""
     if t._vars.isdisjoint(s):
         return t
     if t.__class__ is Var:
@@ -281,13 +279,7 @@ def substitute(t: Term, s: Substitution, *, intern: dict | None = None) -> Term:
             stack.append((args[i], []))
             continue
         stack.pop()
-        if intern is None:
-            new = App(u.symbol, tuple(built))
-        else:
-            key = (u.symbol, tuple(built))
-            new = intern.get(key)
-            if new is None:
-                new = intern[key] = App(*key)
+        new = App(u.symbol, tuple(built))
         if not stack:
             return new
         stack[-1][1].append(new)
@@ -363,6 +355,11 @@ class TheoryPresentation:
             check_term(self.signature, lhs)
             check_term(self.signature, rhs)
 
+    @cached_property
+    def _rules(self):
+        """Proof search's compiled rules (see _rule_table), made once."""
+        return _rule_table(self)
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -403,7 +400,7 @@ class CongruenceResult:
 
 def subterm_at(t: Term, pos: tuple[int, ...]) -> Term:
     for i in pos:
-        if not isinstance(t, App) or i >= len(t.args):
+        if not isinstance(t, App) or not 0 <= i < len(t.args):
             raise InvariantError(f"position {pos} does not exist")
         t = t.args[i]
     return t
@@ -412,7 +409,7 @@ def subterm_at(t: Term, pos: tuple[int, ...]) -> Term:
 def replace_at(t: Term, pos: tuple[int, ...], new: Term) -> Term:
     spine = []
     for i in pos:
-        if not isinstance(t, App) or i >= len(t.args):
+        if not isinstance(t, App) or not 0 <= i < len(t.args):
             raise InvariantError(f"position {pos} does not exist")
         spine.append((t, i))
         t = t.args[i]
@@ -422,98 +419,233 @@ def replace_at(t: Term, pos: tuple[int, ...], new: Term) -> Term:
     return new
 
 
-def _interned(t: Term, intern: dict) -> Term:
-    """The one term equal to t in a proof search's intern table, adding t's
-    subterms that are not there yet."""
-    def node(u, args):
-        key = (u.symbol, tuple(args))
-        new = intern.get(key)
-        if new is None:
-            # u itself when its arguments are already the interned ones
-            new = intern[key] = u if all(map(is_, args, u.args)) else App(*key)
+class _TermStore:
+    """The terms of one proof search, hash-consed to ints.
+
+    ids maps a term's key to its id: (symbol, *argument ids) for an
+    application, (index,) for a variable. keys[i] is the key of id i and
+    sizes[i] its size; an id's arguments always have smaller ids.
+    """
+
+    __slots__ = ("ids", "keys", "sizes", "_terms")
+
+    def __init__(self):
+        self.ids: dict[tuple, int] = {}
+        self.keys: list[tuple] = []
+        self.sizes: list[int] = []
+        self._terms: dict[int, Term] = {}
+
+    def copy(self) -> _TermStore:
+        new = _TermStore()
+        new.ids, new.keys, new.sizes = dict(self.ids), list(self.keys), list(self.sizes)
         return new
-    return _fold(t, lambda u: intern.setdefault(u, u) if u.__class__ is Var else None, node)
+
+    def id_of(self, key: tuple, size: int) -> int:
+        """The id of the term with this key, added with this size if new."""
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.sizes.append(size)
+        return i
+
+    def add(self, t: Term) -> int:
+        """t's id, adding the subterms of t that are not in the store yet."""
+        return _fold(
+            t, lambda u: self.id_of((u.index,), 1) if u.__class__ is Var else None,
+            lambda u, args: self.id_of((u.symbol, *args), u._size))
+
+    def term(self, i: int) -> Term:
+        """The term with id i. Each id is built once per store, bottom-up
+        with an explicit stack, so terms of any depth read back."""
+        terms, keys = self._terms, self.keys
+        stack = [i]
+        while stack:
+            u = stack[-1]
+            if u in terms:
+                stack.pop()
+                continue
+            key = keys[u]
+            if key[0].__class__ is int:
+                terms[u] = Var(key[0])
+            else:
+                missing = [a for a in key[1:] if a not in terms]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                terms[u] = App(key[0], tuple(terms[a] for a in key[1:]))
+            stack.pop()
+        return terms[i]
 
 
-def _rule_table(theory: TheoryPresentation):
-    """The (axiom, direction) rules proof search may apply, worked out once
-    per search, as (rules for a variable subterm, rules by head symbol).
-
-    Each list keeps successor order: axioms in order, forward before
-    backward. A direction that would introduce variables absent from the
-    matched side is left out; it needs instantiation guessing. The
-    bidirectional search in congruent() recovers it from the opposite
-    endpoint, where the same axiom application is variable-dropping.
-    """
-    rules = [
-        (i, forward, src, dst)
-        for i, (lhs, rhs) in enumerate(theory.axioms)
-        for forward, src, dst in ((True, lhs, rhs), (False, rhs, lhs))
-        if dst._vars <= src._vars
-    ]
-    any_head = [r for r in rules if r[2].__class__ is Var]
-    heads = {r[2].symbol for r in rules if r[2].__class__ is App}
-    by_head = {
-        h: [r for r in rules if r[2].__class__ is Var or r[2].symbol == h] for h in heads
-    }
-    return any_head, by_head
+def _pattern(t: Term, slots: dict[int, int], store: _TermStore):
+    """t as a pattern over store keys: a variable is its slot (a negative
+    int), a ground subterm its id in store, an application (symbol, *argument
+    patterns)."""
+    return _fold(
+        t, lambda u: slots[u.index] if u.__class__ is Var
+        else store.add(u) if not u._vars else None,
+        lambda u, args: (u.symbol, *args))
 
 
-def _rewrites(table, t: Term, max_size: int, memo: dict, intern: dict | None = None) -> list:
-    """t's one-step rewrites under a _rule_table, in successor order, as
-    (new term, growth in size, position, axiom, forward, binding) entries.
-
-    memo maps each subterm met so far in one search to its own entries, so
-    a subterm shared by many frontier terms is rewritten once; it is filled
-    in post-order. A subterm u keeps only entries whose growth fits in
-    max_size - size(u): no term containing u can use the others. t's own
-    list is taken out of memo, since each frontier term is expanded once.
-    Every new term is built through intern, the search's intern table
-    (a fresh one when it is not given).
-    """
-    any_head, by_head = table
-    if intern is None:
-        intern = {}
+def _program(t: Term, slots: dict[int, int], store: _TermStore) -> list:
+    """The instructions that build t's instances in postfix order: a slot
+    or a ground id pushes an id, (symbol, n) replaces the top n ids by the
+    application of symbol to them."""
+    out: list = []
     todo = [(t, False)]
     while todo:
         u, ready = todo.pop()
+        if ready:
+            out.append((u.symbol, len(u.args)))
+        elif u.__class__ is Var:
+            out.append(slots[u.index])
+        elif not u._vars:
+            out.append(store.add(u))
+        else:
+            todo.append((u, True))
+            todo.extend((a, False) for a in reversed(u.args))
+    return out
+
+
+def _rule_table(theory: TheoryPresentation):
+    """The (axiom, direction) rules proof search may apply, compiled once per
+    theory, as (seed store, rules for a variable subterm, rules by head).
+
+    The seed store holds the axioms' ground subterms, and every search
+    starts from a copy of it. A rule is (source pattern, instance program,
+    (axiom, forward, the source's variables in order)); a binding gives the
+    id of each of those variables. Each list keeps successor order: axioms
+    in order, forward before backward. A direction that would introduce
+    variables absent from the matched side is left out; it needs
+    instantiation guessing. The bidirectional search in congruent() recovers
+    it from the opposite endpoint, where the same axiom application is
+    variable-dropping.
+    """
+    seed = _TermStore()
+    rules = []
+    for i, (lhs, rhs) in enumerate(theory.axioms):
+        for forward, src, dst in ((True, lhs, rhs), (False, rhs, lhs)):
+            if dst._vars <= src._vars:
+                names = tuple(sorted(src._vars))
+                slots = {v: ~k for k, v in enumerate(names)}
+                head = src.symbol if src.__class__ is App else None
+                rule = (_pattern(src, slots, seed), _program(dst, slots, seed),
+                        (i, forward, names))
+                rules.append((head, rule))
+    any_head = [r for h, r in rules if h is None]
+    by_head = {h: [r for g, r in rules if g is None or g == h]
+               for h, _ in rules if h is not None}
+    return seed, any_head, by_head
+
+
+def _match(pattern: tuple, key: tuple, keys: list, binding: list) -> bool:
+    """Whether an application pattern matches the term with this key,
+    filling binding with the id of each of the pattern's slots."""
+    todo = []
+    while True:
+        if len(key) != len(pattern) or key[0] != pattern[0]:
+            return False
+        for p, s in zip(pattern, key):
+            if p.__class__ is int:
+                if p >= 0:
+                    if p != s:
+                        return False
+                elif binding[~p] is None:
+                    binding[~p] = s
+                elif binding[~p] != s:
+                    return False
+            elif p.__class__ is tuple:
+                todo.append((p, s))
+        if not todo:
+            return True
+        pattern, s = todo.pop()
+        key = keys[s]
+
+
+def _rewrites(rules, store: _TermStore, t: int, max_size: int, memo: dict) -> list:
+    """The one-step rewrites of id t under a _rule_table, in successor order.
+
+    A root rewrite is the entry (new id, growth in size, rule info,
+    binding); a rewrite inside argument j is (new id, growth, j, the
+    argument's entry). memo maps each id met so far in one search to its
+    own entries, so a subterm shared by many frontier terms is rewritten
+    once; it is filled in post-order. A subterm u keeps only entries whose
+    growth fits in max_size - size(u): no term containing u can use the
+    others. t's own list is taken out of memo, since each frontier term is
+    expanded once.
+    """
+    _, any_head, by_head = rules
+    ids, keys, sizes = store.ids, store.keys, store.sizes
+    id_of = store.id_of
+    todo = [(t, False)]
+    while todo:
+        u, ready = todo.pop()
+        key = keys[u]
         if not ready:
             if u in memo:
                 continue
-            if u.__class__ is App:
+            if len(key) > 1:
                 todo.append((u, True))
-                todo.extend((a, False) for a in reversed(u.args))
+                todo += [(a, False) for a in key[:0:-1]]
                 continue
-        slack = max_size - u._size
+        size = sizes[u]
+        slack = max_size - size
         entries = []
-        rules = any_head if u.__class__ is Var else by_head.get(u.symbol, any_head)
-        for i, forward, src, dst in rules:
-            binding = match(src, u)
-            if binding is None:
+        # a variable's key starts with an int, which is no head symbol
+        for pattern, program, info in by_head.get(key[0], any_head):
+            if pattern.__class__ is tuple:
+                binding = [None] * len(info[2])
+                if not _match(pattern, key, keys, binding):
+                    continue
+            elif pattern < 0:  # a variable, the source's only one
+                binding = [u]
+            elif pattern == u:  # a ground source
+                binding = []
+            else:
                 continue
-            instance = substitute(dst, binding, intern=intern)
-            growth = instance._size - u._size
+            values = []
+            for op in program:
+                if op.__class__ is int:
+                    values.append(op if op >= 0 else binding[~op])
+                else:
+                    symbol, n = op
+                    args = values[-n:]
+                    del values[-n:]
+                    new_key = (symbol, *args)
+                    new = ids.get(new_key)
+                    if new is None:
+                        new = id_of(new_key, 1 + sum(map(sizes.__getitem__, args)))
+                    values.append(new)
+            instance = values[0]
+            growth = sizes[instance] - size
             if growth <= slack:
-                entries.append((instance, growth, (), i, forward, binding))
-        if u.__class__ is App:
-            symbol, args = u.symbol, u.args
-            for j, a in enumerate(args):
-                before, after = args[:j], args[j + 1:]
-                for new, growth, pos, i, forward, binding in memo[a]:
-                    if growth <= slack:
-                        key = (symbol, before + (new,) + after)
-                        lifted = intern.get(key)
-                        if lifted is None:
-                            lifted = intern[key] = App(*key)
-                        entries.append((lifted, growth, (j,) + pos, i, forward, binding))
+                entries.append((instance, growth, info, binding))
+        for j in range(1, len(key)):
+            before, after, position = key[:j], key[j + 1:], j - 1
+            for entry in memo[key[j]]:
+                growth = entry[1]
+                if growth <= slack:
+                    lifted_key = before + (entry[0],) + after
+                    lifted = ids.get(lifted_key)
+                    if lifted is None:  # store.id_of, inlined
+                        lifted = ids[lifted_key] = len(keys)
+                        keys.append(lifted_key)
+                        sizes.append(size + growth)
+                    entries.append((lifted, growth, position, entry))
         memo[u] = entries
     return memo.pop(t)
 
 
-def _step(entry, forward: bool = True) -> ProofStep:
+def _step(store: _TermStore, entry, forward: bool = True) -> ProofStep:
     """The ProofStep of a _rewrites entry, inverted when forward is False."""
-    _, _, pos, axiom, fwd, binding = entry
-    return ProofStep(pos, axiom, tuple(sorted(binding.items())), fwd == forward)
+    position = []
+    while entry[2].__class__ is int:
+        position.append(entry[2])
+        entry = entry[3]
+    _, _, (axiom, fwd, names), binding = entry
+    subst = tuple(zip(names, map(store.term, binding)))
+    return ProofStep(tuple(position), axiom, subst, fwd == forward)
 
 
 def congruent(
@@ -530,28 +662,28 @@ def congruent(
     if lhs == rhs:
         return CongruenceResult("provable", (), 0)
 
-    intern: dict = {}
-    lhs, rhs = _interned(lhs, intern), _interned(rhs, intern)
-    # parents[side][term] = (previous term, _rewrites entry applied to previous)
+    rules = theory._rules
+    store = rules[0].copy()
+    lhs, rhs = store.add(lhs), store.add(rhs)
+    # parents[side][id] = (previous id, _rewrites entry applied to previous)
     sides = ({lhs: None}, {rhs: None})
     frontiers = (deque([lhs]), deque([rhs]))
     expansions = 0
-    table = _rule_table(theory)
     memo: dict = {}
 
-    def build(meeting: Term) -> tuple[ProofStep, ...]:
+    def build(meeting: int) -> tuple[ProofStep, ...]:
         fwd = []
         cur = meeting
         while sides[0][cur] is not None:
             prev, entry = sides[0][cur]
-            fwd.append(_step(entry))
+            fwd.append(_step(store, entry))
             cur = prev
         fwd.reverse()
         back = []
         cur = meeting
         while sides[1][cur] is not None:
             prev, entry = sides[1][cur]
-            back.append(_step(entry, False))
+            back.append(_step(store, entry, False))
             cur = prev
         return tuple(fwd + back)
 
@@ -561,7 +693,7 @@ def congruent(
             side = 1 - side
         current = frontiers[side].popleft()
         expansions += 1
-        for entry in _rewrites(table, current, budget.max_term_size, memo, intern):
+        for entry in _rewrites(rules, store, current, budget.max_term_size, memo):
             new = entry[0]
             if new in sides[side]:
                 continue
@@ -575,13 +707,19 @@ def congruent(
 def replay_certificate(
     theory: TheoryPresentation, lhs: Term, rhs: Term, certificate
 ) -> bool:
-    """Re-run a proof chain step by step, validating each rewrite."""
+    """Re-run a proof chain step by step, validating each rewrite. A step
+    naming an axiom or a position that does not exist fails the replay."""
     cur = lhs
     for step in certificate:
+        if not 0 <= step.axiom < len(theory.axioms):
+            return False
         l, r = theory.axioms[step.axiom]
         src, dst = (l, r) if step.forward else (r, l)
         binding = dict(step.subst)
-        if substitute(src, binding) != subterm_at(cur, step.position):
+        try:
+            if substitute(src, binding) != subterm_at(cur, step.position):
+                return False
+        except InvariantError:
             return False
         cur = replace_at(cur, step.position, substitute(dst, binding))
     return cur == rhs

@@ -1,19 +1,23 @@
 """The proof search against the implementations it replaced.
 
-Terms now cache their hash, size and variables, congruent() works out its
-rewrite rules once per search, and it rewrites each subterm once per search
-through a memo. Two earlier implementations are kept verbatim as oracles:
-the recursive term walkers (slow_*) and the flat successor enumeration that
-rebuilt every successor in full (flat_*). The fast path must produce the
-same successors in the same order, hence the same certificates and
-expansion counts.
+Terms now cache their hash, size and variables, and congruent() runs on a
+per-search store of integer term ids, with rules compiled once per theory
+and a memo that rewrites each subterm once per search. Three earlier
+implementations are kept verbatim as oracles: the recursive term walkers
+(slow_*), the flat successor enumeration that rebuilt every successor in
+full (flat_*), and the memo search over hash-consed App terms that the id
+store replaced (memo_*). The fast path must produce the same successors in
+the same order, hence the same certificates and expansion counts.
 """
 
+import inspect
 import itertools
 import os
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
+from operator import is_
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +145,23 @@ def slow_congruent(theory, lhs, rhs, budget):
 
 # -- the flat enumeration, before the per-search rewrite memo -------------------
 
+def rule_table(theory):
+    """The (axiom, direction) rules proof search may apply, as (rules for a
+    variable subterm, rules by head symbol), each in successor order."""
+    rules = [
+        (i, forward, src, dst)
+        for i, (lhs, rhs) in enumerate(theory.axioms)
+        for forward, src, dst in ((True, lhs, rhs), (False, rhs, lhs))
+        if dst._vars <= src._vars
+    ]
+    any_head = [r for r in rules if r[2].__class__ is Var]
+    heads = {r[2].symbol for r in rules if r[2].__class__ is App}
+    by_head = {
+        h: [r for r in rules if r[2].__class__ is Var or r[2].symbol == h] for h in heads
+    }
+    return any_head, by_head
+
+
 def flat_one_step_rewrites(table, t, max_size):
     """Deterministic successor enumeration under a _rule_table: (new term, step)."""
     any_head, by_head = table
@@ -166,7 +187,7 @@ def flat_congruent(theory, lhs, rhs, budget):
     sides = ({lhs: None}, {rhs: None})
     frontiers = (deque([lhs]), deque([rhs]))
     expansions = 0
-    table = th._rule_table(theory)
+    table = rule_table(theory)
 
     def build(meeting):
         fwd = []
@@ -194,6 +215,150 @@ def flat_congruent(theory, lhs, rhs, budget):
             if new in sides[side]:
                 continue
             sides[side][new] = (current, step)
+            if new in sides[1 - side]:
+                return th.CongruenceResult("provable", build(new), expansions)
+            frontiers[side].append(new)
+    return th.CongruenceResult("unknown", None, expansions)
+
+
+# -- the memo search over hash-consed App terms, before the id store -----------
+
+def memo_substitute(t, s, intern):
+    """Simultaneous substitution, each new application looked up in a proof
+    search's intern table first."""
+    if t._vars.isdisjoint(s):
+        return t
+    if t.__class__ is Var:
+        return s[t.index]
+    # frames of (application, its rebuilt arguments so far)
+    stack = [(t, [])]
+    while True:
+        u, built = stack[-1]
+        args = u.args
+        i = len(built)
+        while i < len(args):
+            a = args[i]
+            if a.__class__ is Var:
+                built.append(s.get(a.index, a))
+            elif a._vars.isdisjoint(s):
+                built.append(a)
+            else:
+                break
+            i += 1
+        if i < len(args):
+            stack.append((args[i], []))
+            continue
+        stack.pop()
+        key = (u.symbol, tuple(built))
+        new = intern.get(key)
+        if new is None:
+            new = intern[key] = App(*key)
+        if not stack:
+            return new
+        stack[-1][1].append(new)
+
+
+def memo_interned(t, intern):
+    """The one term equal to t in a proof search's intern table, adding t's
+    subterms that are not there yet."""
+    def node(u, args):
+        key = (u.symbol, tuple(args))
+        new = intern.get(key)
+        if new is None:
+            # u itself when its arguments are already the interned ones
+            new = intern[key] = u if all(map(is_, args, u.args)) else App(*key)
+        return new
+    return th._fold(t, lambda u: intern.setdefault(u, u) if u.__class__ is Var else None, node)
+
+
+def memo_rewrites(table, t, max_size, memo, intern=None):
+    """t's one-step rewrites under a rule_table, in successor order, as
+    (new term, growth in size, position, axiom, forward, binding) entries,
+    through the memo of one search and its intern table."""
+    any_head, by_head = table
+    if intern is None:
+        intern = {}
+    todo = [(t, False)]
+    while todo:
+        u, ready = todo.pop()
+        if not ready:
+            if u in memo:
+                continue
+            if u.__class__ is App:
+                todo.append((u, True))
+                todo.extend((a, False) for a in reversed(u.args))
+                continue
+        slack = max_size - u._size
+        entries = []
+        rules = any_head if u.__class__ is Var else by_head.get(u.symbol, any_head)
+        for i, forward, src, dst in rules:
+            binding = th.match(src, u)
+            if binding is None:
+                continue
+            instance = memo_substitute(dst, binding, intern)
+            growth = instance._size - u._size
+            if growth <= slack:
+                entries.append((instance, growth, (), i, forward, binding))
+        if u.__class__ is App:
+            symbol, args = u.symbol, u.args
+            for j, a in enumerate(args):
+                before, after = args[:j], args[j + 1:]
+                for new, growth, pos, i, forward, binding in memo[a]:
+                    if growth <= slack:
+                        key = (symbol, before + (new,) + after)
+                        lifted = intern.get(key)
+                        if lifted is None:
+                            lifted = intern[key] = App(*key)
+                        entries.append((lifted, growth, (j,) + pos, i, forward, binding))
+        memo[u] = entries
+    return memo.pop(t)
+
+
+def memo_step(entry, forward=True):
+    _, _, pos, axiom, fwd, binding = entry
+    return ProofStep(pos, axiom, tuple(sorted(binding.items())), fwd == forward)
+
+
+def memo_congruent(theory, lhs, rhs, budget):
+    if lhs == rhs:
+        return th.CongruenceResult("provable", (), 0)
+
+    intern = {}
+    lhs, rhs = memo_interned(lhs, intern), memo_interned(rhs, intern)
+    # parents[side][term] = (previous term, memo_rewrites entry applied to previous)
+    sides = ({lhs: None}, {rhs: None})
+    frontiers = (deque([lhs]), deque([rhs]))
+    expansions = 0
+    table = rule_table(theory)
+    memo = {}
+
+    def build(meeting):
+        fwd = []
+        cur = meeting
+        while sides[0][cur] is not None:
+            prev, entry = sides[0][cur]
+            fwd.append(memo_step(entry))
+            cur = prev
+        fwd.reverse()
+        back = []
+        cur = meeting
+        while sides[1][cur] is not None:
+            prev, entry = sides[1][cur]
+            back.append(memo_step(entry, False))
+            cur = prev
+        return tuple(fwd + back)
+
+    while expansions < budget.steps and (frontiers[0] or frontiers[1]):
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) and frontiers[0] else 1
+        if not frontiers[side]:
+            side = 1 - side
+        current = frontiers[side].popleft()
+        expansions += 1
+        for entry in memo_rewrites(table, current, budget.max_term_size, memo, intern):
+            new = entry[0]
+            if new in sides[side]:
+                continue
+            sides[side][new] = (current, entry)
             if new in sides[1 - side]:
                 return th.CongruenceResult("provable", build(new), expansions)
             frontiers[side].append(new)
@@ -249,10 +414,16 @@ def derived_theories():
     return out
 
 
+def search_store(theory):
+    """A fresh store for one search in theory, as congruent() makes it."""
+    return theory._rules[0].copy()
+
+
 def successors(theory, t, max_size):
     """congruent()'s successors of t in order, as (new term, step) pairs."""
-    entries = th._rewrites(th._rule_table(theory), t, max_size, {})
-    return [(entry[0], th._step(entry)) for entry in entries]
+    store = search_store(theory)
+    entries = th._rewrites(theory._rules, store, store.add(t), max_size, {})
+    return [(store.term(entry[0]), th._step(store, entry)) for entry in entries]
 
 
 def assert_same_search(theory, lhs, rhs, steps):
@@ -342,6 +513,7 @@ def test_memo_search_matches_flat_oracle(search_theories, data, max_size, steps)
     budget = Budget(steps=steps, max_term_size=max_size)
     fast = th.congruent(theory, lhs, rhs, budget)
     assert fast == flat_congruent(theory, lhs, rhs, budget)
+    assert fast == memo_congruent(theory, lhs, rhs, budget)
     if fast.provable:
         assert th.replay_certificate(theory, lhs, rhs, fast.certificate)
 
@@ -360,6 +532,17 @@ def test_deep_term_matches_flat_oracle(word_theories):
     budget = Budget(steps=3)
     lhs = App("m", (t, Var(1)))
     assert th.congruent(T, lhs, t, budget) == flat_congruent(T, lhs, t, budget)
+    # the store reads the term back with an explicit stack: 600 levels fit
+    # under a recursion limit of 100 more frames than the test already uses
+    store = search_store(T)
+    i = store.add(lhs)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        back = store.term(i)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert back == lhs and hash(back) == hash(lhs) and store.term(store.add(t)) is back.args[0]
 
 
 def test_memo_keeps_only_growth_that_fits(word_theories):
@@ -368,13 +551,15 @@ def test_memo_keeps_only_growth_that_fits(word_theories):
     T = word_theories["Mon"]
     max_size = 16
     t = left_nested([Var(0), App("e")] * 8)
-    memo = {}
-    th._rewrites(th._rule_table(T), t, max_size, memo)
-    assert t not in memo
-    big = [u for u in memo if th.term_size(u) > max_size]
+    store, memo = search_store(T), {}
+    start = store.add(t)
+    th._rewrites(T._rules, store, start, max_size, memo)
+    assert start not in memo
+    big = [u for u in memo if store.sizes[u] > max_size]
     assert big and any(memo[u] for u in big)
     for u in big:
-        assert all(growth <= max_size - th.term_size(u) < 0
+        assert store.sizes[u] == th.term_size(store.term(u))
+        assert all(growth <= max_size - store.sizes[u] < 0
                    for _, growth, *_ in memo[u])
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -298,43 +299,97 @@ def test_large_variable_index():
     assert th.unify(t, App("f", (x, x))) == {10**12: x}
 
 
-# -- the intern table of one proof search ---------------------------------------
+# -- the term store of one proof search ----------------------------------------
 
 def test_equal_successors_in_one_search_are_one_object():
-    """Every term a search builds goes through its intern table, so equal
-    successors of different frontier terms are the same object."""
-    intern, memo = {}, {}
-    table = th._rule_table(GROUP)
-    start = th._interned(mul(mul(x, inv(y)), mul(E, mul(y, z))), intern)
-    assert th._interned(mul(mul(x, inv(y)), mul(E, mul(y, z))), intern) is start
-    seen = {start: start}
+    """Every term a search builds goes through its store, so equal
+    successors of different frontier terms are one id, and no two ids
+    stand for equal terms."""
+    store, memo = GROUP._rules[0].copy(), {}
+    start = store.add(mul(mul(x, inv(y)), mul(E, mul(y, z))))
+    assert store.add(mul(mul(x, inv(y)), mul(E, mul(y, z)))) == start
+    seen = {start}
     frontier, duplicates = [start], 0
     for _ in range(3):
         found = []
         for t in frontier:
-            for new, *_ in th._rewrites(table, t, 16, memo, intern):
+            for new, *_ in th._rewrites(GROUP._rules, store, t, 16, memo):
                 if new in seen:
-                    assert seen[new] is new
                     duplicates += 1
                 else:
-                    seen[new] = new
+                    seen.add(new)
                     found.append(new)
         frontier = found
     assert duplicates > 1000
-    # the table holds one application per (symbol, args), built from its
-    # own entries, and one Var per index
-    for key, t in intern.items():
-        if t.__class__ is Var:
-            assert key is t
-        else:
-            assert (t.symbol, t.args) == key
-            assert all(intern[a if a.__class__ is Var else (a.symbol, a.args)] is a
-                       for a in t.args)
+    # the store holds one id per key, built from smaller ids, and reads
+    # back to pairwise distinct terms
+    assert len(store.ids) == len(store.keys) == len(store.sizes)
+    terms = [store.term(i) for i in range(len(store.keys))]
+    assert len(set(terms)) == len(terms)
+    for i, key in enumerate(store.keys):
+        assert store.ids[key] == i and all(a < i for a in key[1:])
+        assert store.sizes[i] == th.term_size(terms[i])
 
 
-def chain(depth, leaf):
+def random_term(rng, sig, size):
+    """A random term over sig with about `size` nodes, variables 0..3."""
+    arities = [(s, n) for s, n in sig.ops if n == 0 or size > 1]
+    if size <= 1 and rng.random() < 0.7:
+        return Var(rng.randrange(4))
+    symbol, n = rng.choice(arities)
+    return App(symbol, tuple(random_term(rng, sig, (size - 1) // max(n, 1))
+                             for _ in range(n)))
+
+
+CMONOID = th.quotient_theory(MONOID, [(mul(x, y), mul(y, x))])[0]
+
+
+@pytest.mark.parametrize("theory", [MONOID, CMONOID, GROUP], ids=lambda T: T.name)
+def test_term_store_round_trip(theory):
+    rng = random.Random(5)
+    seed = theory._rules[0]
+    seeded = len(seed.keys)
+    store = seed.copy()
+    for _ in range(200):
+        t = random_term(rng, theory.signature, rng.randrange(1, 16))
+        i = store.add(t)
+        back = store.term(i)
+        assert back == t and hash(back) == hash(t) and repr(back) == repr(t)
+        assert store.add(back) == i and store.sizes[i] == th.term_size(t)
+    # searches copy the theory's seed store and never grow it
+    assert len(seed.keys) == seeded and len(store.keys) > seeded
+
+
+def test_certificate_binding_holds_a_deep_term():
+    T = TheoryPresentation("fgh", Signature((("f", 1), ("h", 1), ("g", 1), ("a", 0))),
+                           ((App("f", (x,)), App("h", (x,))),))
+    deep = chain(600, App("a"), "g")
+    lhs, rhs = App("f", (deep,)), App("h", (deep,))
+    res = th.congruent(T, lhs, rhs, Budget(steps=2, max_term_size=602))
+    assert res.certificate == (th.ProofStep((), 0, ((0, deep),), True),)
+    assert th.replay_certificate(T, lhs, rhs, res.certificate)
+
+
+def test_replay_rejects_an_axiom_that_does_not_exist():
+    lhs = mul(E, x)
+    good = th.ProofStep((), 1, ((0, x),), True)
+    assert th.replay_certificate(MONOID, lhs, x, (good,))
+    for axiom in (-2, 99):
+        step = th.ProofStep((), axiom, ((0, x),), True)
+        assert not th.replay_certificate(MONOID, lhs, x, (step,))
+
+
+def test_replay_rejects_a_position_that_does_not_exist():
+    lhs, rhs = inv(mul(E, x)), inv(x)
+    assert th.replay_certificate(MONOID, lhs, rhs, (th.ProofStep((0,), 1, ((0, x),), True),))
+    for position in ((1,), (0, 0, 0), (-1,)):
+        step = th.ProofStep(position, 1, ((0, x),), True)
+        assert not th.replay_certificate(MONOID, lhs, rhs, (step,))
+
+
+def chain(depth, leaf, symbol="f"):
     for _ in range(depth):
-        leaf = App("f", (leaf,))
+        leaf = App(symbol, (leaf,))
     return leaf
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import (
     CarrierTooLarge,
@@ -17,7 +18,7 @@ from .errors import (
     UnboundVariable,
 )
 from .finset import FinSetObj, _UnionFind, search_tables, tuple_label
-from .theories import Signature, Term, Var, _fold, term_vars
+from .theories import Signature, Term, Var, term_vars
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,17 @@ def make_algebra(name: str, signature: Signature, carrier, ops: dict) -> FiniteA
     return FiniteAlgebra(name, signature, carrier, tabulate(signature, carrier.elements, value))
 
 
+@lru_cache(maxsize=16)
+def _columns(elements: tuple[str, ...], n: int) -> tuple[tuple[str, ...], ...]:
+    # keyed by the carrier's labels alone, so it holds no operation table;
+    # a few entries cover the carriers one computation moves between
+    return tuple(zip(*itertools.product(elements, repeat=n))) or ((),) * n
+
+
 def projections(A: FiniteAlgebra, n: int) -> list[tuple[str, ...]]:
     """The n projection columns over all |A|^n assignments, in
     carrier-lexicographic order; n empty columns when the carrier is empty."""
-    return list(zip(*itertools.product(A.carrier.elements, repeat=n))) or [()] * n
+    return list(_columns(A.carrier.elements, n))
 
 
 def pointwise(A: FiniteAlgebra, sym: str, columns, size: int) -> tuple[str, ...]:
@@ -106,21 +114,37 @@ def term_function(A: FiniteAlgebra, t: Term, n: int) -> tuple[str, ...]:
     Raises at the first node in preorder that is a variable of index n or
     more, a symbol A lacks, or a symbol at the wrong arity.
     """
-    cols = projections(A, n)
+    cols = _columns(A.carrier.elements, n)
     size = len(A.carrier) ** n
-
-    def leaf(u):
-        if u.__class__ is Var:
+    tables, arities = A.tables, dict(A.signature.ops)
+    values: list[tuple[str, ...]] = []
+    # terms to visit in preorder, and (table, arity) entries that apply a
+    # symbol to the columns its arguments left on top of `values`
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        if u.__class__ is tuple:
+            table, k = u
+            k = len(values) - k
+            out = tuple(map(table.__getitem__, zip(*values[k:])))
+            del values[k:]
+            values.append(out)
+        elif u.__class__ is Var:
             if u.index >= n:
                 raise UnboundVariable(f"variable {u.index} not assigned")
-            return cols[u.index]
-        if u.symbol not in A.tables:
-            raise SignatureMismatch(f"symbol {u.symbol} not in algebra {A.name}")
-        if len(u.args) != A.signature.arity(u.symbol):
-            raise SignatureMismatch(f"symbol {u.symbol} applied at wrong arity")
-        return None
-
-    return _fold(t, leaf, lambda u, args: pointwise(A, u.symbol, args, size))
+            values.append(cols[u.index])
+        else:
+            sym, args = u.symbol, u.args
+            if sym not in tables:
+                raise SignatureMismatch(f"symbol {sym} not in algebra {A.name}")
+            if len(args) != arities[sym]:
+                raise SignatureMismatch(f"symbol {sym} applied at wrong arity")
+            if args:
+                todo.append((tables[sym], len(args)))
+                todo.extend(reversed(args))
+            else:
+                values.append((tables[sym][()],) * size)
+    return values[0]
 
 
 @dataclass(frozen=True)
@@ -159,11 +183,11 @@ class AlgHom:
         for v in self.table:
             if v not in cod_elems:
                 raise InvariantError(f"homomorphism value {v} outside codomain")
+        image = dict(zip(self.dom.carrier.elements, self.table)).__getitem__
         for sym, arity in self.dom.signature.ops:
+            table, cod_table = self.dom.tables[sym], self.cod.tables[sym]
             for args in itertools.product(self.dom.carrier.elements, repeat=arity):
-                if self(self.dom.op(sym, args)) != self.cod.op(
-                    sym, tuple(self(a) for a in args)
-                ):
+                if image(table[args]) != cod_table[tuple(map(image, args))]:
                     raise InvariantError(f"not a homomorphism at {sym}{args}")
 
     def __call__(self, x: str) -> str:
@@ -312,10 +336,11 @@ def subalgebras(A: FiniteAlgebra) -> list[tuple[FiniteAlgebra, AlgHom]]:
 Partition = tuple[tuple[str, ...], ...]
 
 
-def _partition_of(A: FiniteAlgebra, uf: _UnionFind) -> Partition:
+def _partition_of(A: FiniteAlgebra, find) -> Partition:
+    """The classes of find (element -> class root) in carrier order."""
     classes: dict[str, list[str]] = {}
     for x in A.carrier.elements:
-        classes.setdefault(uf.find(x), []).append(x)
+        classes.setdefault(find(x), []).append(x)
     # keyed in order of each class's earliest member
     return tuple(tuple(c) for c in classes.values())
 
@@ -326,28 +351,39 @@ def _pairs(partition: Partition) -> list[tuple[str, str]]:
 
 
 def congruence_closure(A: FiniteAlgebra, pairs) -> Partition:
-    """Least operation-compatible partition identifying the given pairs."""
-    uf = _UnionFind(A.carrier.elements)
-    for a, b in pairs:
-        uf.union(a, b)
-    changed = True
-    while changed:
-        changed = False
-        for sym, arity in A.signature.ops:
-            if arity == 0:
-                continue
-            elems = A.carrier.elements
-            for args in itertools.product(elems, repeat=arity):
+    """Least operation-compatible partition identifying the given pairs.
+
+    Pair propagation (Freese, "Computing congruences efficiently", 2008):
+    each union of a and b pushes (f(..a..), f(..b..)) for every symbol of
+    positive arity, every position and every value of the other positions.
+    The partition is generated by the merged pairs, so it is compatible once
+    every merged pair's images are in it.
+    """
+    elems = A.carrier.elements
+    root = {x: x for x in elems}  # element -> its class's root
+    members = {x: [x] for x in elems}  # root -> its class
+    todo = list(pairs)
+    for pair in todo:
+        for x in pair:
+            if x not in root:
+                raise InvariantError(f"pair element {x} not in carrier")
+    ops = [(A.tables[sym], arity) for sym, arity in A.signature.ops if arity]
+    while todo:
+        a, b = todo.pop()
+        ra, rb = root[a], root[b]
+        if ra == rb:
+            continue
+        if len(members[ra]) < len(members[rb]):
+            ra, rb = rb, ra
+        for x in members[rb]:
+            root[x] = ra
+        members[ra] += members.pop(rb)
+        for table, arity in ops:
+            for rest in itertools.product(elems, repeat=arity - 1):
                 for i in range(arity):
-                    for alt in elems:
-                        if alt == args[i] or uf.find(alt) != uf.find(args[i]):
-                            continue
-                        other = args[:i] + (alt,) + args[i + 1 :]
-                        a, b = A.op(sym, args), A.op(sym, other)
-                        if uf.find(a) != uf.find(b):
-                            uf.union(a, b)
-                            changed = True
-    return _partition_of(A, uf)
+                    pre, post = rest[:i], rest[i:]
+                    todo.append((table[pre + (a,) + post], table[pre + (b,) + post]))
+    return _partition_of(A, root.__getitem__)
 
 
 def is_congruence(A: FiniteAlgebra, partition: Partition) -> bool:
@@ -364,7 +400,9 @@ def congruences(A: FiniteAlgebra, bound: int = 8) -> list[Partition]:
     """All congruences, via principal congruences closed under joins.
 
     Complete because every congruence is the join of the principal
-    congruences its pairs generate. Ordered coarsest-last by class count.
+    congruences its pairs generate. Con(A) is a sublattice of the partition
+    lattice, so a join is the union-find merge of both partitions' pairs,
+    with no closure. Ordered coarsest-last by class count.
     """
     if len(A.carrier) > bound:
         raise CarrierTooLarge(f"carrier {len(A.carrier)} exceeds bound {bound}")
@@ -381,7 +419,10 @@ def congruences(A: FiniteAlgebra, bound: int = 8) -> list[Partition]:
     while frontier:
         p = frontier.pop()
         for q in principals:
-            j = congruence_closure(A, _pairs(p) + _pairs(q))
+            uf = _UnionFind(elems)
+            for a, b in _pairs(p) + _pairs(q):
+                uf.union(a, b)
+            j = _partition_of(A, uf.find)
             if j not in found:
                 found.add(j)
                 frontier.append(j)

@@ -1,29 +1,37 @@
-"""The per-assignment term evaluator, the loop-based congruence check, the
+"""The per-assignment and fold-based term evaluators, the fixed-point and
+loop-based congruence checks, the re-closing congruence lattice, the
 product-table loop and the brute hom and isomorphism enumerations that
 veq.algebras replaced, kept as an oracle.
 
-veq.algebras now evaluates a term column-wise (one bottom-up fold over the
-projection columns), builds every table with `tabulate`, and checks a
-congruence by asking whether the closure of its own pairs leaves it
-unchanged. These are the earlier versions, unchanged apart from their names:
-the evaluator recurses once per assignment, and the congruence check tries
-every argument position against every element of the same class. The hom
-and isomorphism enumerations try every table of itertools.product (or
-permutations) and keep those the AlgHom constructor accepts; veq now finds
-them with finset.search_tables under algebras.hom_checks. The free algebra's
-closure rescanned every argument tuple of the growing carrier each round and
-evaluated the tables again afterwards; veq.birkhoff now evaluates each tuple
-once, in a semi-naive closure.
+veq.algebras now evaluates a term column-wise in one explicit-stack loop over
+projection columns taken from a cache keyed by the carrier's labels and n,
+builds every table with `tabulate`, closes a set of pairs to a congruence by
+pair propagation (each union of a and b pushes the images of a and b under
+every one-position translation), joins congruences by a union-find merge of
+their pairs alone, and checks a congruence by asking whether the closure of
+its own pairs leaves it unchanged. These are the earlier versions, unchanged
+apart from their names: the first evaluator recurses once per assignment and
+the second folds the columns through `theories._fold` with callbacks; the
+closure rescans every argument tuple against every element of the same class
+until nothing changes, and the lattice closes every join again; the
+congruence check tries every argument position against every element of the
+same class. The hom and isomorphism enumerations try every table of
+itertools.product (or permutations) and keep those the AlgHom constructor
+accepts; veq now finds them with finset.search_tables under
+algebras.hom_checks. The free algebra's closure rescanned every argument
+tuple of the growing carrier each round and evaluated the tables again
+afterwards; veq.birkhoff now evaluates each tuple once, in a semi-naive
+closure.
 """
 
 import itertools
 
 from veq import algebras as alg
-from veq.algebras import AlgHom, FiniteAlgebra, Partition
+from veq.algebras import AlgHom, FiniteAlgebra, Partition, _pairs, _partition_of
 from veq.birkhoff import _MAX_ASSIGNMENTS, FreeAlgebraResult
 from veq.errors import BoundsTooLarge, CarrierTooLarge, InvariantError, SignatureMismatch, UnboundVariable
-from veq.finset import FinSetObj, tuple_label
-from veq.theories import App, Term, Var
+from veq.finset import FinSetObj, _UnionFind, tuple_label
+from veq.theories import App, Term, Var, _fold
 
 
 def oracle_eval_term(A: FiniteAlgebra, t: Term, env: dict[int, str]) -> str:
@@ -47,6 +55,75 @@ def oracle_assignments(A: FiniteAlgebra, n: int):
 def oracle_term_function(A: FiniteAlgebra, t: Term, n: int) -> tuple[str, ...]:
     """The induced n-ary function as its output tuple over all assignments."""
     return tuple(oracle_eval_term(A, t, env) for env in oracle_assignments(A, n))
+
+
+def oracle_fold_term_function(A: FiniteAlgebra, t: Term, n: int) -> tuple[str, ...]:
+    """The same output tuple, by one bottom-up fold over the projection columns."""
+    cols = alg.projections(A, n)
+    size = len(A.carrier) ** n
+
+    def leaf(u):
+        if u.__class__ is Var:
+            if u.index >= n:
+                raise UnboundVariable(f"variable {u.index} not assigned")
+            return cols[u.index]
+        if u.symbol not in A.tables:
+            raise SignatureMismatch(f"symbol {u.symbol} not in algebra {A.name}")
+        if len(u.args) != A.signature.arity(u.symbol):
+            raise SignatureMismatch(f"symbol {u.symbol} applied at wrong arity")
+        return None
+
+    return _fold(t, leaf, lambda u, args: alg.pointwise(A, u.symbol, args, size))
+
+
+def oracle_congruence_closure(A: FiniteAlgebra, pairs) -> Partition:
+    """Least operation-compatible partition identifying the given pairs."""
+    uf = _UnionFind(A.carrier.elements)
+    for a, b in pairs:
+        uf.union(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for sym, arity in A.signature.ops:
+            if arity == 0:
+                continue
+            elems = A.carrier.elements
+            for args in itertools.product(elems, repeat=arity):
+                for i in range(arity):
+                    for alt in elems:
+                        if alt == args[i] or uf.find(alt) != uf.find(args[i]):
+                            continue
+                        other = args[:i] + (alt,) + args[i + 1 :]
+                        a, b = A.op(sym, args), A.op(sym, other)
+                        if uf.find(a) != uf.find(b):
+                            uf.union(a, b)
+                            changed = True
+    return _partition_of(A, uf.find)
+
+
+def oracle_congruences(A: FiniteAlgebra, bound: int = 8) -> list[Partition]:
+    """All congruences, via principal congruences closed under joins, each
+    join closed again. Ordered coarsest-last by class count."""
+    if len(A.carrier) > bound:
+        raise CarrierTooLarge(f"carrier {len(A.carrier)} exceeds bound {bound}")
+    elems = A.carrier.elements
+    bottom = tuple((x,) for x in elems)
+    found: set[Partition] = {bottom}
+    frontier: list[Partition] = []
+    for a, b in itertools.combinations(elems, 2):
+        p = oracle_congruence_closure(A, [(a, b)])
+        if p not in found:
+            found.add(p)
+            frontier.append(p)
+    principals = list(frontier)
+    while frontier:
+        p = frontier.pop()
+        for q in principals:
+            j = oracle_congruence_closure(A, _pairs(p) + _pairs(q))
+            if j not in found:
+                found.add(j)
+                frontier.append(j)
+    return sorted(found, key=lambda p: (-len(p), p))
 
 
 def oracle_is_congruence(A: FiniteAlgebra, partition: Partition) -> bool:

@@ -1,5 +1,7 @@
-"""Column-wise term functions, the shared table builder and the closure-based
-congruence check, held to the per-assignment oracle in algebra_oracle."""
+"""Column-wise term functions, the shared table builder, congruence closure by
+pair propagation, the congruence lattice's union-find joins and the
+closure-based congruence check, held to the per-assignment, fold-based and
+fixed-point oracles in algebra_oracle."""
 
 import itertools
 import os
@@ -11,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebra_oracle import (
+    oracle_congruence_closure,
+    oracle_congruences,
+    oracle_fold_term_function,
     oracle_is_congruence,
     oracle_product_tables,
     oracle_term_function,
@@ -18,11 +23,15 @@ from algebra_oracle import (
 from veq import dsl
 from veq import groups as grp
 from veq.algebras import (
+    AlgHom,
     FiniteAlgebra,
     Identity,
+    congruence_closure,
+    congruences,
     is_congruence,
     make_algebra,
     product_algebra,
+    projections,
     quotient_algebra,
     satisfies,
     term_function,
@@ -38,13 +47,13 @@ SIG = Signature((("c", 0), ("u", 1), ("b", 2), ("t", 3)))
 MEET = Signature((("meet", 2),))
 
 
-def random_algebra(rng: random.Random, size: int) -> FiniteAlgebra:
+def random_algebra(rng: random.Random, size: int, sig: Signature = SIG) -> FiniteAlgebra:
     elems = [str(i) for i in range(size)]
     ops = {
         sym: {args: rng.choice(elems) for args in itertools.product(elems, repeat=arity)}
-        for sym, arity in SIG.ops
+        for sym, arity in sig.ops
     }
-    return make_algebra(f"r{size}", SIG, elems, ops)
+    return make_algebra(f"r{size}", sig, elems, ops)
 
 
 def chain3() -> FiniteAlgebra:
@@ -90,6 +99,29 @@ def test_term_function_matches_oracle_on_random_algebras():
                 assert term_function(A, t, n) == oracle_term_function(A, t, n), (A, t)
 
 
+def test_term_function_matches_fold_oracle_on_random_algebras():
+    rng = random.Random(8)
+    terms = {n: enumerate_terms(SIG, n, 2) for n in range(3)}
+    terms[3] = enumerate_terms(SIG, 3, 1)
+    for _ in range(12):
+        A = random_algebra(rng, rng.randint(1, 4))
+        for n, ts in terms.items():
+            for t in ts:
+                assert term_function(A, t, n) == oracle_fold_term_function(A, t, n), (A, t)
+
+
+def test_projections_are_fresh_lists():
+    A = chain3()
+    first = projections(A, 2)
+    assert first == [("0", "0", "0", "1", "1", "1", "2", "2", "2"),
+                     ("0", "1", "2", "0", "1", "2", "0", "1", "2")]
+    first.append(None)
+    assert projections(A, 2) is not first and len(projections(A, 2)) == 2
+    empty = make_algebra("empty", MEET, [], {"meet": min})
+    assert projections(empty, 2) == [(), ()]
+    assert term_function(empty, App("meet", (Var(0), Var(1))), 2) == ()
+
+
 @pytest.mark.parametrize(
     "t",
     [
@@ -106,8 +138,9 @@ def test_term_function_errors_match_oracle(t):
     A = random_algebra(random.Random(1), 2)
     with pytest.raises((UnboundVariable, SignatureMismatch)) as want:
         oracle_term_function(A, t, 2)
-    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-        term_function(A, t, 2)
+    for evaluate in (oracle_fold_term_function, term_function):
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            evaluate(A, t, 2)
 
 
 def test_satisfies_reports_the_evaluator_mismatch():
@@ -181,6 +214,69 @@ def test_is_congruence_rejects_non_partitions(partition):
     A = chain3()
     assert is_congruence(A, (("0", "1"), ("2",)))
     assert not is_congruence(A, partition)
+
+
+def pair_lists(rng: random.Random, elems):
+    """Pair lists for a closure: empty, a diagonal pair, a repeated pair, and
+    random pairs."""
+    a, b = rng.choice(elems), rng.choice(elems)
+    yield []
+    yield [(a, a)]
+    yield [(a, b), (a, b)]
+    yield [(b, a), (a, a), (a, b)]
+    for _ in range(3):
+        yield [(rng.choice(elems), rng.choice(elems)) for _ in range(rng.randint(1, 3))]
+
+
+def test_congruence_closure_and_lattice_match_oracle_on_random_algebras():
+    rng = random.Random(15)
+    # every subset of the arities 0-3, over carriers of 1 to 5 elements
+    sigs = [Signature(ops) for r in range(1, 5) for ops in itertools.combinations(SIG.ops, r)]
+    for sig in sigs:
+        for size in range(1, 6):
+            for _ in range(2):
+                A = random_algebra(rng, size, sig)
+                for pairs in pair_lists(rng, A.carrier.elements):
+                    assert congruence_closure(A, pairs) == oracle_congruence_closure(A, pairs), (
+                        A, pairs)
+                assert congruences(A) == oracle_congruences(A), A
+
+
+def test_congruence_closure_matches_oracle_on_corpus_groups():
+    for G in grp.corpus().values():
+        A = grp.group_to_algebra(G)
+        seeds = [[x] for x in G.elements] + [list(G.elements[1:3]), []]
+        for gens in seeds:
+            pairs = [(g, G.identity) for g in gens]
+            want = oracle_congruence_closure(A, pairs)
+            assert congruence_closure(A, pairs) == want, (G.name, gens)
+            assert grp.normal_closure(G, gens) == next(c for c in want if G.identity in c)
+        if len(G.elements) <= 8:
+            assert congruences(A) == oracle_congruences(A), G.name
+
+
+def test_congruence_closure_rejects_labels_outside_the_carrier():
+    with pytest.raises(InvariantError, match="^pair element zz not in carrier$"):
+        congruence_closure(chain3(), [("zz", "0")])
+    with pytest.raises(InvariantError, match="^pair element 9 not in carrier$"):
+        congruence_closure(chain3(), [("0", "1"), ("2", "9")])
+    G = grp.corpus()["S3"]
+    with pytest.raises(InvariantError, match="^pair element nope not in carrier$"):
+        grp.quotient_by_pairs(G, [("e", "nope")])
+
+
+def test_alg_hom_reports_the_first_failure_in_product_order():
+    # tables listed in reverse product order; the check still walks
+    # itertools.product order, so the first failing entry is unchanged
+    A = chain3()
+    rev = FiniteAlgebra("rev", MEET, A.carrier,
+                        {"meet": dict(reversed(list(A.tables["meet"].items())))})
+    assert list(rev.tables["meet"])[0] == ("2", "2")
+    with pytest.raises(InvariantError, match=r"^not a homomorphism at meet\('0', '1'\)$"):
+        AlgHom(rev, A, ("1", "0", "2"))
+    with pytest.raises(InvariantError, match=r"^not a homomorphism at meet\('1', '2'\)$"):
+        AlgHom(rev, A, ("0", "2", "1"))
+    assert AlgHom(rev, A, ("0", "0", "1")).table == ("0", "0", "1")
 
 
 def test_quotient_rejects_overlapping_classes():

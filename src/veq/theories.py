@@ -34,8 +34,15 @@ followed by each argument's list in argument order, lifted one level, which
 is preorder again: the successor order, and with it every certificate and
 expansion count, is that of rewriting whole terms. A lifted successor costs
 one key tuple and one dictionary lookup; its position is a link to the
-argument's entry and is read only when a ProofStep is built. The store and
-the memo live and die with the search.
+argument's entry and is read only when a ProofStep is built. A list leaves
+out the term itself and every later occurrence of a term already in it:
+the search would skip those successors, and they lift to self-loops and
+repeats at every ancestor. So the search visits the successors of
+rewriting whole terms, in their order. A subterm is tried only against the
+rules filed under its shape, its head and its arguments' heads, which the
+rule table files on first use (term indexing to depth two, as in Sekar,
+Ramakrishnan and Voronkov, "Term Indexing", Handbook of Automated
+Reasoning, 2001). The store and the memo live and die with the search.
 """
 
 from __future__ import annotations
@@ -218,13 +225,6 @@ def term_size(t: Term) -> int:
     return t._size
 
 
-def term_depth(t: Term) -> int:
-    """Height: variables 0, applications 1 + max over arguments."""
-    return _fold(
-        t, lambda u: 0 if isinstance(u, Var) else None,
-        lambda u, depths: 1 + max(depths, default=0))
-
-
 def print_term(t: Term, names: list[str] | None = None) -> str:
     out = []
     # pending terms and punctuation, next to print on top
@@ -283,18 +283,6 @@ def substitute(t: Term, s: Substitution) -> Term:
         if not stack:
             return new
         stack[-1][1].append(new)
-
-
-def compose_subst(first: Substitution, then: Substitution) -> Substitution:
-    """Substitution doing `first`, then `then`."""
-    out = {v: substitute(t, then) for v, t in first.items()}
-    for v, t in then.items():
-        out.setdefault(v, t)
-    return out
-
-
-def is_idempotent(s: Substitution) -> bool:
-    return all(substitute(t, s) == t for t in s.values())
 
 
 # -- unification -------------------------------------------------------------
@@ -510,7 +498,8 @@ def _program(t: Term, slots: dict[int, int], store: _TermStore) -> list:
 
 def _rule_table(theory: TheoryPresentation):
     """The (axiom, direction) rules proof search may apply, compiled once per
-    theory, as (seed store, rules for a variable subterm, rules by head).
+    theory, as (seed store, rules for a variable subterm, rules by head,
+    rules by shape).
 
     The seed store holds the axioms' ground subterms, and every search
     starts from a copy of it. A rule is (source pattern, instance program,
@@ -521,6 +510,11 @@ def _rule_table(theory: TheoryPresentation):
     instantiation guessing. The bidirectional search in congruent() recovers
     it from the opposite endpoint, where the same axiom application is
     variable-dropping.
+
+    Rules by shape starts empty and is filled by _filed as searches meet
+    new shapes: the shape of an application is (head, each argument's head),
+    with None for a variable argument, and its list keeps the rules by head
+    that could match such a node, in the same order.
     """
     seed = _TermStore()
     rules = []
@@ -536,7 +530,29 @@ def _rule_table(theory: TheoryPresentation):
     any_head = [r for h, r in rules if h is None]
     by_head = {h: [r for g, r in rules if g is None or g == h]
                for h, _ in rules if h is not None}
-    return seed, any_head, by_head
+    return seed, any_head, by_head, {}
+
+
+def _filed(rules, shape: tuple) -> list:
+    """The rules that could match an application of this shape, in
+    successor order, filed under the shape in the rule table on first use.
+
+    A rule with an application source fits when each of its argument
+    patterns is a variable, or has the head the shape gives for that
+    argument (an application pattern's symbol, a ground id's head). Rules
+    with a variable or a ground source always fit."""
+    seed, any_head, by_head, by_shape = rules
+    keys = seed.keys
+    fits = []
+    for rule in by_head.get(shape[0], any_head):
+        pattern = rule[0]
+        if pattern.__class__ is tuple and any(
+                p[0] != h if p.__class__ is tuple else p >= 0 and keys[p][0] != h
+                for p, h in zip(pattern[1:], shape[1:])):
+            continue
+        fits.append(rule)
+    by_shape[shape] = fits
+    return fits
 
 
 def _match(pattern: tuple, key: tuple, keys: list, binding: list) -> bool:
@@ -564,7 +580,8 @@ def _match(pattern: tuple, key: tuple, keys: list, binding: list) -> bool:
 
 
 def _rewrites(rules, store: _TermStore, t: int, max_size: int, memo: dict) -> list:
-    """The one-step rewrites of id t under a _rule_table, in successor order.
+    """The one-step rewrites of id t under a _rule_table, in successor order,
+    without self-loops or repeats.
 
     A root rewrite is the entry (new id, growth in size, rule info,
     binding); a rewrite inside argument j is (new id, growth, j, the
@@ -572,28 +589,53 @@ def _rewrites(rules, store: _TermStore, t: int, max_size: int, memo: dict) -> li
     own entries, so a subterm shared by many frontier terms is rewritten
     once; it is filled in post-order. A subterm u keeps only entries whose
     growth fits in max_size - size(u): no term containing u can use the
-    others. t's own list is taken out of memo, since each frontier term is
-    expanded once.
+    others. An entry whose new id is u itself or that of an earlier entry
+    is dropped: congruent() would skip it, and it lifts to such an entry at
+    every ancestor. An application is tried only against the rules filed
+    under its shape (see _filed). t's own list is taken out of memo, since
+    each frontier term is expanded once.
     """
-    _, any_head, by_head = rules
+    _, any_head, _, by_shape = rules
     ids, keys, sizes = store.ids, store.keys, store.sizes
     id_of = store.id_of
-    todo = [(t, False)]
+    # an id to visit, or ~id once its arguments have their entries
+    todo = [t]
     while todo:
-        u, ready = todo.pop()
-        key = keys[u]
-        if not ready:
+        u = todo.pop()
+        if u >= 0:
             if u in memo:
                 continue
-            if len(key) > 1:
-                todo.append((u, True))
-                todo += [(a, False) for a in key[:0:-1]]
+            key = keys[u]
+            if len(key) == 3:
+                todo += (~u, key[2], key[1])
                 continue
+            if len(key) > 1:
+                todo.append(~u)
+                todo += key[:0:-1]
+                continue
+        else:
+            u = ~u
+            key = keys[u]
+        head = key[0]
+        arity = len(key) - 1
+        if head.__class__ is int:  # a variable
+            filed = any_head
+        else:
+            if arity == 2:
+                a, b = keys[key[1]][0], keys[key[2]][0]
+                shape = (head, a if a.__class__ is str else None,
+                         b if b.__class__ is str else None)
+            else:
+                shape = (head, *[h if h.__class__ is str else None
+                                 for h in (keys[a][0] for a in key[1:])])
+            filed = by_shape.get(shape)
+            if filed is None:
+                filed = _filed(rules, shape)
         size = sizes[u]
         slack = max_size - size
         entries = []
-        # a variable's key starts with an int, which is no head symbol
-        for pattern, program, info in by_head.get(key[0], any_head):
+        found = [u]  # u and the ids of its root entries
+        for pattern, program, info in filed:
             if pattern.__class__ is tuple:
                 binding = [None] * len(info[2])
                 if not _match(pattern, key, keys, binding):
@@ -619,20 +661,52 @@ def _rewrites(rules, store: _TermStore, t: int, max_size: int, memo: dict) -> li
                     values.append(new)
             instance = values[0]
             growth = sizes[instance] - size
-            if growth <= slack:
+            if growth <= slack and instance not in found:
+                found.append(instance)
                 entries.append((instance, growth, info, binding))
-        for j in range(1, len(key)):
-            before, after, position = key[:j], key[j + 1:], j - 1
-            for entry in memo[key[j]]:
+        # a lifted entry is new unless it repeats a root entry: the
+        # arguments' lists hold no self-loops or repeats
+        if arity == 2:
+            _, a, b = key
+            for entry in memo[a]:
                 growth = entry[1]
                 if growth <= slack:
-                    lifted_key = before + (entry[0],) + after
+                    lifted_key = (head, entry[0], b)
                     lifted = ids.get(lifted_key)
                     if lifted is None:  # store.id_of, inlined
                         lifted = ids[lifted_key] = len(keys)
                         keys.append(lifted_key)
                         sizes.append(size + growth)
-                    entries.append((lifted, growth, position, entry))
+                    elif lifted in found:
+                        continue
+                    entries.append((lifted, growth, 0, entry))
+            for entry in memo[b]:
+                growth = entry[1]
+                if growth <= slack:
+                    lifted_key = (head, a, entry[0])
+                    lifted = ids.get(lifted_key)
+                    if lifted is None:
+                        lifted = ids[lifted_key] = len(keys)
+                        keys.append(lifted_key)
+                        sizes.append(size + growth)
+                    elif lifted in found:
+                        continue
+                    entries.append((lifted, growth, 1, entry))
+        else:
+            for j in range(1, arity + 1):
+                before, after, position = key[:j], key[j + 1:], j - 1
+                for entry in memo[key[j]]:
+                    growth = entry[1]
+                    if growth <= slack:
+                        lifted_key = before + (entry[0],) + after
+                        lifted = ids.get(lifted_key)
+                        if lifted is None:
+                            lifted = ids[lifted_key] = len(keys)
+                            keys.append(lifted_key)
+                            sizes.append(size + growth)
+                        elif lifted in found:
+                            continue
+                        entries.append((lifted, growth, position, entry))
         memo[u] = entries
     return memo.pop(t)
 
@@ -691,16 +765,17 @@ def congruent(
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) and frontiers[0] else 1
         if not frontiers[side]:
             side = 1 - side
-        current = frontiers[side].popleft()
+        seen, other, frontier = sides[side], sides[1 - side], frontiers[side]
+        current = frontier.popleft()
         expansions += 1
         for entry in _rewrites(rules, store, current, budget.max_term_size, memo):
             new = entry[0]
-            if new in sides[side]:
+            if new in seen:
                 continue
-            sides[side][new] = (current, entry)
-            if new in sides[1 - side]:
+            seen[new] = (current, entry)
+            if new in other:
                 return CongruenceResult("provable", build(new), expansions)
-            frontiers[side].append(new)
+            frontier.append(new)
     return CongruenceResult("unknown", None, expansions)
 
 

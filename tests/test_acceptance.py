@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from cli_manifest import GOLDEN_COMMANDS
+from term_helpers import compose_subst, is_idempotent
 from veq import birkhoff, cats, cli, dsl
 from veq import finset as fs
 from veq import groups as grp
@@ -60,9 +61,7 @@ from veq.theories import (
     Budget,
     Signature,
     Var,
-    compose_subst,
     congruent,
-    is_idempotent,
     print_term,
     quotient_theory,
     replay_certificate,

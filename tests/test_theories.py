@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from term_helpers import is_idempotent, term_depth
 from veq import theories as th
 from veq.errors import BudgetInvalid, NotParallel, SignatureMismatch, SourceMismatch
 from veq.theories import App, Budget, Signature, TheoryPresentation, Var
@@ -57,7 +58,7 @@ def test_unify_pins_the_classic_example():
     theta = th.unify(t1, t2)
     assert theta == {0: App("a"), 1: App("b")}
     assert th.substitute(t1, theta) == th.substitute(t2, theta)
-    assert th.is_idempotent(theta)
+    assert is_idempotent(theta)
 
 
 def test_unify_trivial_and_occurs():
@@ -74,7 +75,7 @@ def enumerate_terms(sig: Signature, n_vars: int, depth: int):
         for name, ar in sig.ops:
             for args in itertools.product(out, repeat=ar):
                 t = App(name, args)
-                if t not in out and t not in new and th.term_depth(t) <= depth:
+                if t not in out and t not in new and term_depth(t) <= depth:
                     new.append(t)
         out.extend(n for n in new if n not in out)
     return out
@@ -91,7 +92,7 @@ def test_unify_soundness_and_idempotence_on_corpus():
         if theta is None:
             continue
         assert th.substitute(t1, theta) == th.substitute(t2, theta)
-        assert th.is_idempotent(theta)
+        assert is_idempotent(theta)
         assert set(theta) <= th.term_vars(t1) | th.term_vars(t2)
 
 
@@ -279,7 +280,7 @@ def test_deep_terms_walk_without_recursion():
     for _ in range(depth):
         deep, twin = App("f", (deep,)), App("f", (twin,))
     assert deep == twin and hash(deep) == hash(twin)
-    assert th.term_size(deep) == depth + 1 and th.term_depth(deep) == depth
+    assert th.term_size(deep) == depth + 1 and term_depth(deep) == depth
     assert th.term_vars(deep) == {0}
     assert th.print_term(deep) == "f(" * depth + "x0" + ")" * depth
     assert th.substitute(deep, {0: y}) == th.substitute(twin, {0: y}) != deep

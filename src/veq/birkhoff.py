@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from . import algebras as alg
 from . import groups as grp
+from ._models import countermodel
 from .algebras import FiniteAlgebra, Identity
 from .equations import CoEquationSystem, Equation, EquationSystem, general_cosolution, general_solution
 from .errors import BoundsTooLarge, SignatureMismatch
@@ -37,6 +38,13 @@ _GRP_CAT = FinGrpCat()
 
 # most assignments (|A|^n) a term function is evaluated or tabulated over
 _MAX_ASSIGNMENTS = 4096
+
+# identities_of's proof search finds nearly every proof it finds at all
+# within this many expansions (histogram in CHANGES.md); past it, a small
+# countermodel is sought before the search runs to its full budget
+_PROOF_PREFIX = 40
+# the largest carrier of those countermodels
+_MODEL_SIZE = 3
 
 
 # -- term enumeration ------------------------------------------------------
@@ -72,39 +80,49 @@ def identities_of(
     budget: int = 300,
 ) -> list[Identity]:
     """Identities in <= n_vars variables with both sides of depth <= depth
-    that A satisfies. Deduplicated modulo derivability from earlier output
-    (bounded search); pass raw=True for every valid pair.
+    that A satisfies. Deduplicated modulo derivability from earlier output:
+    a pair is dropped when the kept identities rewrite both sides to one
+    normal form, or when a proof search of budget expansions derives it from
+    them. Where that search runs past _PROOF_PREFIX expansions, a model of
+    the kept identities with at most _MODEL_SIZE elements in which the pair
+    fails is sought first; one proves that the search cannot succeed. Pass
+    raw=True for every valid pair.
     """
+    if raw:
+        return [Identity(l, r, n_vars) for l, r in _valid_pairs(A, n_vars, depth, True)]
+    return list(_kept_identities(A, n_vars, depth, budget))
+
+
+def _valid_pairs(A: FiniteAlgebra, n_vars: int, depth: int, raw: bool) -> list[tuple[Term, Term]]:
+    """The pairs of terms A equates, by total size, then repr. Without raw,
+    only each class's representative paired with its other members: any
+    other pair in the class follows from two of them by symmetry and
+    transitivity, which the proof search finds in two steps."""
     if len(A.carrier) ** n_vars > _MAX_ASSIGNMENTS:
         raise BoundsTooLarge("too many assignments to evaluate")
-    terms = enumerate_terms(A.signature, n_vars, depth)
     by_function: dict[tuple[str, ...], list[Term]] = {}
-    for t in terms:
+    for t in enumerate_terms(A.signature, n_vars, depth):
         by_function.setdefault(alg.term_function(A, t, n_vars), []).append(t)
-    groups = [
-        sorted(g, key=lambda t: (term_size(t), repr(t)))
-        for g in by_function.values()
-        if len(g) > 1
-    ]
-    if raw:
-        pairs = [
-            (g[i], g[j]) for g in groups for i in range(len(g)) for j in range(i + 1, len(g))
-        ]
-        pairs.sort(key=lambda p: (term_size(p[0]) + term_size(p[1]), repr(p)))
-        return [Identity(l, r, n_vars) for l, r in pairs]
-    # representative-to-member pairs carry the whole group: any other pair in
-    # the same group follows from two of them by symmetry and transitivity,
-    # which the proof search below finds in two steps
-    pairs = [(g[0], t) for g in groups for t in g[1:]]
+    pairs = []
+    for g in by_function.values():
+        g.sort(key=lambda t: (term_size(t), repr(t)))
+        for i in range(len(g) if raw else 1):
+            pairs.extend((g[i], t) for t in g[i + 1:])
     pairs.sort(key=lambda p: (term_size(p[0]) + term_size(p[1]), repr(p)))
+    return pairs
+
+
+def _kept_identities(A: FiniteAlgebra, n_vars: int, depth: int, budget: int = 300):
+    """identities_of's output, one identity at a time. Whether a pair is kept
+    depends only on the pairs before it, so a caller may stop early."""
     kept: list[tuple[Term, Term]] = []
     rules: list[tuple[Term, Term]] = []  # size-decreasing orientations
     theory = None  # the presentation of kept, rebuilt each time kept grows
-    for l, r in pairs:
+    for l, r in _valid_pairs(A, n_vars, depth, False):
         if kept:
             if _normal_form(l, rules) == _normal_form(r, rules):
                 continue
-            if congruent(theory, l, r, Budget(steps=budget)).provable:
+            if _derivable(theory, l, r, budget):
                 continue
         kept.append((l, r))
         theory = TheoryPresentation("derived", A.signature, tuple(kept))
@@ -112,14 +130,36 @@ def identities_of(
             rules.append((r, l))
         elif term_size(r) < term_size(l):
             rules.append((l, r))
-    return [Identity(l, r, n_vars) for l, r in kept]
+        yield Identity(l, r, n_vars)
+
+
+def _derivable(theory: TheoryPresentation, l: Term, r: Term, budget: int) -> bool:
+    """congruent(theory, l, r, budget).provable, answered sooner where it can
+    be. The search is breadth-first, so a larger budget only extends it: a
+    proof within _PROOF_PREFIX expansions is the one the full search finds,
+    and a search whose frontiers run dry before then finds none at any
+    budget. Every proof step is an instance of an axiom, so neither does a
+    search in a theory with a model where l ~ r fails.
+    """
+    if budget > _PROOF_PREFIX:
+        first = congruent(theory, l, r, Budget(steps=_PROOF_PREFIX))
+        if first.provable:
+            return True
+        if first.expansions < _PROOF_PREFIX:
+            return False
+        sizes = range(2, _MODEL_SIZE + 1)  # a one-element model satisfies every equation
+        if countermodel(theory.signature, theory.axioms, l, r, sizes, budget) is not None:
+            return False
+    return congruent(theory, l, r, Budget(steps=budget)).provable
 
 
 def _normal_form(t: Term, rules: list[tuple[Term, Term]]) -> Term:
-    """Exhaustively rewrite with the size-decreasing rules, outermost first.
-    Each step shrinks the term, so this terminates; equal results certify
-    derivability (each step is an identity instance), unequal results prove
-    nothing.
+    """Exhaustively rewrite with the size-decreasing rules, outermost first,
+    applying an instance only where it shrinks the term: a rule whose small
+    side repeats a variable more often than its big side has instances that
+    do not, and would rewrite some terms forever. So this terminates; equal
+    results certify derivability (each step is an identity instance),
+    unequal results prove nothing.
     """
     changed = True
     while changed:
@@ -128,9 +168,11 @@ def _normal_form(t: Term, rules: list[tuple[Term, Term]]) -> Term:
             for big, small in rules:
                 s = match(big, sub)
                 if s is not None:
-                    t = replace_at(t, pos, substitute(small, s))
-                    changed = True
-                    break
+                    new = substitute(small, s)
+                    if term_size(new) < term_size(sub):
+                        t = replace_at(t, pos, new)
+                        changed = True
+                        break
             if changed:
                 break
     return t
@@ -169,12 +211,13 @@ def hsp_member(
 ) -> HspResult:
     """Is B a quotient of a subalgebra of a finite power of A?
 
-    Searches k = 1..k_max (default |B|); generator subsets of the power are
-    capped at |B| elements, which loses nothing: a quotient onto B needs at
-    most one generator per element of B. Intermediate subalgebras above
-    congruence_bound are skipped, so a negative answer is bound-relative; it
-    carries a violated identity of A when one exists at the certificate
-    search depth.
+    Searches k = 1..k_max (default |B|); generator subsets of the power,
+    from the empty one up, are capped at |B| elements, which loses nothing:
+    a quotient onto B needs at most one generator per element of B.
+    Intermediate subalgebras above congruence_bound are skipped, so a
+    negative answer is bound-relative; it carries the first identity of
+    identities_of(A, certificate_vars, certificate_depth) that B violates,
+    when there is one, and extracts no identity after it.
     """
     if B.signature != A.signature:
         raise SignatureMismatch("hsp membership needs one signature")
@@ -187,7 +230,7 @@ def hsp_member(
             return found
     violated = None
     try:
-        for ident in identities_of(A, certificate_vars, certificate_depth):
+        for ident in _kept_identities(A, certificate_vars, certificate_depth):
             if not alg.satisfies(B, ident):
                 violated = ident
                 break
@@ -201,7 +244,7 @@ def _search_power(
 ) -> HspResult | None:
     seen_subs: set[tuple[str, ...]] = set()
     max_gens = min(len(B.carrier), len(power.carrier))
-    for size in range(1, max_gens + 1):
+    for size in range(max_gens + 1):
         for gens in itertools.combinations(power.carrier.elements, size):
             members = alg.subalgebra_closure(power, gens)
             if members in seen_subs:

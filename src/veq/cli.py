@@ -14,6 +14,7 @@ as one line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -470,7 +471,10 @@ def _internal_error(e: Exception) -> int:
     return 3
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and `main` still reads `HANDLERS` and VEQ_BUDGET on every call."""
     ap = argparse.ArgumentParser(
         prog="veq",
         description="equations, varieties, and series over finite instances")
@@ -478,7 +482,7 @@ def main(argv=None) -> int:
     ap.add_argument("args", nargs="*", help="verb arguments")
     ap.add_argument("--json", action="store_true", dest="json_mode",
                     help="emit one structured JSON record")
-    ap.add_argument("-f", "--file", action="append", default=[],
+    ap.add_argument("-f", "--file", action="append", default=None,
                     help="workspace source file (repeatable)")
     ap.add_argument("--budget", type=int, default=None,
                     help="proof search budget (default: VEQ_BUDGET or 10000)")
@@ -490,7 +494,11 @@ def main(argv=None) -> int:
                     help="term depth bound for identity search")
     ap.add_argument("--vars", type=int, default=2,
                     help="variable count for identity or free algebra search")
-    opts = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    opts = _arg_parser().parse_args(argv)
     source, raw = (("--budget", opts.budget) if opts.budget is not None
                    else ("VEQ_BUDGET", os.environ.get("VEQ_BUDGET", "10000")))
     try:
@@ -516,7 +524,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        ws = dsl.parse_files(opts.file)
+        ws = dsl.parse_files(opts.file or ())
     except (ParseError, ResolutionError, InvariantError) as e:
         print(f"veq: {e}", file=sys.stderr)
         return 2

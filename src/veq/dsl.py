@@ -7,6 +7,14 @@ top to bottom; references resolve immediately and every value is validated
 by its home module's constructor on the spot, so a parsed workspace is a
 checked workspace.
 
+The scanner reads one line at a time with one compiled pattern, which finds
+each token after its blanks; a table keyed by the token's first character
+gives its kind, and only a token that starts with '-', '#', a non-ASCII or
+a stray character needs a second look. Identifiers follow `str.isalpha` and
+`str.isalnum`; numbers are ASCII digits with an optional leading '-', so a
+non-ASCII digit is an unexpected character. A number too long for `int` is
+a ParseError at its position.
+
 Printing is canonical: parse(print_workspace(w)) rebuilds w exactly, and
 printing an already-canonical source is the identity.
 """
@@ -15,8 +23,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+import string
+import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import cats
 from .algebras import FiniteAlgebra
@@ -85,76 +95,68 @@ def print_workspace(w: Workspace) -> str:
 
 # --- tokens -----------------------------------------------------------------
 
-_SINGLE = {
-    "{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
-    "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ";": "SEMI",
-    ":": "COLON", "=": "EQUALS", "~": "TILDE", "/": "SLASH", ".": "DOT",
-}
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
 
 
+# A line is scanned with one pattern: blanks, then one token. The token is an
+# identifier, a number, an arrow, a punctuation mark, a comment, a run of word
+# characters that starts outside ASCII, or any other single character. `\w`
+# matches exactly what `str.isalnum` accepts, and '_'.
+_TOKEN = re.compile(
+    r"([ \t\r]*)([A-Za-z_]\w*|-?[0-9]+|->|[{}()\[\],;:=~/.]|#.*|\w+|[^ \t\r])")
+
+# The kind a token's first character settles; '-', '#', characters outside
+# ASCII and stray characters need a second look.
+_KIND = {
+    "{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
+    "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ";": "SEMI",
+    ":": "COLON", "=": "EQUALS", "~": "TILDE", "/": "SLASH", ".": "DOT",
+    **dict.fromkeys(string.ascii_letters + "_", "IDENT"),
+    **dict.fromkeys(string.digits, "NUMBER"),
+}
+
+
 def tokenize(src: str, where: str = "<input>") -> list[Token]:
+    """Tokens with 1-based line and column, ending in one EOF token.
+
+    Identifiers start with a letter or '_' and go on with letters, digits
+    and '_', in the `str.isalpha`/`str.isalnum` sense. Numbers are ASCII
+    digits with an optional leading '-'. Columns count characters, a tab as
+    one; a comment's characters are not counted, so an EOF token after a
+    final comment stands where the comment starts.
+    """
     out = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if src.startswith("->", i):
-            out.append(Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch == "-" and i + 1 < n and src[i + 1].isdigit():
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            out.append(Token("NUMBER", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            out.append(Token("NUMBER", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            out.append(Token("IDENT", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SINGLE:
-            out.append(Token(_SINGLE[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"{where}: unexpected character {ch!r}", line, col)
-    out.append(Token("EOF", "", line, col))
+    append = out.append
+    make = tuple.__new__  # a Token without NamedTuple's Python-level __new__
+    kinds = _KIND
+    for line, text in enumerate(src.split("\n"), 1):
+        col = 1
+        for blank, word in _TOKEN.findall(text):
+            col += len(blank)
+            kind = kinds.get(word[0])
+            if kind is None:
+                first = word[0]
+                if first == "#":
+                    break
+                if word == "->":
+                    kind = "ARROW"
+                elif first == "-" and len(word) > 1:
+                    kind = "NUMBER"
+                elif first.isalpha():
+                    kind = "IDENT"
+                else:
+                    raise ParseError(
+                        f"{where}: unexpected character {first!r}", line, col)
+            append(make(Token, (kind, word, line, col)))
+            col += len(word)
+        else:
+            col = len(text) + 1
+    append(make(Token, ("EOF", "", line, col)))
     return out
 
 
@@ -172,7 +174,7 @@ class _Parser:
         return self.toks[self.pos]
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def eat(self) -> Token:
@@ -187,19 +189,27 @@ class _Parser:
             f"{self.where}: expected {expected}, found {found!r}", t.line, t.col)
 
     def expect(self, kind: str, text: str | None = None, expected: str | None = None) -> Token:
-        if not self.at(kind, text):
+        t = self.toks[self.pos]
+        if t.kind != kind or (text is not None and t.text != text):
             self.fail(expected or (text if text is not None else kind.lower()))
-        return self.eat()
+        self.pos += 1
+        return t
 
     def keyword(self, word: str) -> Token:
-        if not (self.at("IDENT", word)):
+        t = self.toks[self.pos]
+        if t.kind != "IDENT" or t.text != word:
             self.fail(f"keyword {word!r}")
-        return self.eat()
+        self.pos += 1
+        return t
 
     # -- shared small pieces --
 
     def _name(self, what: str) -> str:
-        return self.expect("IDENT", expected=what).text
+        t = self.toks[self.pos]
+        if t.kind != "IDENT":
+            self.fail(what)
+        self.pos += 1
+        return t.text
 
     def _element(self) -> str:
         t = self.peek()
@@ -217,12 +227,26 @@ class _Parser:
         self.expect(closing)
         return out
 
+    def _integer(self, expected: str) -> int:
+        t = self.expect("NUMBER", expected=expected)
+        try:
+            return int(t.text)
+        except ValueError:
+            # the digits are ASCII, so only Python's limit on the length of
+            # an integer literal (sys.get_int_max_str_digits) is left
+            digits = len(t.text.lstrip("-"))
+            raise ParseError(
+                f"{self.where}: number too long ({digits} digits, at most "
+                f"{sys.get_int_max_str_digits()})", t.line, t.col) from None
+
     def _rational(self) -> Fraction:
-        t = self.expect("NUMBER", expected="a number")
-        num = int(t.text)
+        num = self._integer("a number")
         if self.at("SLASH"):
             self.eat()
-            den = int(self.expect("NUMBER", expected="a denominator").text)
+            t = self.peek()
+            den = self._integer("a denominator")
+            if den == 0:
+                raise ParseError(f"{self.where}: zero denominator", t.line, t.col)
             return Fraction(num, den)
         return Fraction(num)
 
@@ -270,7 +294,12 @@ class _Parser:
         if mode == "indexed":
             m = re.fullmatch(r"x([0-9]+)", name)
             if m:
-                return Var(int(m.group(1)))
+                try:
+                    return Var(int(m.group(1)))
+                except ValueError:
+                    t = self.toks[self.pos - 1]
+                    raise ParseError(
+                        f"{self.where}: variable index too long", t.line, t.col) from None
             return App(name, ())
         if VAR_NAME.fullmatch(name):
             if name not in reg:
@@ -389,7 +418,7 @@ class _Parser:
             self.keyword("op")
             sym = self._name("an operation name")
             self.expect("SLASH")
-            arity = int(self.expect("NUMBER", expected="an arity").text)
+            arity = self._integer("an arity")
             self.expect("EQUALS")
             self.expect("LBRACE")
             table: dict[tuple[str, ...], str] = {}
@@ -440,7 +469,7 @@ class _Parser:
         while True:
             sym = self._name("an operation name")
             self.expect("SLASH")
-            arity = int(self.expect("NUMBER", expected="an arity").text)
+            arity = self._integer("an arity")
             ops.append((sym, arity))
             if not self.at("COMMA"):
                 break
@@ -685,7 +714,7 @@ class _Parser:
         second = self._rational_list(("RPAREN",))
         self.expect("RPAREN")
         self.keyword("prec")
-        prec = int(self.expect("NUMBER", expected="a precision").text)
+        prec = self._integer("a precision")
         if form == "rec":
             value = from_recurrence(first, second, prec)
         else:

@@ -94,37 +94,68 @@ def constant(value, precision: int) -> TruncatedSeries:
     return TruncatedSeries((Fraction(value),) + (Fraction(0),) * (precision - 1))
 
 
+def _integers(values) -> tuple[list[int], int]:
+    """Integer numerators of `values` over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def from_recurrence(initials, coeffs, precision: int) -> TruncatedSeries:
     """The series whose k-th coefficient obeys
-    f(k+n) = coeffs[0]*f(k) + ... + coeffs[n-1]*f(k+n-1)."""
+    f(k+n) = coeffs[0]*f(k) + ... + coeffs[n-1]*f(k+n-1).
+
+    Runs on integers: with the initials over their common denominator s and
+    the coefficients over theirs, d, g(k) = f(k) * s * d^k is an integer
+    sequence with g(k+n) = sum of (d*coeffs[i]) * d^(n-1-i) * g(k+i)."""
     initials = [Fraction(c) for c in initials]
     coeffs = [Fraction(c) for c in coeffs]
     if len(initials) != len(coeffs) or not coeffs:
         raise InvariantError("need as many initial terms as recurrence coefficients")
     if precision < 1:
         raise InvariantError("precision must be at least 1")
-    out = list(initials[:precision])
-    while len(out) < precision:
-        out.append(sum(
-            (c * out[len(out) - len(coeffs) + i] for i, c in enumerate(coeffs)),
-            Fraction(0)))
+    g, s = _integers(initials)
+    c, d = _integers(coeffs)
+    g = [gk * d ** k for k, gk in enumerate(g)]
+    n = len(c)
+    weights = [ci * d ** (n - 1 - i) for i, ci in enumerate(c)]
+    while len(g) < precision:
+        g.append(sum(map(mul, weights, g[-n:])))
+    out = []
+    scale = s
+    for k in range(precision):
+        out.append(Fraction(g[k], scale))
+        scale *= d
     return TruncatedSeries(tuple(out))
 
 
 def from_ratio(numerator, denominator, precision: int) -> TruncatedSeries:
-    """Expansion of p(x)/q(x) with q(0) != 0, by long division."""
+    """Expansion of p(x)/q(x) with q(0) != 0, by long division.
+
+    Runs on integers: with p = P/a and q = Q/b over common denominators,
+    h(j) = (P/Q)(j) * Q(0)^(j+1) obeys
+    h(j) = P(j) * Q(0)^j - sum over i >= 1 of Q(i) * Q(0)^(i-1) * h(j-i),
+    and the j-th coefficient is b * h(j) / (a * Q(0)^(j+1))."""
     num = [Fraction(c) for c in numerator]
     den = [Fraction(c) for c in denominator]
     if not den or den[0] == 0:
         raise InvariantError("denominator needs a nonzero constant term")
     if precision < 1:
         raise InvariantError("precision must be at least 1")
+    p, a = _integers(num)
+    q, b = _integers(den)
+    q0 = q[0]
+    # weights[i-1] = Q(i) * Q(0)^(i-1), for i = 1 .. len(q)-1
+    weights = [qi * q0 ** (i - 1) for i, qi in enumerate(q) if i]
+    h: list[int] = []
     out = []
+    power = 1  # Q(0)^j
     for j in range(precision):
-        acc = num[j] if j < len(num) else Fraction(0)
-        for i in range(1, min(j, len(den) - 1) + 1):
-            acc -= den[i] * out[j - i]
-        out.append(acc / den[0])
+        acc = p[j] * power if j < len(p) else 0
+        for i in range(1, min(j, len(weights)) + 1):
+            acc -= weights[i - 1] * h[j - i]
+        h.append(acc)
+        power *= q0
+        out.append(Fraction(b * acc, a * power))
     return TruncatedSeries(tuple(out))
 
 

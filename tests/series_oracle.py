@@ -1,5 +1,6 @@
 """The Fraction cofactor Wronskian and the chained-derivative recurrence
-columns that veq.series replaced, kept as an oracle.
+columns that veq.series replaced, and the `Fraction` loops of
+`from_recurrence` and `from_ratio`, kept as oracles.
 
 veq.series now runs the cofactor expansion on integer coefficient lists, each
 column scaled by the common denominator of its coefficients, and builds each
@@ -8,6 +9,8 @@ unchanged apart from their names: every product in the expansion is a
 `TruncatedSeries` product over `Fraction`, and each column is `n` chained
 `derivative` calls on `shift_x` powers of f.
 """
+
+from fractions import Fraction
 
 from veq.errors import EmptyList, InvariantError, PrecisionExhausted
 from veq.series import TruncatedSeries, classify, derivative, shift_x
@@ -69,3 +72,36 @@ def oracle_is_linear_recurrence(f: TruncatedSeries, order: int):
         raise PrecisionExhausted(
             f"order-{order} test needs precision {2 * order + 2}, have {f.precision}")
     return classify(oracle_wronskian(oracle_recurrence_columns(f, order)))
+
+
+def oracle_from_recurrence(initials, coeffs, precision: int) -> TruncatedSeries:
+    """The `Fraction` loop that veq.series.from_recurrence replaced."""
+    initials = [Fraction(c) for c in initials]
+    coeffs = [Fraction(c) for c in coeffs]
+    if len(initials) != len(coeffs) or not coeffs:
+        raise InvariantError("need as many initial terms as recurrence coefficients")
+    if precision < 1:
+        raise InvariantError("precision must be at least 1")
+    out = list(initials[:precision])
+    while len(out) < precision:
+        out.append(sum(
+            (c * out[len(out) - len(coeffs) + i] for i, c in enumerate(coeffs)),
+            Fraction(0)))
+    return TruncatedSeries(tuple(out))
+
+
+def oracle_from_ratio(numerator, denominator, precision: int) -> TruncatedSeries:
+    """The `Fraction` long division that veq.series.from_ratio replaced."""
+    num = [Fraction(c) for c in numerator]
+    den = [Fraction(c) for c in denominator]
+    if not den or den[0] == 0:
+        raise InvariantError("denominator needs a nonzero constant term")
+    if precision < 1:
+        raise InvariantError("precision must be at least 1")
+    out = []
+    for j in range(precision):
+        acc = num[j] if j < len(num) else Fraction(0)
+        for i in range(1, min(j, len(den) - 1) + 1):
+            acc -= den[i] * out[j - i]
+        out.append(acc / den[0])
+    return TruncatedSeries(tuple(out))

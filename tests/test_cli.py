@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +19,11 @@ def _at_repo_root(monkeypatch):
     monkeypatch.delenv("VEQ_BUDGET", raising=False)
 
 
+def _golden(name):
+    with open(os.path.join(GOLDEN_DIR, name + ".txt")) as fh:
+        return fh.read()
+
+
 @pytest.mark.parametrize(
     "name,argv,want_exit",
     GOLDEN_COMMANDS,
@@ -24,11 +31,38 @@ def _at_repo_root(monkeypatch):
 )
 def test_golden(name, argv, want_exit, capsys):
     code = cli.main(list(argv))
-    out = capsys.readouterr().out
-    with open(os.path.join(GOLDEN_DIR, name + ".txt")) as fh:
-        want = fh.read()
-    assert out == want
+    assert capsys.readouterr().out == _golden(name)
     assert code == want_exit
+
+
+def test_goldens_forward_then_reverse_in_one_process(capsys):
+    # the argument parser is built once per process; no call may leave
+    # anything behind that changes a later one
+    for name, argv, want_exit in GOLDEN_COMMANDS + GOLDEN_COMMANDS[::-1]:
+        code = cli.main(list(argv))
+        assert (code, capsys.readouterr().out) == (want_exit, _golden(name)), name
+
+
+def test_budget_env_is_read_on_every_call(monkeypatch, capsys):
+    argv = ["decide", "Mon", "m(e,m(x,e))", "x", "--json", "-f", "corpus/theories.veq"]
+    # build the cached argument parser under the first budget, so a parser
+    # that kept the budget it was built with would answer "unknown" twice
+    cli._arg_parser.cache_clear()
+    statuses = []
+    for budget in ("1", "2", "1"):
+        monkeypatch.setenv("VEQ_BUDGET", budget)
+        code = cli.main(list(argv))
+        statuses.append((code, json.loads(capsys.readouterr().out)["status"]))
+    assert statuses == [(1, "unknown"), (0, "provable"), (1, "unknown")]
+
+
+def test_module_entry_point_in_a_fresh_interpreter():
+    name, argv, want_exit = next(c for c in GOLDEN_COMMANDS if c[0] == "decide-cmon")
+    env = {k: v for k, v in os.environ.items() if k != "VEQ_BUDGET"}
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    proc = subprocess.run([sys.executable, "-m", "veq.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (want_exit, _golden(name), "")
 
 
 def test_unknown_verb(capsys):

@@ -1,17 +1,25 @@
 import glob
 import os
+import re
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from veq import series
+from cli_manifest import GOLDEN_COMMANDS
+from dsl_oracle import oracle_tokenize
+from veq import cli, series
 from veq.dsl import (
+    Token,
     Workspace,
     parse,
     parse_axiom_text,
     parse_files,
     parse_term_texts,
     print_workspace,
+    tokenize,
 )
 from veq.errors import (
     InvariantError,
@@ -232,3 +240,170 @@ def test_print_workspace_ends_with_newline():
     out = print_workspace(ws)
     assert out.endswith("\n")
     assert not out.endswith("\n\n")
+
+
+# --- the one-pattern scanner against the character loop it replaced ---------
+
+WHERE = "<src>"
+
+
+def _scan(tokenizer, src):
+    try:
+        return [tuple(t) for t in tokenizer(src, WHERE)]
+    except ParseError as e:
+        return (str(e), e.line, e.column)
+
+
+def _oracle_tokens_and_error(src):
+    """Every token the old tokenizer read, and its ParseError or None."""
+    try:
+        return [tuple(t) for t in oracle_tokenize(src, WHERE)], None
+    except ParseError as e:
+        # the error stands at a token start with no comment before it on its
+        # line, so the source up to it tokenizes to the tokens read so far
+        lines = src.split("\n")
+        offset = sum(len(text) + 1 for text in lines[:e.line - 1]) + e.column - 1
+        return oracle_tokenize(src[:offset], WHERE)[:-1], (str(e), e.line, e.column)
+
+
+def _expected_scan(src):
+    """The old tokenizer's answer, except where it read a non-ASCII digit
+    into a number: the new scanner stops there, at the first character of
+    that token that is neither an ASCII digit nor a leading '-' before one."""
+    tokens, error = _oracle_tokens_and_error(src)
+    for kind, text, line, col in tokens:
+        if kind == "NUMBER" and not re.fullmatch(r"-?[0-9]+", text):
+            ascii_part = re.match(r"-?[0-9]+", text)
+            k = ascii_part.end() if ascii_part else 0
+            e = ParseError(f"{WHERE}: unexpected character {text[k]!r}", line, col + k)
+            return (str(e), e.line, e.column)
+    return error if error is not None else [tuple(t) for t in tokens]
+
+
+# Token characters and runs, blanks, comments, '-' and '->', and letters and
+# digits outside ASCII: '²' and '٣' are digits to `str.isdigit`, '½', '〇' and
+# 'Ⅻ' are numeric but not letters, 'ǅ' is a title-case letter.
+FRAGMENTS = [
+    "a", "Mon", "x0", "_t", "b_2", "0", "17", "007", "-", "->", "-3", "--", "-x",
+    " ", "  ", "\t", "\r", "\n", "\n\n", "#", "# note -> 1", "{", "}", "(", ")",
+    "[", "]", ",", ";", ":", "=", "~", "/", ".", "!", "@", ">", "\\", "é", "ß",
+    "Ж", "ǅ", "²", "٣", "½", "〇", "Ⅻ", "x²", "a٣", "1²", "-٣", "\u00a0", "\x0b",
+]
+SOURCES = st.one_of(
+    st.lists(st.sampled_from(FRAGMENTS), max_size=30).map("".join),
+    st.text(alphabet="".join(sorted(set("".join(FRAGMENTS)))), max_size=40),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(SOURCES)
+def test_tokenize_matches_character_loop_oracle(src):
+    assert _scan(tokenize, src) == _expected_scan(src)
+
+
+def test_expected_scan_reads_non_ascii_digits_where_the_oracle_did():
+    # the exception in the differential test, spelled out
+    assert _scan(oracle_tokenize, "1²")[0] == ("NUMBER", "1²", 1, 1)
+    assert _expected_scan("a 1²") == _scan(tokenize, "a 1²") == (
+        "1:4: <src>: unexpected character '²'", 1, 4)
+    assert _expected_scan("-٣") == _scan(tokenize, "-٣") == (
+        "1:1: <src>: unexpected character '-'", 1, 1)
+    assert _expected_scan("x ²") == _scan(tokenize, "x ²") == (
+        "1:3: <src>: unexpected character '²'", 1, 3)
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=[os.path.basename(p) for p in CORPUS])
+def test_tokenize_matches_oracle_on_corpus(path):
+    with open(path, encoding="utf-8") as fh:
+        src = fh.read()
+    got = _scan(tokenize, src)
+    assert isinstance(got, list) and got == _expected_scan(src)
+
+
+def test_tokenize_matches_oracle_on_manifest_arguments():
+    texts = sorted({arg for _, argv, _ in GOLDEN_COMMANDS for arg in argv})
+    assert "m(x,y) ~ m(y,x)" in texts and "f(x,b)" in texts
+    for text in texts:
+        assert _scan(tokenize, text) == _expected_scan(text), text
+
+
+def test_tokens_are_tuples_with_named_fields():
+    first, eof = tokenize("set # c")[0], tokenize("set # c")[-1]
+    assert first == Token("IDENT", "set", 1, 1) == ("IDENT", "set", 1, 1)
+    assert (first.kind, first.text, first.line, first.col) == ("IDENT", "set", 1, 1)
+    assert eof == ("EOF", "", 1, 5)
+
+
+# --- number literals ---------------------------------------------------------
+
+
+def _parse_error(src):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    return str(exc.value), exc.value.line, exc.value.column
+
+
+def test_non_ascii_digit_is_an_unexpected_character():
+    assert _parse_error("series s = [1, ²]\n") == (
+        "1:16: <input>: unexpected character '²'", 1, 16)
+    assert _parse_error("set A = {٣}\n") == (
+        "1:10: <input>: unexpected character '٣'", 1, 10)
+    assert _parse_error("series s = [1, 2٣]\n") == (
+        "1:17: <input>: unexpected character '٣'", 1, 17)
+    # letters and digits outside ASCII still continue an identifier
+    assert parse("set A = {x², é٣}\n").get("set", "A").elements == ("x²", "é٣")
+
+
+@pytest.fixture
+def int_digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("template,col", [
+    ("series s = [1, {n}]", 16),
+    ("series s = [1, -{n}]", 16),
+    ("series s = [1/{n}]", 15),
+    ("series s = rec(1; 1) prec {n}", 27),
+    ("algebra A on {{a}} {{ op f/{n} = {{}} }}", 25),
+], ids=["element", "negative", "denominator", "precision", "arity"])
+def test_number_past_the_int_limit_is_a_parse_error(int_digit_limit, template, col):
+    src = "set A = {a}\n" + template.format(n="9" * (int_digit_limit + 1)) + "\n"
+    message, line, column = _parse_error(src)
+    assert (line, column) == (2, col)
+    assert message == (
+        f"2:{col}: <input>: number too long ({int_digit_limit + 1} digits, "
+        f"at most {int_digit_limit})")
+    # at the limit the number is read
+    assert parse("series s = [" + "9" * int_digit_limit + "]\n")
+
+
+def test_zero_denominator_is_a_parse_error():
+    assert _parse_error("series s = [1, 2/0]\n") == (
+        "1:18: <input>: zero denominator", 1, 18)
+
+
+def test_variable_index_past_the_int_limit_is_a_parse_error(int_digit_limit):
+    src = ("theory T { sig m/2 }\n"
+           f"thmor s : T -> T {{ m -> m(x{'1' * (int_digit_limit + 1)}, x0) }}\n")
+    assert _parse_error(src) == (
+        "2:27: <input>: variable index too long", 2, 27)
+
+
+@pytest.mark.parametrize("text", [
+    "series s = [1, ²]",
+    "series s = [1, {big}]",
+    "series s = [1/0]",
+], ids=["non-ascii-digit", "past-int-limit", "zero-denominator"])
+def test_malformed_number_exits_2(int_digit_limit, tmp_path, capsys, text):
+    path = tmp_path / "bad.veq"
+    path.write_text(text.format(big="7" * (int_digit_limit + 1)) + "\n", encoding="utf-8")
+    code = cli.main(["check", "--json", "-f", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("veq: 1:")
+    assert captured.err.count("\n") == 1

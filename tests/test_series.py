@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from series_oracle import (
+    oracle_from_ratio,
+    oracle_from_recurrence,
     oracle_is_linear_recurrence,
     oracle_recurrence_columns,
     oracle_wronskian,
@@ -317,6 +319,46 @@ def test_recurrence_detection_matches_fraction_oracle(case):
     assert got == outcome(oracle_is_linear_recurrence, f, order)
     if 0 <= order < f.precision:
         assert _recurrence_columns(f, order) == oracle_recurrence_columns(f, order)
+
+
+# Initials, coefficients, numerators and denominators: integers and
+# non-integer rationals of either sign, zero among them.
+DECL_VALUE = st.one_of(
+    st.integers(-9, 9), st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)))
+SAME_LENGTH_PAIR = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(DECL_VALUE, min_size=n, max_size=n),
+    st.lists(DECL_VALUE, min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(SAME_LENGTH_PAIR, st.integers(1, 80))
+def test_from_recurrence_matches_fraction_oracle(pair, precision):
+    initials, coeffs = pair
+    got = from_recurrence(initials, coeffs, precision)
+    assert got == oracle_from_recurrence(initials, coeffs, precision)
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(DECL_VALUE, max_size=6), st.lists(DECL_VALUE, min_size=1, max_size=6),
+       st.integers(1, 80))
+def test_from_ratio_matches_fraction_oracle(numerator, denominator, precision):
+    got = outcome(from_ratio, numerator, denominator, precision)
+    assert got == outcome(oracle_from_ratio, numerator, denominator, precision)
+    assert got is InvariantError or all(type(c) is Fraction for c in got.coeffs)
+
+
+@pytest.mark.parametrize("fn,oracle,args", [
+    (from_recurrence, oracle_from_recurrence, ([], [], 3)),
+    (from_recurrence, oracle_from_recurrence, ([1], [1, 2], 3)),
+    (from_recurrence, oracle_from_recurrence, ([1], [1], 0)),
+    (from_ratio, oracle_from_ratio, ([1], [], 3)),
+    (from_ratio, oracle_from_ratio, ([1], [0, 1], 3)),
+    (from_ratio, oracle_from_ratio, ([1], [1], 0)),
+], ids=["rec-empty", "rec-lengths", "rec-precision", "ratio-empty", "ratio-zero",
+        "ratio-precision"])
+def test_series_decl_errors_match_fraction_oracle(fn, oracle, args):
+    assert outcome(fn, *args) is outcome(oracle, *args) is InvariantError
 
 
 def test_seven_series_wronskian_pins_precision():

@@ -22,15 +22,12 @@ from .instances import FinGrpCat
 from .theories import (
     App,
     Budget,
+    Normalizer,
     Signature,
     Term,
     TheoryPresentation,
     Var,
     congruent,
-    match,
-    replace_at,
-    substitute,
-    subterms,
     term_size,
 )
 
@@ -118,18 +115,20 @@ def _kept_identities(A: FiniteAlgebra, n_vars: int, depth: int, budget: int = 30
     kept: list[tuple[Term, Term]] = []
     rules: list[tuple[Term, Term]] = []  # size-decreasing orientations
     theory = None  # the presentation of kept, rebuilt each time kept grows
+    normalizer = None  # of rules, built when a pair first needs it
     for l, r in _valid_pairs(A, n_vars, depth, False):
         if kept:
-            if _normal_form(l, rules) == _normal_form(r, rules):
+            if normalizer is None:
+                normalizer = Normalizer(rules)
+            if normalizer.normal_form(l) == normalizer.normal_form(r):
                 continue
             if _derivable(theory, l, r, budget):
                 continue
         kept.append((l, r))
         theory = TheoryPresentation("derived", A.signature, tuple(kept))
-        if term_size(l) < term_size(r):
-            rules.append((r, l))
-        elif term_size(r) < term_size(l):
-            rules.append((l, r))
+        if term_size(l) != term_size(r):
+            rules.append((l, r) if term_size(l) > term_size(r) else (r, l))
+            normalizer = None
         yield Identity(l, r, n_vars)
 
 
@@ -151,31 +150,6 @@ def _derivable(theory: TheoryPresentation, l: Term, r: Term, budget: int) -> boo
         if countermodel(theory.signature, theory.axioms, l, r, sizes, budget) is not None:
             return False
     return congruent(theory, l, r, Budget(steps=budget)).provable
-
-
-def _normal_form(t: Term, rules: list[tuple[Term, Term]]) -> Term:
-    """Exhaustively rewrite with the size-decreasing rules, outermost first,
-    applying an instance only where it shrinks the term: a rule whose small
-    side repeats a variable more often than its big side has instances that
-    do not, and would rewrite some terms forever. So this terminates; equal
-    results certify derivability (each step is an identity instance),
-    unequal results prove nothing.
-    """
-    changed = True
-    while changed:
-        changed = False
-        for pos, sub in subterms(t):
-            for big, small in rules:
-                s = match(big, sub)
-                if s is not None:
-                    new = substitute(small, s)
-                    if term_size(new) < term_size(sub):
-                        t = replace_at(t, pos, new)
-                        changed = True
-                        break
-            if changed:
-                break
-    return t
 
 
 # -- HSP membership --------------------------------------------------------

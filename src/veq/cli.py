@@ -418,9 +418,22 @@ def _cmd_wronskian(ws, args, opts):
     if opts.prec is not None:
         fs = [f.truncate(opts.prec) for f in fs]
     w = wronskian(fs)
-    payload = {"coeffs": [str(c) for c in w.coeffs]}
-    human = [", ".join(str(c) for c in w.coeffs), f"precision {w.precision}"]
+    coeffs = _exact_strings(w.coeffs)
+    payload = {"coeffs": coeffs}
+    human = [", ".join(coeffs), f"precision {w.precision}"]
     return "ok", payload, w.precision, 0, human
+
+
+def _exact_strings(values) -> list[str]:
+    """str of each value, however many digits it has. The interpreter's
+    limit on int-to-str conversion is lifted for these calls only: the
+    parser's "number too long" error relies on it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_check(ws, args, opts):

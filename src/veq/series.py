@@ -287,8 +287,11 @@ def wronskian(entries) -> TruncatedSeries:
         memo[key] = acc
         return acc
 
-    return TruncatedSeries(tuple(
-        Fraction(c, scale) for c in minor(0, tuple(range(n)))))
+    determinant = minor(0, tuple(range(n)))
+    # minor refers to itself through its cell: clear it, so that rows and
+    # memo are freed now, not by the cyclic collector
+    del minor
+    return TruncatedSeries(tuple(Fraction(c, scale) for c in determinant))
 
 
 @dataclass(frozen=True)

@@ -43,10 +43,19 @@ rules filed under its shape, its head and its arguments' heads, which the
 rule table files on first use (term indexing to depth two, as in Sekar,
 Ramakrishnan and Voronkov, "Term Indexing", Handbook of Automated
 Reasoning, 2001). The store and the memo live and die with the search.
+
+The compiled rules and their one-step rewrites serve normalization too, so
+a rule is matched and instantiated in one place. A Normalizer compiles a
+list of size-decreasing rules with the same compiler (_compile) and
+rewrites with the same _rewrites, taking at each step the first rewrite in
+that order that shrinks the term: the first subterm in preorder, by the
+first rule that shrinks it there. Its store and memo live as long as it
+does, so normal forms are compared as ids.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -167,18 +176,6 @@ class Signature:
 
     def __contains__(self, symbol: str) -> bool:
         return any(n == symbol for n, _ in self.ops)
-
-
-def subterms(t: Term):
-    """(position, subterm) pairs in preorder."""
-    stack = [((), t)]
-    while stack:
-        pos, u = stack.pop()
-        yield pos, u
-        if u.__class__ is App:
-            args = u.args
-            for i in range(len(args) - 1, -1, -1):
-                stack.append((pos + (i,), args[i]))
 
 
 def _fold(t: Term, leaf, node):
@@ -309,25 +306,6 @@ def unify(t1: Term, t2: Term) -> Substitution | None:
                 return None
             stack.extend(zip(a.args, b.args))
     return subst
-
-
-def match(pattern: Term, subject: Term) -> Substitution | None:
-    """One-sided unification: bind pattern variables only."""
-    binding: Substitution = {}
-    stack = [(pattern, subject)]
-    while stack:
-        p, s = stack.pop()
-        if p.__class__ is Var:
-            if p.index in binding:
-                if binding[p.index] != s:
-                    return None
-            else:
-                binding[p.index] = s
-        else:
-            if s.__class__ is not App or s.symbol != p.symbol or len(s.args) != len(p.args):
-                return None
-            stack.extend(zip(p.args, s.args))
-    return binding
 
 
 # -- presentations and congruence proofs -------------------------------------
@@ -496,41 +474,53 @@ def _program(t: Term, slots: dict[int, int], store: _TermStore) -> list:
     return out
 
 
-def _rule_table(theory: TheoryPresentation):
-    """The (axiom, direction) rules proof search may apply, compiled once per
-    theory, as (seed store, rules for a variable subterm, rules by head,
+def _compile(directed) -> tuple:
+    """Directed rules (source, target, axiom, forward), compiled for
+    _rewrites as (seed store, rules for a variable subterm, rules by head,
     rules by shape).
 
-    The seed store holds the axioms' ground subterms, and every search
-    starts from a copy of it. A rule is (source pattern, instance program,
-    (axiom, forward, the source's variables in order)); a binding gives the
-    id of each of those variables. Each list keeps successor order: axioms
-    in order, forward before backward. A direction that would introduce
-    variables absent from the matched side is left out; it needs
-    instantiation guessing. The bidirectional search in congruent() recovers
-    it from the opposite endpoint, where the same axiom application is
-    variable-dropping.
+    The seed store holds the rules' ground subterms. A rule is (source
+    pattern, instance program, (axiom, forward, the source's variables in
+    order)); a binding gives the id of each of those variables. A variable of
+    the target that the source lacks stands for itself: the program pushes
+    its id in the seed store. Each list keeps the rules in the order given.
 
-    Rules by shape starts empty and is filled by _filed as searches meet
+    Rules by shape starts empty and is filled by _filed as rewriting meets
     new shapes: the shape of an application is (head, each argument's head),
     with None for a variable argument, and its list keeps the rules by head
     that could match such a node, in the same order.
     """
     seed = _TermStore()
     rules = []
-    for i, (lhs, rhs) in enumerate(theory.axioms):
-        for forward, src, dst in ((True, lhs, rhs), (False, rhs, lhs)):
-            if dst._vars <= src._vars:
-                names = tuple(sorted(src._vars))
-                slots = {v: ~k for k, v in enumerate(names)}
-                head = src.symbol if src.__class__ is App else None
-                rule = (_pattern(src, slots, seed), _program(dst, slots, seed),
-                        (i, forward, names))
-                rules.append((head, rule))
+    for src, dst, axiom, forward in directed:
+        names = tuple(sorted(src._vars))
+        slots = {v: ~k for k, v in enumerate(names)}
+        for v in sorted(dst._vars - src._vars):
+            slots[v] = seed.id_of((v,), 1)
+        head = src.symbol if src.__class__ is App else None
+        rule = (_pattern(src, slots, seed), _program(dst, slots, seed),
+                (axiom, forward, names))
+        rules.append((head, rule))
     any_head = [r for h, r in rules if h is None]
     by_head = {h: [r for g, r in rules if g is None or g == h]
                for h, _ in rules if h is not None}
     return seed, any_head, by_head, {}
+
+
+def _rule_table(theory: TheoryPresentation):
+    """The (axiom, direction) rules proof search may apply, compiled once per
+    theory (see _compile), in successor order: axioms in order, forward
+    before backward. Every search starts from a copy of the seed store. A
+    direction that would introduce variables absent from the matched side is
+    left out; it needs instantiation guessing. The bidirectional search in
+    congruent() recovers it from the opposite endpoint, where the same axiom
+    application is variable-dropping.
+    """
+    return _compile(
+        (src, dst, i, forward)
+        for i, (lhs, rhs) in enumerate(theory.axioms)
+        for forward, src, dst in ((True, lhs, rhs), (False, rhs, lhs))
+        if dst._vars <= src._vars)
 
 
 def _filed(rules, shape: tuple) -> list:
@@ -580,7 +570,7 @@ def _match(pattern: tuple, key: tuple, keys: list, binding: list) -> bool:
 
 
 def _rewrites(rules, store: _TermStore, t: int, max_size: int, memo: dict) -> list:
-    """The one-step rewrites of id t under a _rule_table, in successor order,
+    """The one-step rewrites of id t under compiled rules, in successor order,
     without self-loops or repeats.
 
     A root rewrite is the entry (new id, growth in size, rule info,
@@ -777,6 +767,59 @@ def congruent(
                 return CongruenceResult("provable", build(new), expansions)
             frontier.append(new)
     return CongruenceResult("unknown", None, expansions)
+
+
+class Normalizer:
+    """Normal forms under size-decreasing rules (big, small), rewritten by
+    proof search's engine: the rules compiled by _compile, one-step
+    rewrites by _rewrites.
+
+    A step rewrites the first subterm in preorder, by the first rule in
+    order whose instance there is smaller (outermost first). An instance
+    that does not shrink is never applied: a rule whose small side repeats a
+    variable more often than its big side has instances that grow, and would
+    rewrite some terms forever. So each step shrinks the term and
+    normalization terminates. A variable on the small side only stands for
+    itself. Normal forms are ids in the normalizer's store, so equal normal
+    forms are equal ids; they certify that the rules derive one term from
+    the other (each step is a rule instance), unequal ones prove nothing.
+    The store, the rewrite memo and each id's normal form live as long as
+    the normalizer.
+    """
+
+    __slots__ = ("_rules", "store", "_memo", "_normal")
+
+    def __init__(self, rules):
+        self._rules = _compile((big, small, i, True) for i, (big, small) in enumerate(rules))
+        self.store: _TermStore = self._rules[0]
+        self._memo: dict = {}
+        self._normal: dict[int, int] = {}
+
+    def normal_form(self, t: Term) -> int:
+        """The id of t's normal form; store.term reads it back."""
+        normal = self._normal
+        u = self.store.add(t)
+        path = []
+        while u not in normal:
+            path.append(u)
+            smaller = self._shrink(u)
+            if smaller is None:
+                normal[u] = u
+            else:
+                u = smaller
+        nf = normal[u]
+        for v in path:
+            normal[v] = nf
+        return nf
+
+    def _shrink(self, u: int) -> int | None:
+        """The first of u's one-step rewrites that is smaller than u, or
+        None. _rewrites keeps rewrites of any size, so that each memo entry
+        holds all of a subterm's rewrites, whatever term it sits in."""
+        for entry in _rewrites(self._rules, self.store, u, sys.maxsize, self._memo):
+            if entry[1] < 0:
+                return entry[0]
+        return None
 
 
 def replay_certificate(

@@ -4,13 +4,19 @@
 budget and returns the whole list. veq.birkhoff now yields the same
 identities one at a time, so that `hsp_member` can stop at the first one B
 violates, and it first runs the search for a short prefix of the budget,
-then looks for a small countermodel, before it runs the full search. Apart
-from its name, the one change here is in `oracle_normal_form`: it applies a
-rule's instance only where that shrinks the term. Without that, a rule such
-as mul(mul(x1,x1),x0) -> mul(x0,x0) rewrites mul(mul(x0,x0),mul(x0,x0)) to
-itself forever, so the earlier version does not terminate on some algebras.
+then looks for a small countermodel, before it runs the full search.
+
+`oracle_normal_form` is the term-level rewriter veq.birkhoff used before it
+normalized with `theories.Normalizer`, proof search's compiled rules on
+term ids. Both rewrite outermost first: the first subterm in preorder, by
+the first rule whose instance there is smaller. Apart from its name, the
+one change here is that it applies a rule's instance only where that
+shrinks the term. Without that, a rule such as mul(mul(x1,x1),x0) ->
+mul(x0,x0) rewrites mul(mul(x0,x0),mul(x0,x0)) to itself forever, so the
+earlier version does not terminate on some algebras.
 """
 
+from term_helpers import match, subterms
 from veq import algebras as alg
 from veq.algebras import FiniteAlgebra, Identity
 from veq.birkhoff import _MAX_ASSIGNMENTS, enumerate_terms
@@ -20,10 +26,8 @@ from veq.theories import (
     Term,
     TheoryPresentation,
     congruent,
-    match,
     replace_at,
     substitute,
-    subterms,
     term_size,
 )
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -287,3 +288,27 @@ def test_decide_two_thousand_deep_endpoint(capsys):
     assert out["status"] == "unknown"
     # no successor of a 4000-node endpoint fits the 64-node size cap
     assert out["payload"] == {"expansions": 2, "certificate": None}
+
+
+@pytest.mark.parametrize("structured", [False, True])
+def test_wronskian_prints_coefficients_past_the_digit_limit(tmp_path, capsys, structured):
+    # coefficient k of s is 10**k: the last ones have more digits than
+    # the interpreter converts to str by default
+    ws = tmp_path / "big.veq"
+    ws.write_text("series s = rec(1; 10) prec 5000\n")
+    limit = sys.get_int_max_str_digits()
+    code = cli.main(["wronskian", "s", "-f", str(ws)] + (["--json"] if structured else []))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    if structured:
+        coeffs = json.loads(out)["payload"]["coeffs"]
+    else:
+        first, second = out.splitlines()
+        coeffs = first.split(", ")
+        assert second == "precision 5000"
+    sys.set_int_max_str_digits(0)
+    try:
+        assert [Fraction(c) for c in coeffs] == [10 ** k for k in range(5000)]
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -2,6 +2,7 @@
 full-budget proof search, and the small countermodels that now refute pairs
 before it, checked as certificates and against a brute-force table search."""
 
+import gc
 import itertools
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from birkhoff_oracle import oracle_identities_of
+from birkhoff_oracle import oracle_identities_of, oracle_normal_form
 from veq import _models, birkhoff, cli, dsl
 from veq.algebras import FiniteAlgebra, Identity, make_algebra, satisfies
 from veq.birkhoff import (
@@ -21,7 +22,7 @@ from veq.birkhoff import (
     replay_hsp_witness,
 )
 from veq.finset import FinSetObj
-from veq.theories import App, Signature, Var, term_size, term_vars
+from veq.theories import App, Normalizer, Signature, Var, term_size, term_vars
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MAGMA = Signature((("mul", 2),))
@@ -55,7 +56,7 @@ def z2_algebra():
 # the third seeded magma: its identities give the rule
 # mul(mul(x1,x1),x0) -> mul(x0,x0), which maps mul(mul(x0,x0),mul(x0,x0)) to itself
 LOOPING = magma("looping", [0, 0, 2, 1, 0, 2, 0, 0, 2], 3)
-x0, x1 = Var(0), Var(1)
+x0, x1, x2 = Var(0), Var(1), Var(2)
 
 
 def mul(a, b):
@@ -68,19 +69,21 @@ def bounded_rewrites(monkeypatch):
     takes fewer rewrites than the term's size; past that, fail rather than
     hang."""
     left = [0]
-    real_normal_form, real_replace_at = birkhoff._normal_form, birkhoff.replace_at
+    real_normal_form, real_shrink = Normalizer.normal_form, Normalizer._shrink
 
-    def normal_form(t, rules):
+    def normal_form(self, t):
         left[0] = term_size(t)
-        return real_normal_form(t, rules)
+        return real_normal_form(self, t)
 
-    def replace_at(t, pos, new):
-        left[0] -= 1
-        assert left[0] > 0, "normal form does not terminate"
-        return real_replace_at(t, pos, new)
+    def shrink(self, u):
+        smaller = real_shrink(self, u)
+        if smaller is not None:
+            left[0] -= 1
+            assert left[0] > 0, "normal form does not terminate"
+        return smaller
 
-    monkeypatch.setattr(birkhoff, "_normal_form", normal_form)
-    monkeypatch.setattr(birkhoff, "replace_at", replace_at)
+    monkeypatch.setattr(Normalizer, "normal_form", normal_form)
+    monkeypatch.setattr(Normalizer, "_shrink", shrink)
 
 
 @pytest.fixture
@@ -108,12 +111,32 @@ def countermodels(monkeypatch):
     return found
 
 
+def normal_form(rules, t):
+    normalizer = Normalizer(rules)
+    return normalizer.store.term(normalizer.normal_form(t))
+
+
 def test_normal_form_applies_only_shrinking_instances():
     rules = [(mul(mul(x1, x1), x0), mul(x0, x0))]
     square = mul(x0, x0)
     t = mul(square, square)
-    assert birkhoff._normal_form(t, rules) == t
-    assert birkhoff._normal_form(mul(square, x1), rules) == mul(x1, x1)
+    assert normal_form(rules, t) == t
+    assert normal_form(rules, mul(square, x1)) == mul(x1, x1)
+
+
+def test_normal_form_rewrites_outermost_first():
+    # Meet2's rules; rewriting the innermost subterm first would give
+    # mul(x0,mul(x2,x0))
+    rules = [(mul(x0, x0), x0), (mul(mul(x1, x1), mul(x0, x1)), mul(x0, x1))]
+    t = mul(mul(x0, x0), mul(x2, x0))
+    assert normal_form(rules, t) == mul(x2, x0) == oracle_normal_form(t, rules)
+
+
+def test_normal_form_keeps_a_variable_only_on_the_small_side():
+    # proof search leaves out such a direction; here x0 stands for itself
+    rules = [(mul(mul(x1, x1), x1), mul(x0, x0))]
+    t = mul(mul(x2, x2), x2)
+    assert normal_form(rules, t) == mul(x0, x0) == oracle_normal_form(t, rules)
 
 
 @pytest.mark.parametrize("budget", [20, 300])
@@ -187,6 +210,18 @@ def test_hsp_stops_at_the_first_violated_identity(monkeypatch):
     res = hsp_member(ws.get("algebra", "Flip2"), ws.get("algebra", "Meet2"))
     assert res.violated_identity == Identity(x0, mul(x0, x0), 2)
     assert calls == []
+
+
+def test_identities_of_leaves_no_cyclic_garbage():
+    # no cycle keeps a normalizer, its store or its memo past the call
+    meet2 = corpus_algebras()[0]
+    gc.collect()
+    gc.disable()
+    try:
+        identities_of(meet2, 2, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_hsp_empty_algebra_is_a_member():

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from term_helpers import term_depth
+from term_helpers import match, subterms, term_depth
 from veq import birkhoff, dsl
 from veq import theories as th
 from veq.algebras import make_algebra
@@ -168,10 +168,10 @@ def flat_one_step_rewrites(table, t, max_size):
     """Deterministic successor enumeration under a _rule_table: (new term, step)."""
     any_head, by_head = table
     slack = max_size - t._size
-    for pos, sub in th.subterms(t):
+    for pos, sub in subterms(t):
         rules = any_head if sub.__class__ is Var else by_head.get(sub.symbol, any_head)
         for i, forward, src, dst in rules:
-            binding = th.match(src, sub)
+            binding = match(src, sub)
             if binding is None:
                 continue
             instance = th.substitute(dst, binding)
@@ -294,7 +294,7 @@ def memo_rewrites(table, t, max_size, memo, intern=None):
         entries = []
         rules = any_head if u.__class__ is Var else by_head.get(u.symbol, any_head)
         for i, forward, src, dst in rules:
-            binding = th.match(src, u)
+            binding = match(src, u)
             if binding is None:
                 continue
             instance = memo_substitute(dst, binding, intern)
@@ -464,7 +464,7 @@ def test_cached_facts_match_recursive_walks():
         t = random_word_term(rng, rng.randrange(1, 12))
         assert th.term_size(t) == slow_term_size(t)
         assert th.term_vars(t) == slow_term_vars(t)
-        assert [(p, th.subterm_at(t, p)) for p in slow_positions(t)] == list(th.subterms(t))
+        assert [(p, th.subterm_at(t, p)) for p in slow_positions(t)] == list(subterms(t))
         s = {v: random_word_term(rng, 3) for v in range(4) if rng.random() < 0.5}
         assert th.substitute(t, s) == slow_substitute(t, s)
         for pos in slow_positions(t):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -149,6 +150,17 @@ def test_wronskian_small_cases():
         wronskian([])
     with pytest.raises(PrecisionExhausted):
         wronskian([series([1]), series([2])])
+
+
+def test_recurrence_check_leaves_no_cyclic_garbage():
+    # the cofactor expansion's recursive closure must not outlive the call
+    gc.collect()
+    gc.disable()
+    try:
+        is_linear_recurrence(FIB, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_wronskian_alternating_and_multilinear():

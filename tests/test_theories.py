@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from term_helpers import is_idempotent, term_depth
+from term_helpers import is_idempotent, subterms, term_depth
 from veq import theories as th
 from veq.errors import BudgetInvalid, NotParallel, SignatureMismatch, SourceMismatch
 from veq.theories import App, Budget, Signature, TheoryPresentation, Var
@@ -286,7 +286,7 @@ def test_deep_terms_walk_without_recursion():
     assert th.substitute(deep, {0: y}) == th.substitute(twin, {0: y}) != deep
     bottom = (0,) * depth
     assert th.subterm_at(th.replace_at(deep, bottom, E), bottom) == E
-    assert sum(1 for _ in th.subterms(deep)) == depth + 1
+    assert sum(1 for _ in subterms(deep)) == depth + 1
     th.check_term(Signature((("f", 1),)), deep)
     assert th.unify(deep, y) == {1: deep}
     assert th.unify(deep, th.substitute(twin, {0: y})) == {0: y}

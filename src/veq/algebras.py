@@ -12,6 +12,7 @@ from functools import lru_cache
 
 from .errors import (
     CarrierTooLarge,
+    DomainMismatch,
     EmptyList,
     InvariantError,
     SignatureMismatch,
@@ -191,7 +192,10 @@ class AlgHom:
                     raise InvariantError(f"not a homomorphism at {sym}{args}")
 
     def __call__(self, x: str) -> str:
-        return self.table[self.dom.carrier._index[x]]
+        try:
+            return self.table[self.dom.carrier._index[x]]
+        except KeyError:
+            raise DomainMismatch(f"{x!r} not in domain") from None
 
     def mapping(self) -> dict[str, str]:
         return dict(zip(self.dom.carrier.elements, self.table))
@@ -231,13 +235,6 @@ def hom_checks(A: FiniteAlgebra, B: FiniteAlgebra) -> list[list]:
             checks[max(pos + (o,))].append(
                 lambda t, pos=pos, o=o, image=image: t[o] == image[tuple(map(t.__getitem__, pos))])
     return checks
-
-
-def all_alg_homs(A: FiniteAlgebra, B: FiniteAlgebra) -> list[AlgHom]:
-    """Every homomorphism A -> B in table order, found by the table search,
-    which raises CarrierTooLarge past its candidate budget."""
-    pools = [B.carrier.elements] * len(A.carrier)
-    return [AlgHom(A, B, t) for t in search_tables(pools, hom_checks(A, B))]
 
 
 def product_algebra(As: list[FiniteAlgebra], name: str | None = None) -> "ProductAlgebraResult":

@@ -92,7 +92,11 @@ class CompCategory:
         raise CapabilityMissing("factorization search", self.name)
 
     def hom(self, x, a) -> list:
-        """All morphisms x -> a, when enumerable; used by oracles and tests."""
+        """All morphisms x -> a, when enumerable; used by oracles and tests.
+        The table categories of veq.instances enumerate them by one table
+        search, which raises CarrierTooLarge past its candidate budget: the
+        functions from 12 points into 3 fit, those from 14 points into 3 do
+        not."""
         raise CapabilityMissing("hom enumeration", self.name)
 
 

@@ -111,13 +111,6 @@ def compose(g: FinFunction, f: FinFunction) -> FinFunction:
     return FinFunction(f.dom, g.cod, tuple(g(y) for y in f.table))
 
 
-def all_functions(dom: FinSetObj, cod: FinSetObj) -> list[FinFunction]:
-    """Every function dom -> cod, in lexicographic table order."""
-    if len(dom) == 0:
-        return [FinFunction(dom, cod, ())]
-    return [FinFunction(dom, cod, t) for t in itertools.product(cod.elements, repeat=len(dom))]
-
-
 @dataclass(frozen=True)
 class SubobjectMono:
     """Canonical subobject: a sub-carrier of target plus its inclusion."""

@@ -4,6 +4,8 @@ corpus of the groups of order up to 16 used throughout the test suites.
 A group is also an algebra over the signature {mul, inv, e}; subgroup
 closure, normal closure and quotients are taken in that algebra, where the
 congruences are exactly the partitions into cosets of normal subgroups.
+Hom-sets come from the table search in veq.instances.FinGrpCat.hom, and an
+isomorphism is algebras.find_alg_isomorphism on the two group algebras.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import algebras as alg
-from .errors import CodMismatch, ElementNotInG, InvariantError, SignatureMismatch
+from .errors import CodMismatch, DomainMismatch, ElementNotInG, InvariantError, SignatureMismatch
 from .theories import Signature
 
 GROUP_SIG = Signature((("mul", 2), ("inv", 1), ("e", 0)))
@@ -96,6 +98,9 @@ class GroupHom:
     def __post_init__(self):
         if len(self.table) != len(self.dom):
             raise InvariantError("hom table length mismatch")
+        for v in self.table:
+            if v not in self.cod._index:
+                raise InvariantError(f"hom value {v!r} outside codomain")
         idx = self.dom._index
         for a in self.dom.elements:
             for b in self.dom.elements:
@@ -105,7 +110,10 @@ class GroupHom:
                     raise InvariantError("not a homomorphism")
 
     def __call__(self, a: str) -> str:
-        return self.table[self.dom._index[a]]
+        try:
+            return self.table[self.dom._index[a]]
+        except KeyError:
+            raise DomainMismatch(f"{a!r} not in domain") from None
 
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)
@@ -204,91 +212,6 @@ def quotient_group(G: Group, normal_members, name: str | None = None) -> tuple[G
     if {x for x in G.elements if proj(x) == Q.identity} != set(members):
         raise InvariantError(f"not a normal subgroup of {G.name}")
     return Q, proj
-
-
-def generating_set(G: Group) -> tuple[str, ...]:
-    """Deterministic small generating set (greedy in carrier order)."""
-    gens: list[str] = []
-    closure = {G.identity}
-    for x in G.elements:
-        if x not in closure:
-            gens.append(x)
-            closure = set(subgroup_closure(G, gens))
-        if len(closure) == len(G):
-            break
-    return tuple(gens)
-
-
-def all_homs(G: Group, H: Group) -> list[GroupHom]:
-    """Every homomorphism G -> H, by backtracking over generator images."""
-    gens = generating_set(G)
-    out = []
-    for images in itertools.product(H.elements, repeat=len(gens)):
-        table = _extend_hom(G, H, gens, images)
-        if table is None:
-            continue
-        try:  # the constructor checks the extension on every pair
-            out.append(GroupHom(G, H, table))
-        except InvariantError:
-            continue
-    return out
-
-
-def _extend_hom(G, H, gens, images):
-    mapping = {G.identity: H.identity}
-    frontier = [G.identity]
-    gen_img = dict(zip(gens, images))
-    while frontier:
-        a = frontier.pop()
-        for g, h in gen_img.items():
-            p, q = G.mul(a, g), H.mul(mapping[a], h)
-            if p in mapping:
-                if mapping[p] != q:
-                    return None
-            else:
-                mapping[p] = q
-                frontier.append(p)
-    if len(mapping) != len(G):
-        return None
-    return tuple(mapping[x] for x in G.elements)
-
-
-def find_isomorphism(G: Group, H: Group) -> GroupHom | None:
-    if len(G) != len(H):
-        return None
-    if sorted(element_orders(G).values()) != sorted(element_orders(H).values()):
-        return None
-    for h in all_homs(G, H):
-        if h.is_injective() and h.is_surjective():
-            return h
-    return None
-
-
-def element_orders(G: Group) -> dict[str, int]:
-    out = {}
-    for x in G.elements:
-        n, cur = 1, x
-        while cur != G.identity:
-            cur = G.mul(cur, x)
-            n += 1
-        out[x] = n
-    return out
-
-
-def is_abelian(G: Group) -> bool:
-    return all(G.mul(a, b) == G.mul(b, a) for a in G.elements for b in G.elements)
-
-
-def commutator_subgroup(G: Group) -> tuple[str, ...]:
-    comms = {G.mul(G.mul(a, b), G.inverse(G.mul(b, a)))
-             for a in G.elements for b in G.elements}
-    return normal_closure(G, comms)
-
-
-def brute_centralizer(G: Group, S) -> tuple[str, ...]:
-    S = _check_members(G, S)
-    return tuple(x for x in G.elements
-                 if all(G.mul(x, s) == G.mul(s, x) for s in S))
 
 
 # -- corpus -------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Finite posets and monotone maps, their presentation as categories, and
 Galois connections (poset adjunctions). Backs one computational-category
-instance and the poset corpus for the adjoint-shift checks.
+instance and the adjoint-shift checks.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
 from .cats import (
@@ -18,8 +17,7 @@ from .cats import (
     identity_functor,
     tabulate_category,
 )
-from .errors import InvariantError
-from .finset import search_tables
+from .errors import DomainMismatch, InvariantError
 
 ARROW = "->"
 
@@ -106,10 +104,6 @@ def chain(name: str, labels) -> Poset:
     return poset_from_cover(name, labels, list(zip(labels, labels[1:])))
 
 
-def antichain(name: str, labels) -> Poset:
-    return poset_from_cover(name, tuple(labels), [])
-
-
 @dataclass(frozen=True)
 class MonotoneMap:
     dom: Poset
@@ -127,7 +121,10 @@ class MonotoneMap:
                 raise InvariantError(f"map not monotone at {x} <= {y}")
 
     def __call__(self, x: str) -> str:
-        return self.table[self.dom.elements.index(x)]
+        try:
+            return self.table[self.dom.elements.index(x)]
+        except ValueError:
+            raise DomainMismatch(f"{x!r} not in domain") from None
 
     def mapping(self) -> dict[str, str]:
         return dict(zip(self.dom.elements, self.table))
@@ -157,11 +154,6 @@ def order_checks(P: Poset, Q: Poset) -> list[list]:
     for i, j in ((idx[x], idx[y]) for x, y in P.rel):
         checks[max(i, j)].append(lambda t, i=i, j=j: (t[i], t[j]) in Q.rel)
     return checks
-
-
-def all_monotone_maps(P: Poset, Q: Poset) -> list[MonotoneMap]:
-    pools = [Q.elements] * len(P.elements)
-    return [MonotoneMap(P, Q, t) for t in search_tables(pools, order_checks(P, Q))]
 
 
 def sub_poset(P: Poset, members, name: str | None = None) -> tuple[Poset, MonotoneMap]:
@@ -242,34 +234,3 @@ def adjunction_from_galois(H: MonotoneMap, G: MonotoneMap) -> AdjunctionData:
         {a: _arrow_name(H(G(a)), a) for a in G.dom.elements},
     )
     return AdjunctionData(Hf, Gf, unit, counit)
-
-
-def random_poset(rng: random.Random, size: int, name: str = "P") -> Poset:
-    """Random partial order: random DAG on a shuffled carrier, closed up."""
-    labels = [f"p{i}" for i in range(size)]
-    order = labels[:]
-    rng.shuffle(order)
-    covers = []
-    for i in range(size):
-        for j in range(i + 1, size):
-            if rng.random() < 0.4:
-                covers.append((order[i], order[j]))
-    return poset_from_cover(name, labels, covers)
-
-
-def random_galois_instance(rng: random.Random, max_size: int = 4):
-    """A random (A, B, G: A -> B monotone, H: B -> A) with H lower adjoint of
-    G. Retries until G has a lower adjoint; identity on a chain as fallback.
-    """
-    for _ in range(60):
-        A = random_poset(rng, rng.randint(1, max_size), "A")
-        B = random_poset(rng, rng.randint(1, max_size), "B")
-        maps = all_monotone_maps(A, B)
-        rng.shuffle(maps)
-        for G in maps[:30]:
-            H = left_adjoint_of(G)
-            if H is not None and is_galois_connection(H, G):
-                return A, B, G, H
-    A = chain("A", ["p0", "p1"])
-    G = identity_map(A)
-    return A, A, G, G

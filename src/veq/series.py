@@ -207,16 +207,8 @@ def op_const(value) -> DiffOpExpr:
     return DiffOpExpr("const", (), Fraction(value))
 
 
-def op_add(left: DiffOpExpr, right: DiffOpExpr) -> DiffOpExpr:
-    return DiffOpExpr("add", (left, right))
-
-
 def op_mul(left: DiffOpExpr, right: DiffOpExpr) -> DiffOpExpr:
     return DiffOpExpr("mul", (left, right))
-
-
-def op_compose(outer: DiffOpExpr, inner: DiffOpExpr) -> DiffOpExpr:
-    return DiffOpExpr("compose", (outer, inner))
 
 
 def apply_op(op: DiffOpExpr, f: TruncatedSeries) -> TruncatedSeries:

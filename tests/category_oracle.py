@@ -36,9 +36,9 @@ from __future__ import annotations
 import itertools
 import math
 
+from group_oracle import oracle_generating_set
 from veq import cats
 from veq import finset as fs
-from veq import groups as grp
 from veq.cats import FiniteCategory
 from veq.errors import (
     AdjunctionInvalid,
@@ -248,7 +248,7 @@ def oracle_hom_size(cat, x, a) -> int:
     """How many tables cat.hom(x, a) enumerates: one per image of a
     generating set for groups, every table otherwise."""
     if isinstance(cat, FinGrpCat):
-        return len(a) ** len(grp.generating_set(x))
+        return len(a) ** len(oracle_generating_set(x))
     return len(cat.carrier(a)) ** len(cat.carrier(x))
 
 

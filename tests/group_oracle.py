@@ -1,5 +1,6 @@
 """The coset-based group closures and quotient that the group-algebra
-wrappers in veq.groups replaced, kept as an oracle.
+wrappers in veq.groups replaced, and the generator-image hom enumeration
+and isomorphism search that the table search replaced, kept as an oracle.
 
 Subgroup closure, normal closure and quotients are now taken in the algebra
 over {mul, inv, e} (subalgebra closure, the identity's congruence class, the
@@ -8,9 +9,19 @@ table, unchanged apart from their names, so the tests can compare the new
 path with an independent one. ORACLE_S3_PERMS is the hand-written
 permutation list the corpus built S3 from before S3 and A4 shared one
 builder.
+
+`oracle_all_homs` extends each choice of generator images over the Cayley
+graph and keeps the extensions the GroupHom constructor accepts;
+`oracle_find_isomorphism` filters its list after comparing element-order
+profiles. veq now gets both from finset.search_tables under the group
+algebra's homomorphism law (FinGrpCat.hom, algebras.find_alg_isomorphism).
+`oracle_is_abelian` and `oracle_centralizer` are the brute checks the
+package kept for its tests until they moved here.
 """
 
-from veq.errors import ElementNotInG
+import itertools
+
+from veq.errors import ElementNotInG, InvariantError
 from veq.groups import Group, GroupHom, make_group
 
 
@@ -76,6 +87,88 @@ def oracle_commutator_subgroup(G: Group) -> tuple[str, ...]:
     comms = {G.mul(G.mul(a, b), G.inverse(G.mul(b, a)))
              for a in G.elements for b in G.elements}
     return oracle_normal_closure(G, comms)
+
+
+def oracle_generating_set(G: Group) -> tuple[str, ...]:
+    """Deterministic small generating set (greedy in carrier order)."""
+    gens: list[str] = []
+    closure = {G.identity}
+    for x in G.elements:
+        if x not in closure:
+            gens.append(x)
+            closure = set(oracle_subgroup_closure(G, gens))
+        if len(closure) == len(G):
+            break
+    return tuple(gens)
+
+
+def oracle_all_homs(G: Group, H: Group) -> list[GroupHom]:
+    """Every homomorphism G -> H, by backtracking over generator images."""
+    gens = oracle_generating_set(G)
+    out = []
+    for images in itertools.product(H.elements, repeat=len(gens)):
+        table = _oracle_extend_hom(G, H, gens, images)
+        if table is None:
+            continue
+        try:  # the constructor checks the extension on every pair
+            out.append(GroupHom(G, H, table))
+        except InvariantError:
+            continue
+    return out
+
+
+def _oracle_extend_hom(G, H, gens, images):
+    mapping = {G.identity: H.identity}
+    frontier = [G.identity]
+    gen_img = dict(zip(gens, images))
+    while frontier:
+        a = frontier.pop()
+        for g, h in gen_img.items():
+            p, q = G.mul(a, g), H.mul(mapping[a], h)
+            if p in mapping:
+                if mapping[p] != q:
+                    return None
+            else:
+                mapping[p] = q
+                frontier.append(p)
+    if len(mapping) != len(G):
+        return None
+    return tuple(mapping[x] for x in G.elements)
+
+
+def oracle_find_isomorphism(G: Group, H: Group) -> GroupHom | None:
+    if len(G) != len(H):
+        return None
+    if sorted(oracle_element_orders(G).values()) != sorted(oracle_element_orders(H).values()):
+        return None
+    for h in oracle_all_homs(G, H):
+        if h.is_injective() and h.is_surjective():
+            return h
+    return None
+
+
+def oracle_element_orders(G: Group) -> dict[str, int]:
+    out = {}
+    for x in G.elements:
+        n, cur = 1, x
+        while cur != G.identity:
+            cur = G.mul(cur, x)
+            n += 1
+        out[x] = n
+    return out
+
+
+def oracle_is_abelian(G: Group) -> bool:
+    return all(G.mul(a, b) == G.mul(b, a) for a in G.elements for b in G.elements)
+
+
+def oracle_centralizer(G: Group, S) -> tuple[str, ...]:
+    S = tuple(S)
+    for s in S:
+        if s not in G.elements:
+            raise ElementNotInG(f"{s!r} not in {G.name}")
+    return tuple(x for x in G.elements
+                 if all(G.mul(x, s) == G.mul(s, x) for s in S))
 
 
 ORACLE_S3_PERMS = {

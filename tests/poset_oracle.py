@@ -9,12 +9,17 @@ none is left, and the legs are read off the coproduct carrier by offset.
 The enumeration filters every table of itertools.product by the order
 pairs; veq now finds them with finset.search_tables under
 posets.order_checks.
+
+`antichain`, `random_poset` and `random_galois_instance` build the poset
+inputs of the tests; the last draws its maps from FinPosetCat().hom.
 """
 
 import itertools
+import random
 
 from veq import finset as fs
 from veq import posets as po
+from veq.instances import FinPosetCat
 
 
 def oracle_poset_collapse(P: po.Poset, pairs) -> po.MonotoneMap:
@@ -76,3 +81,38 @@ def oracle_all_monotone_maps(P: po.Poset, Q: po.Poset) -> list[po.MonotoneMap]:
         if all(Q.leq(cand[x], cand[y]) for x, y in P.rel):
             out.append(po.MonotoneMap(P, Q, table))
     return out
+
+
+def antichain(name: str, labels) -> po.Poset:
+    return po.poset_from_cover(name, tuple(labels), [])
+
+
+def random_poset(rng: random.Random, size: int, name: str = "P") -> po.Poset:
+    """Random partial order: random DAG on a shuffled carrier, closed up."""
+    labels = [f"p{i}" for i in range(size)]
+    order = labels[:]
+    rng.shuffle(order)
+    covers = []
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < 0.4:
+                covers.append((order[i], order[j]))
+    return po.poset_from_cover(name, labels, covers)
+
+
+def random_galois_instance(rng: random.Random, max_size: int = 4):
+    """A random (A, B, G: A -> B monotone, H: B -> A) with H lower adjoint of
+    G. Retries until G has a lower adjoint; identity on a chain as fallback.
+    """
+    for _ in range(60):
+        A = random_poset(rng, rng.randint(1, max_size), "A")
+        B = random_poset(rng, rng.randint(1, max_size), "B")
+        maps = FinPosetCat().hom(A, B)
+        rng.shuffle(maps)
+        for G in maps[:30]:
+            H = po.left_adjoint_of(G)
+            if H is not None and po.is_galois_connection(H, G):
+                return A, B, G, H
+    A = po.chain("A", ["p0", "p1"])
+    G = po.identity_map(A)
+    return A, A, G, G

@@ -28,6 +28,7 @@ from veq.algebras import (
     Identity,
     congruence_closure,
     congruences,
+    identity_alg_hom,
     is_congruence,
     make_algebra,
     product_algebra,
@@ -37,7 +38,7 @@ from veq.algebras import (
     term_function,
 )
 from veq.birkhoff import enumerate_terms
-from veq.errors import InvariantError, SignatureMismatch, UnboundVariable
+from veq.errors import DomainMismatch, InvariantError, SignatureMismatch, UnboundVariable
 from veq.theories import App, Signature, Var
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -277,6 +278,14 @@ def test_alg_hom_reports_the_first_failure_in_product_order():
     with pytest.raises(InvariantError, match=r"^not a homomorphism at meet\('1', '2'\)$"):
         AlgHom(rev, A, ("0", "2", "1"))
     assert AlgHom(rev, A, ("0", "0", "1")).table == ("0", "0", "1")
+
+
+def test_alg_hom_rejects_labels_outside_its_algebras():
+    A = chain3()
+    with pytest.raises(DomainMismatch):
+        identity_alg_hom(A)("zz")
+    with pytest.raises(InvariantError, match="outside codomain"):
+        AlgHom(A, A, ("0", "1", "zz"))
 
 
 def test_quotient_rejects_overlapping_classes():

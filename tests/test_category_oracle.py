@@ -34,6 +34,7 @@ from category_oracle import (
     oracle_validate,
     oracle_validate_functor,
 )
+from poset_oracle import random_galois_instance, random_poset
 from veq import algebras as alg
 from veq import cats, dsl
 from veq import finset as fs
@@ -56,7 +57,7 @@ from veq.instances import FinAlgCat, FinCatCat, FinPosetCat, _subcategory_inclus
 from veq.theories import Signature
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CC = FinCatCat()
+CC, PC, AC = FinCatCat(), FinPosetCat(), FinAlgCat()
 ORACLE = OracleFinCat()
 
 
@@ -194,7 +195,7 @@ def test_subcategory_inclusion_rejects_what_the_oracle_rejects():
 
 
 def _galois_setup(rng):
-    A, B, G, H = po.random_galois_instance(rng)
+    A, B, G, H = random_galois_instance(rng)
     return A, B, G, H, po.adjunction_from_galois(H, G)
 
 
@@ -203,7 +204,7 @@ def test_galois_shifts_match_oracle():
     rng = random.Random(23)
     for _ in range(10):
         A, B, G, H, adj = _galois_setup(rng)
-        F = po.to_functor(rng.choice(po.all_monotone_maps(A, B)))
+        F = po.to_functor(rng.choice(PC.hom(A, B)))
         for got, want in zip(shift_left(F, adj.right, adj),
                              oracle_shift_left(F, adj.right, adj), strict=True):
             assert_same_functor(got, want)
@@ -211,7 +212,7 @@ def test_galois_shifts_match_oracle():
     rng = random.Random(29)
     for _ in range(10):
         A, B, G, H, adj = _galois_setup(rng)
-        second = po.to_functor(rng.choice(po.all_monotone_maps(B, A)))
+        second = po.to_functor(rng.choice(PC.hom(B, A)))
         for got, want in zip(shift_right(adj.left, second, adj),
                              oracle_shift_right(adj.left, second, adj), strict=True):
             assert_same_functor(got, want)
@@ -275,12 +276,12 @@ def test_free_universal_maps_match_oracle():
 @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(1, 4))
 def test_poset_categories_match_oracle(seed, m, n):
     rng = random.Random(seed)
-    P, Q = po.random_poset(rng, m, "P"), po.random_poset(rng, n, "Q")
+    P, Q = random_poset(rng, m, "P"), random_poset(rng, n, "Q")
     CP, CQ = po.to_category(P), po.to_category(Q)
     assert fields(CP) == fields(oracle_to_category(P))
     assert fields(CQ) == fields(oracle_to_category(Q))
     assert_same_product(CC.product([CP, CQ]), oracle_cat_product([CP, CQ]))
-    maps = po.all_monotone_maps(P, Q)
+    maps = PC.hom(P, Q)
     f, g = rng.choice(maps), rng.choice(maps)
     ins = assert_pair_matches(po.to_functor(f, CP, CQ), po.to_functor(g, CP, CQ))
     kept, _ = inserter_poset(f, g)
@@ -357,7 +358,7 @@ def fincat_inputs():
     rng = random.Random(8)
     return (
         list(ws.defs["category"].values())
-        + [po.to_category(po.random_poset(rng, rng.randint(1, 3), f"R{i}")) for i in range(6)]
+        + [po.to_category(random_poset(rng, rng.randint(1, 3), f"R{i}")) for i in range(6)]
         + [cats.category_from_generators("Idem", ["x"], {"e": ("x", "x")}, {("e", "e"): ("e",)}),
            cats.category_from_generators("Iso", ["a", "b"], {"f": ("a", "b"), "g": ("b", "a")},
                                          {("g", "f"): (), ("f", "g"): ()}),
@@ -458,15 +459,14 @@ def table_hom_fields(h):
 @pytest.mark.parametrize("seed", range(6))
 def test_table_pullbacks_match_oracle(seed):
     rng = random.Random(seed)
-    PC, AC = FinPosetCat(), FinAlgCat()
-    P, Q, R = (po.random_poset(rng, rng.randint(1, 3), n) for n in "PQR")
-    cases = [(PC, f, m) for f in po.all_monotone_maps(P, R) for m in po.all_monotone_maps(Q, R)]
+    P, Q, R = (random_poset(rng, rng.randint(1, 3), n) for n in "PQR")
+    cases = [(PC, f, m) for f in PC.hom(P, R) for m in PC.hom(Q, R)]
     algebras = [
         alg.make_algebra(n, SEMILATTICE, [str(i) for i in range(k)], {"meet": min})
         for n, k in (("A", rng.randint(1, 3)), ("B", rng.randint(1, 3)), ("S", 2))
     ]
     A, B, S = algebras
-    cases += [(AC, f, m) for f in alg.all_alg_homs(A, S) for m in alg.all_alg_homs(B, S)]
+    cases += [(AC, f, m) for f in AC.hom(A, S) for m in AC.hom(B, S)]
     for cat, f, m in cases:
         for got, want in zip(cat.pullback(f, m), oracle_table_pullback(cat, f, m), strict=True):
             assert table_hom_fields(got) == table_hom_fields(want)

@@ -82,12 +82,12 @@ def test_general_solution_factorization_unique():
         v = general_solution(E)
         for xsize in (1, 2):
             X = fs.finset(*[f"x{i}" for i in range(xsize)])
-            for a in fs.all_functions(X, E.domain):
+            for a in SC.hom(X, E.domain):
                 if not is_solution(a, E):
                     continue
                 factorizations = [
                     u
-                    for u in fs.all_functions(X, v.carrier)
+                    for u in SC.hom(X, v.carrier)
                     if fs.compose(v.inclusion, u) == a
                 ]
                 assert len(factorizations) == 1
@@ -100,12 +100,12 @@ def test_solutions_of_acted_system_transport():
         E = random_system(rng, max_size=3, max_eqs=2)
         Adom = E.domain
         G = fs.finset("g0", "g1")
-        for g in fs.all_functions(G, Adom):
+        for g in SC.hom(G, Adom):
             Eg = act(E, g)
             assert Eg.domain == G
             assert len(Eg.equations) == len(E.equations)
             X = fs.finset("x")
-            for a in fs.all_functions(X, G):
+            for a in SC.hom(X, G):
                 assert is_solution(a, Eg) == is_solution(fs.compose(g, a), E)
 
 
@@ -119,7 +119,7 @@ def test_action_preserves_implication():
             continue
         checked += 1
         G = fs.finset("g0", "g1", "g2")
-        for g in fs.all_functions(G, E.domain)[:10]:
+        for g in SC.hom(G, E.domain)[:10]:
             assert implies(act(E, g), act(K, g))
 
 
@@ -165,7 +165,7 @@ def test_single_equation_reduction_preserves_solutions():
         E1 = EquationSystem(SC, (red,))
         assert brute_solution_elements(E1) == brute_solution_elements(E)
         X = fs.finset("x", "y")
-        for a in fs.all_functions(X, E.domain)[:12]:
+        for a in SC.hom(X, E.domain)[:12]:
             assert is_solution(a, E) == is_solution(a, E1)
 
 
@@ -181,8 +181,8 @@ def test_generated_equation_universal():
     # every equation all of S solves is implied by the generated one
     gen_system = EquationSystem(SC, (p_q,))
     B = fs.finset("0", "1")
-    for r in fs.all_functions(A, B):
-        for s in fs.all_functions(A, B):
+    for r in SC.hom(A, B):
+        for s in SC.hom(A, B):
             if all(fs.compose(r, f) == fs.compose(s, f) for f in S):
                 assert implies(gen_system, EquationSystem(SC, (Equation(r, s),)))
 
@@ -235,7 +235,7 @@ def test_pullback_stability_of_general_solutions():
     for _ in range(25):
         E = random_system(rng, max_size=3, max_eqs=2)
         A2 = fs.finset("u", "v", "w")
-        for f in fs.all_functions(A2, E.domain)[:8]:
+        for f in SC.hom(A2, E.domain)[:8]:
             to_f_dom, _ = SC.pullback(f, general_solution(E).inclusion)
             direct = general_solution(act(E, f))
             assert set(to_f_dom.image()) == set(direct.carrier.elements)
@@ -293,7 +293,7 @@ def test_cosolution_universal_property():
             assert fs.compose(c, eq.lhs) == fs.compose(c, eq.rhs)
         # every cosolution factors through c, uniquely since c is epi
         X = fs.finset("x0", "x1")
-        for a in fs.all_functions(B, X):
+        for a in SC.hom(B, X):
             if all(fs.compose(a, eq.lhs) == fs.compose(a, eq.rhs) for eq in eqs):
                 table = {}
                 well_defined = True

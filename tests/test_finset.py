@@ -5,6 +5,7 @@ import pytest
 from finset_oracle import coequalizer, cokernel_pair, equalizer, intersect, pullback
 from veq import finset as fs
 from veq.errors import (
+    CarrierTooLarge,
     CodMismatch,
     EmptyList,
     InvariantError,
@@ -18,6 +19,7 @@ A = fs.finset("a", "b", "c")
 BITS = fs.finset("0", "1")
 P = fs.FinFunction(A, BITS, ("0", "1", "1"))
 Q = fs.FinFunction(A, BITS, ("0", "0", "1"))
+SC = FinSetCat()
 
 
 def small_objects(max_size=3):
@@ -46,6 +48,28 @@ def test_compose_and_identity():
     assert fs.compose(swap, P).table == ("1", "0", "0")
 
 
+def test_hom_is_every_function_in_product_order():
+    for dom in small_objects(3):
+        for cod in small_objects(3):
+            want = [fs.FinFunction(dom, cod, t)
+                    for t in itertools.product(cod.elements, repeat=len(dom))]
+            assert SC.hom(dom, cod) == want
+    empty = fs.finset()
+    assert SC.hom(empty, A) == [fs.FinFunction(empty, A, ())]
+    assert SC.hom(A, empty) == []
+
+
+def test_hom_shares_the_table_search_budget(monkeypatch):
+    # The budget counts candidate values, not functions: 12 points into 3
+    # take 797 160 of the 2 000 000, 14 points into 3 would take 7 174 452.
+    # morphism is stubbed so that no 531 441 FinFunctions are kept in memory.
+    monkeypatch.setattr(FinSetCat, "morphism", lambda self, dom, cod, table: None)
+    three = fs.finset("0", "1", "2")
+    assert len(SC.hom(fs.FinSetObj(tuple(f"x{i}" for i in range(12))), three)) == 3 ** 12
+    with pytest.raises(CarrierTooLarge, match="more than 2000000 candidates"):
+        SC.hom(fs.FinSetObj(tuple(f"x{i}" for i in range(14))), three)
+
+
 def test_equalizer_matches_brute_filter():
     e = equalizer(P, Q)
     assert e.carrier.elements == ("a", "c")
@@ -68,8 +92,8 @@ def test_equalizer_agrees_with_filter_exhaustively():
     # every parallel pair over sets of size <= 3 (size 6 total is too many tables)
     for dom in small_objects(3):
         for cod in small_objects(2):
-            for p in fs.all_functions(dom, cod):
-                for q in fs.all_functions(dom, cod):
+            for p in SC.hom(dom, cod):
+                for q in SC.hom(dom, cod):
                     want = tuple(x for x in dom.elements if p(x) == q(x))
                     assert equalizer(p, q).carrier.elements == want
 
@@ -94,15 +118,15 @@ def test_product_universal_property_exhaustive():
     factors = [BITS, fs.finset("x", "y")]
     r = fs.product(factors)
     for apex in small_objects(2):
-        for f in fs.all_functions(apex, factors[0]):
-            for g in fs.all_functions(apex, factors[1]):
+        for f in SC.hom(apex, factors[0]):
+            for g in SC.hom(apex, factors[1]):
                 med = r.tuple_of([f, g])
                 assert fs.compose(r.projections[0], med) == f
                 assert fs.compose(r.projections[1], med) == g
                 # uniqueness among all candidates
                 others = [
                     h
-                    for h in fs.all_functions(apex, r.obj)
+                    for h in SC.hom(apex, r.obj)
                     if fs.compose(r.projections[0], h) == f
                     and fs.compose(r.projections[1], h) == g
                 ]
@@ -124,14 +148,14 @@ def test_coproduct_universal_property_exhaustive():
     summands = [BITS, fs.finset("x")]
     r = fs.coproduct(summands)
     cod = fs.finset("u", "v")
-    for f in fs.all_functions(summands[0], cod):
-        for g in fs.all_functions(summands[1], cod):
+    for f in SC.hom(summands[0], cod):
+        for g in SC.hom(summands[1], cod):
             med = r.cotuple_of([f, g])
             assert fs.compose(med, r.coprojections[0]) == f
             assert fs.compose(med, r.coprojections[1]) == g
             others = [
                 h
-                for h in fs.all_functions(r.obj, cod)
+                for h in SC.hom(r.obj, cod)
                 if fs.compose(h, r.coprojections[0]) == f
                 and fs.compose(h, r.coprojections[1]) == g
             ]
@@ -160,15 +184,15 @@ def test_coequalizer_identity_and_total_collapse():
 
 def test_coequalizer_universal_property_exhaustive():
     pair = fs.finset("u", "v")
-    for p in fs.all_functions(pair, A):
-        for q in fs.all_functions(pair, A):
+    for p in SC.hom(pair, A):
+        for q in SC.hom(pair, A):
             c = coequalizer(p, q)
             for cod in small_objects(2):
-                for h in fs.all_functions(A, cod):
+                for h in SC.hom(A, cod):
                     if fs.compose(h, p) != fs.compose(h, q):
                         continue
                     mediators = [
-                        m for m in fs.all_functions(c.cod, cod) if fs.compose(m, c) == h
+                        m for m in SC.hom(c.cod, cod) if fs.compose(m, c) == h
                     ]
                     assert len(mediators) == 1
 
@@ -197,7 +221,7 @@ def test_cokernel_pair_cases():
 
 def test_cokernel_pair_trivial_iff_epi():
     for dom in small_objects(3):
-        for f in fs.all_functions(dom, BITS):
+        for f in SC.hom(dom, BITS):
             p, q = cokernel_pair(f)
             assert (p == q) == f.is_surjective()
 
@@ -225,20 +249,20 @@ def test_pullback_cases():
 
 def test_pullback_preserves_monos_and_universal_property():
     U = fs.finset("u", "v", "w")
-    for f in fs.all_functions(BITS, U):
+    for f in SC.hom(BITS, U):
         for m_table in itertools.permutations(U.elements, 2):
             m = fs.FinFunction(BITS, U, m_table)
             sq = pullback(f, m)
             assert sq.to_f_dom.is_injective()
             # universal property over small apexes
             for apex in small_objects(2):
-                for u in fs.all_functions(apex, BITS):
-                    for v in fs.all_functions(apex, BITS):
+                for u in SC.hom(apex, BITS):
+                    for v in SC.hom(apex, BITS):
                         if fs.compose(f, u) != fs.compose(m, v):
                             continue
                         mediators = [
                             h
-                            for h in fs.all_functions(apex, sq.apex)
+                            for h in SC.hom(apex, sq.apex)
                             if fs.compose(sq.to_f_dom, h) == u
                             and fs.compose(sq.to_m_dom, h) == v
                         ]
@@ -275,10 +299,10 @@ def test_factor_through():
 
 def test_factor_through_agrees_with_search():
     for dom in small_objects(2):
-        for f in fs.all_functions(dom, BITS):
-            for g in fs.all_functions(A, BITS):
+        for f in SC.hom(dom, BITS):
+            for g in SC.hom(A, BITS):
                 h = fs.factor_through(f, g)
-                all_h = [k for k in fs.all_functions(dom, A) if fs.compose(g, k) == f]
+                all_h = [k for k in SC.hom(dom, A) if fs.compose(g, k) == f]
                 if h is None:
                     assert all_h == []
                 else:
@@ -311,9 +335,8 @@ def test_finset_category_matches_oracle_exhaustively():
     """Every FinSetCat construction from the table-category base against the
     finset functions it replaced, over all functions between sets of size
     <= 3, errors included."""
-    SC = FinSetCat()
     objs = small_objects(3)
-    arrows = [f for dom in objs for cod in objs for f in fs.all_functions(dom, cod)]
+    arrows = [f for dom in objs for cod in objs for f in SC.hom(dom, cod)]
     seen = set()
     for p in arrows:
         for q in arrows:

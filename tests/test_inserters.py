@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from poset_oracle import random_galois_instance, random_poset
 from veq import cats
 from veq import finset as fs
 from veq import posets as po
@@ -32,7 +33,9 @@ from veq.inserters import (
     verify_forgetful,
     verify_universal_property,
 )
+from veq.instances import FinPosetCat
 
+PC = FinPosetCat()
 ALL_TRUE = {
     "faithful": True,
     "conservative": True,
@@ -59,9 +62,9 @@ def test_matches_pointwise_oracle_on_random_posets():
     rng = random.Random(11)
     done = 0
     while done < 25:
-        P = po.random_poset(rng, rng.randint(1, 4), "P")
-        Q = po.random_poset(rng, rng.randint(1, 4), "Q")
-        maps = po.all_monotone_maps(P, Q)
+        P = random_poset(rng, rng.randint(1, 4), "P")
+        Q = random_poset(rng, rng.randint(1, 4), "Q")
+        maps = PC.hom(P, Q)
         if not maps:
             continue
         f, g = rng.choice(maps), rng.choice(maps)
@@ -140,7 +143,7 @@ def test_universal_property_with_small_cone():
 
 
 def _galois_setup(rng):
-    A, B, G, H = po.random_galois_instance(rng)
+    A, B, G, H = random_galois_instance(rng)
     adj = po.adjunction_from_galois(H, G)
     return A, B, G, H, adj
 
@@ -149,7 +152,7 @@ def test_shift_left_round_trips_on_galois_corpus():
     rng = random.Random(23)
     for _ in range(10):
         A, B, G, H, adj = _galois_setup(rng)
-        F = rng.choice(po.all_monotone_maps(A, B))
+        F = rng.choice(PC.hom(A, B))
         Ffun = po.to_functor(F)
         there, back = shift_left(Ffun, adj.right, adj)
         assert cats.functors_equal(
@@ -174,7 +177,7 @@ def test_shift_right_round_trips_on_galois_corpus():
     for _ in range(10):
         A, B, G, H, adj = _galois_setup(rng)
         # adj.left is a left adjoint, so its functor has a right adjoint
-        second = rng.choice(po.all_monotone_maps(B, A))
+        second = rng.choice(PC.hom(B, A))
         there, back = shift_right(adj.left, po.to_functor(second), adj)
         assert cats.functors_equal(
             cats.compose_functors(back, there), cats.identity_functor(there.source))
@@ -209,8 +212,8 @@ def test_limit_creation_on_posets():
     rng = random.Random(31)
     hits = 0
     for _ in range(30):
-        P = po.random_poset(rng, rng.randint(1, 4), "P")
-        F = rng.choice(po.all_monotone_maps(P, P))
+        P = random_poset(rng, rng.randint(1, 4), "P")
+        F = rng.choice(PC.hom(P, P))
         report = limit_creation_report(thin(F), thin(po.identity_map(P)))
         for entry in report.values():
             if entry["hypothesis"]:

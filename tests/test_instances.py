@@ -3,7 +3,7 @@ import random
 import pytest
 
 from group_oracle import oracle_normal_closure, oracle_quotient_group
-from poset_oracle import oracle_coprojections, oracle_poset_collapse
+from poset_oracle import antichain, oracle_coprojections, oracle_poset_collapse, random_poset
 from veq import algebras as alg
 from veq import cats
 from veq import finset as fs
@@ -19,6 +19,7 @@ from veq.equations import (
 from veq.errors import (
     CapabilityMissing,
     CarrierTooLarge,
+    DomainMismatch,
     EmptyList,
     InvariantError,
     NotParallel,
@@ -132,6 +133,14 @@ def test_poset_equalizer_and_factor():
     assert w is not None
 
 
+def test_monotone_map_rejects_labels_outside_its_posets():
+    P = po.chain("P", ["a", "b"])
+    with pytest.raises(DomainMismatch):
+        po.identity_map(P)("zz")
+    with pytest.raises(InvariantError, match="outside codomain"):
+        po.MonotoneMap(P, P, ("a", "zz"))
+
+
 def test_poset_product_is_componentwise_order():
     P = po.chain("P", ["0", "1"])
     prod = PC.product([P, P])
@@ -145,7 +154,7 @@ def test_poset_product_is_componentwise_order():
 
 def test_poset_coequalizer_collapses_cycles():
     P = po.chain("P", ["0", "1", "2"])
-    pt = po.antichain("pt", ["*"])
+    pt = antichain("pt", ["*"])
     c = PC.coequalizer(
         po.MonotoneMap(pt, P, ("0",)), po.MonotoneMap(pt, P, ("2",))
     )
@@ -164,7 +173,7 @@ def test_poset_quotient_matches_oracle():
     rng = random.Random(11)
     merged = 0
     for _ in range(400):
-        P = po.random_poset(rng, rng.randint(1, 7), "P")
+        P = random_poset(rng, rng.randint(1, 7), "P")
         pairs = [(rng.choice(P.elements), rng.choice(P.elements))
                  for _ in range(rng.randint(0, 3))]
         got, want = PC.quotient(P, pairs), oracle_poset_collapse(P, pairs)
@@ -176,7 +185,7 @@ def test_poset_quotient_matches_oracle():
 def test_poset_coproduct_legs_match_oracle():
     rng = random.Random(3)
     for _ in range(50):
-        objs = [po.random_poset(rng, rng.randint(0, 4), f"P{i}")
+        objs = [random_poset(rng, rng.randint(0, 4), f"P{i}")
                 for i in range(rng.randint(1, 3))]
         cop = PC.coproduct(objs)
         assert cop.coprojections == oracle_coprojections(objs, cop.obj)
@@ -185,9 +194,9 @@ def test_poset_coproduct_legs_match_oracle():
 def test_poset_coequalizer_universal():
     rng = random.Random(5)
     for _ in range(20):
-        P = po.random_poset(rng, rng.randint(1, 4), "P")
-        Q = po.random_poset(rng, rng.randint(1, 4), "Q")
-        maps = po.all_monotone_maps(Q, P)
+        P = random_poset(rng, rng.randint(1, 4), "P")
+        Q = random_poset(rng, rng.randint(1, 4), "Q")
+        maps = PC.hom(Q, P)
         if len(maps) < 2:
             continue
         f, g = rng.choice(maps), rng.choice(maps)
@@ -195,7 +204,7 @@ def test_poset_coequalizer_universal():
         assert PC.morphisms_equal(PC.compose(c, f), PC.compose(c, g))
         # universal: any map coequalizing f,g factors through c
         T = po.chain("T", ["t0", "t1"])
-        for a in po.all_monotone_maps(P, T):
+        for a in PC.hom(P, T):
             if po.compose_maps(a, f) != po.compose_maps(a, g):
                 continue
             table = {}
@@ -292,7 +301,7 @@ GROUPS = grp.corpus()
 
 
 def _endo_pairs(G):
-    homs = grp.all_homs(G, G)
+    homs = GC.hom(G, G)
     return [(p, q) for p in homs for q in homs]
 
 
@@ -305,7 +314,7 @@ def test_group_equalizer_is_agreement_subgroup():
             assert v.cod == G and v.dom.elements == agree and v.table == agree
     S3 = GROUPS["S3"]
     with pytest.raises(NotParallel):
-        GC.equalizer(grp.identity_hom(S3), grp.all_homs(S3, GROUPS["C2"])[0])
+        GC.equalizer(grp.identity_hom(S3), GC.hom(S3, GROUPS["C2"])[0])
 
 
 def test_group_intersection_is_image_intersection():
@@ -324,7 +333,7 @@ def test_group_intersection_is_image_intersection():
 def test_group_coequalizer_matches_oracle_quotient():
     for src, dst in (("C2", "S3"), ("C3", "S3"), ("C2", "D4"), ("C4", "Q8"), ("V4", "A4")):
         G, H = GROUPS[src], GROUPS[dst]
-        homs = grp.all_homs(G, H)
+        homs = GC.hom(G, H)
         for p in homs:
             for q in homs:
                 c = GC.coequalizer(p, q)
@@ -350,10 +359,10 @@ def test_group_factor_matches_hom_search():
     non_injective = 0
     for f_src, cod, g_src in cases:
         A, H, K = GROUPS[f_src], GROUPS[cod], GROUPS[g_src]
-        for g in grp.all_homs(K, H):
+        for g in GC.hom(K, H):
             non_injective += not GC.is_mono(g)
-            for f in grp.all_homs(A, H):
-                want = [h.table for h in grp.all_homs(A, K)
+            for f in GC.hom(A, H):
+                want = [h.table for h in GC.hom(A, K)
                         if grp.compose_homs(g, h).table == f.table]
                 h = GC.factor(f, g)
                 if not want:

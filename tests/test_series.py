@@ -36,8 +36,6 @@ from veq.series import (
     from_ratio,
     from_recurrence,
     is_linear_recurrence,
-    op_add,
-    op_compose,
     op_const,
     op_mul,
     recurrence_equivalence_check,
@@ -48,6 +46,14 @@ from veq.series import (
 )
 
 FIB = from_recurrence([0, 1], [1, 1], 64)
+
+
+def op_add(left: DiffOpExpr, right: DiffOpExpr) -> DiffOpExpr:
+    return DiffOpExpr("add", (left, right))
+
+
+def op_compose(outer: DiffOpExpr, inner: DiffOpExpr) -> DiffOpExpr:
+    return DiffOpExpr("compose", (outer, inner))
 
 
 def rand_series(rng, precision):

@@ -20,7 +20,8 @@ from category_oracle import (
     oracle_table_factor,
     oracle_verify_universal_property,
 )
-from poset_oracle import oracle_all_monotone_maps
+from group_oracle import oracle_all_homs
+from poset_oracle import antichain, oracle_all_monotone_maps, random_galois_instance, random_poset
 from veq import algebras as alg
 from veq import cats, dsl
 from veq import finset as fs
@@ -41,7 +42,7 @@ SIGNATURES = [
 ]
 GROUPS = grp.corpus()
 BRUTE_HOMS = {FinAlgCat: oracle_all_alg_homs, FinPosetCat: oracle_all_monotone_maps,
-              FinCatCat: oracle_all_functors, FinGrpCat: grp.all_homs}
+              FinCatCat: oracle_all_functors, FinGrpCat: oracle_all_homs}
 
 
 def small_categories():
@@ -149,22 +150,22 @@ def test_searches_match_brute_oracles(seed):
     A = random_algebra(rng, sig, "A")
     B = related_algebra(rng, A, "B")
     C = related_algebra(rng, B, "C")
-    homs = alg.all_alg_homs(A, B)
+    homs = AC.hom(A, B)
     assert [h.table for h in homs] == [h.table for h in oracle_all_alg_homs(A, B)]
     for X, Y in ((A, B), (A, relabelled(A, "R")), (B, C)):
         same(alg.find_alg_isomorphism(X, Y), oracle_find_alg_isomorphism(X, Y), lambda h: h.table)
-    for f in alg.all_alg_homs(A, C)[:4]:
-        for g in alg.all_alg_homs(B, C)[:4]:
+    for f in AC.hom(A, C)[:4]:
+        for g in AC.hom(B, C)[:4]:
             same_factor(AC, f, g, lambda h: h.table)
     assert_law_matches_constructor(
         rng, AC.law(A, B), [B.carrier.elements] * len(A),
         lambda t: alg.AlgHom(A, B, t), [h.table for h in homs])
 
     # posets: monotone maps, factorizations, the law
-    P, Q, R = (po.random_poset(rng, rng.randint(1, 3), n) for n in "PQR")
-    maps = po.all_monotone_maps(P, Q)
+    P, Q, R = (random_poset(rng, rng.randint(1, 3), n) for n in "PQR")
+    maps = PC.hom(P, Q)
     assert [m.table for m in maps] == [m.table for m in oracle_all_monotone_maps(P, Q)]
-    into = po.all_monotone_maps(P, R), po.all_monotone_maps(Q, R)
+    into = PC.hom(P, R), PC.hom(Q, R)
     for f in rng.sample(into[0], min(4, len(into[0]))):
         for g in rng.sample(into[1], min(4, len(into[1]))):
             same_factor(PC, f, g, lambda h: h.table)
@@ -190,12 +191,12 @@ def test_searches_match_brute_oracles(seed):
 
     # groups: factorizations through the group algebra, the law
     G, H, K = (GROUPS[rng.choice(["C2", "C3", "C4", "V4", "S3"])] for _ in range(3))
-    for f in grp.all_homs(G, K)[:4]:
-        for g in grp.all_homs(H, K)[:4]:
+    for f in GC.hom(G, K)[:4]:
+        for g in GC.hom(H, K)[:4]:
             same_factor(GC, f, g, lambda h: h.table)
     assert_law_matches_constructor(
         rng, GC.law(G, H), [H.elements] * len(G),
-        lambda t: grp.GroupHom(G, H, t), [h.table for h in grp.all_homs(G, H)])
+        lambda t: grp.GroupHom(G, H, t), [h.table for h in GC.hom(G, H)])
 
 
 def limit_inputs():
@@ -211,9 +212,9 @@ def limit_inputs():
             pairs += [(F, G) for F in ends for G in ends]
     rng = random.Random(606)
     for _ in range(40):
-        A, B, G, H = po.random_galois_instance(rng)
+        A, B, G, H = random_galois_instance(rng)
         adj = po.adjunction_from_galois(H, G)
-        pairs.append((po.to_functor(rng.choice(po.all_monotone_maps(A, B))), adj.right))
+        pairs.append((po.to_functor(rng.choice(PC.hom(A, B))), adj.right))
     return pairs
 
 
@@ -248,8 +249,8 @@ def test_search_order_is_product_or_permutation_order():
 
 
 def test_deep_carrier_needs_no_recursion():
-    P = po.antichain("A", [f"a{i}" for i in range(1500)])
-    maps = po.all_monotone_maps(P, po.chain("One", ["p"]))
+    P = antichain("A", [f"a{i}" for i in range(1500)])
+    maps = PC.hom(P, po.chain("One", ["p"]))
     assert [m.table for m in maps] == [("p",) * 1500]
 
 
@@ -265,7 +266,7 @@ def test_budget_bounds_the_candidates_of_one_call(monkeypatch):
     A, B = (alg.make_algebra(name, meet, [f"{i:02d}" for i in range(n)], {"meet": min})
             for name, n in (("A", 13), ("B", 3)))
     monkeypatch.setattr(fs, "_TABLE_BUDGET", 1365)
-    assert [len(alg.all_alg_homs(A, B)) for _ in range(2)] == [105, 105]  # per call
+    assert [len(AC.hom(A, B)) for _ in range(2)] == [105, 105]  # per call
     monkeypatch.setattr(fs, "_TABLE_BUDGET", 1364)
     with pytest.raises(CarrierTooLarge, match="more than 1364 candidates"):
-        alg.all_alg_homs(A, B)
+        AC.hom(A, B)

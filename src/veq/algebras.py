@@ -186,10 +186,17 @@ class AlgHom:
                 raise InvariantError(f"homomorphism value {v} outside codomain")
         image = dict(zip(self.dom.carrier.elements, self.table)).__getitem__
         for sym, arity in self.dom.signature.ops:
-            table, cod_table = self.dom.tables[sym], self.cod.tables[sym]
-            for args in itertools.product(self.dom.carrier.elements, repeat=arity):
-                if image(table[args]) != cod_table[tuple(map(image, args))]:
-                    raise InvariantError(f"not a homomorphism at {sym}{args}")
+            table = self.dom.tables[sym]
+            # column-wise over the table's entries, in whatever order it lists them
+            columns = [map(image, col) for col in zip(*table)]
+            if pointwise(self.cod, sym, columns, len(table)) != tuple(map(image, table.values())):
+                cod_table = self.cod.tables[sym]
+                # name the first failing entry in itertools.product order
+                args = next(
+                    args for args in itertools.product(self.dom.carrier.elements, repeat=arity)
+                    if image(table[args]) != cod_table[tuple(map(image, args))]
+                )
+                raise InvariantError(f"not a homomorphism at {sym}{args}")
 
     def __call__(self, x: str) -> str:
         try:

@@ -16,8 +16,6 @@ from .algebras import FiniteAlgebra, Identity
 from .equations import CoEquationSystem, Equation, EquationSystem, general_cosolution, general_solution
 from .errors import BoundsTooLarge, SignatureMismatch
 from .finset import FinSetObj, SubobjectMono, fin_function, tuple_label
-# the group-algebra bridge lives in groups; callers may keep importing it here
-from .groups import GROUP_SIG, algebra_to_group, group_to_algebra  # noqa: F401
 from .instances import FinGrpCat
 from .theories import (
     App,
@@ -348,38 +346,37 @@ def free_algebra_in_variety(A: FiniteAlgebra, n: int, cap: int = 1_000_000) -> F
 
 # -- groups through the equation calculus -----------------------------------
 
-def centralizer(G: grp.Group, S) -> SubobjectMono:
+def centralizer(G: FiniteAlgebra, S) -> SubobjectMono:
     """Elements commuting with everything in S, as a canonical subobject of
     the carrier. Computed by solving the conjugation-fixing system in the
     finite-group instance, not by scanning directly.
     """
     S = tuple(S)
     if not S:
-        incl = grp.identity_hom(G)
+        incl = alg.identity_alg_hom(G)
     else:
         system = EquationSystem(
             _GRP_CAT,
             tuple(
-                Equation(grp.conjugation_hom(G, s), grp.identity_hom(G)) for s in S
+                Equation(grp.conjugation_hom(G, s), alg.identity_alg_hom(G)) for s in S
             ),
         )
         incl = general_solution(system)
-    carrier = FinSetObj(incl.dom.elements)
-    target = FinSetObj(G.elements)
+    carrier, target = incl.dom.carrier, G.carrier
     return SubobjectMono(
         carrier, target, fin_function(carrier, target, {x: x for x in carrier.elements})
     )
 
 
-def abelianization(G: grp.Group) -> grp.GroupHom:
+def abelianization(G: FiniteAlgebra) -> alg.AlgHom:
     """The canonical surjection killing every conjugation action, computed
     as a general cosolution in the finite-group instance.
     """
     cosystem = CoEquationSystem(
         _GRP_CAT,
         tuple(
-            Equation(grp.conjugation_hom(G, g), grp.identity_hom(G))
-            for g in G.elements
+            Equation(grp.conjugation_hom(G, g), alg.identity_alg_hom(G))
+            for g in G.carrier.elements
         ),
     )
     return general_cosolution(cosystem)

@@ -319,14 +319,14 @@ def _cmd_abelianize(ws, args, opts):
         _usage("veq abelianize <group> -f workspace.veq")
     G = ws.get("group", args[0])
     q = birkhoff.abelianization(G)
-    mapping = {x: q.table[i] for i, x in enumerate(q.dom.elements)}
+    mapping = q.mapping()
     payload = {
-        "order": len(q.cod.elements),
-        "target": list(q.cod.elements),
+        "order": len(q.cod),
+        "target": list(q.cod.carrier.elements),
         "map": mapping,
     }
-    human = [f"abelianization has order {len(q.cod.elements)}"]
-    human += [f"{x} -> {mapping[x]}" for x in q.dom.elements]
+    human = [f"abelianization has order {len(q.cod)}"]
+    human += [f"{x} -> {y}" for x, y in mapping.items()]
     return "ok", payload, None, 0, human
 
 

@@ -1,227 +1,149 @@
-"""Finite groups as Cayley tables, homomorphisms, quotients, and a validated
+"""Finite groups as algebras over the signature {mul, inv, e}: the full
+subcategory of finite algebras cut out by the group laws, and a validated
 corpus of the groups of order up to 16 used throughout the test suites.
 
-A group is also an algebra over the signature {mul, inv, e}; subgroup
-closure, normal closure and quotients are taken in that algebra, where the
-congruences are exactly the partitions into cosets of normal subgroups.
-Hom-sets come from the table search in veq.instances.FinGrpCat.hom, and an
-isomorphism is algebras.find_alg_isomorphism on the two group algebras.
+`make_group` reads e and inv off a Cayley table and checks the group laws
+with `algebras.satisfies`. Everything else is the algebra's: homomorphisms
+are `algebras.AlgHom`, subgroups and quotients are subalgebras and quotient
+algebras, and the congruences are exactly the partitions into cosets of
+normal subgroups. Hom-sets come from the table search in
+veq.instances.FinGrpCat.hom, and an isomorphism is
+algebras.find_alg_isomorphism.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import algebras as alg
-from .errors import CodMismatch, DomainMismatch, ElementNotInG, InvariantError, SignatureMismatch
-from .theories import Signature
+from .errors import ElementNotInG, InvariantError
+from .finset import FinSetObj
+from .theories import App, Signature, Var
 
 GROUP_SIG = Signature((("mul", 2), ("inv", 1), ("e", 0)))
 
 
-@dataclass(frozen=True)
-class Group:
-    name: str
-    elements: tuple[str, ...]
-    table: tuple[tuple[str, ...], ...]  # table[i][j] = elements[i] * elements[j]
-    # derived once on construction; not part of equality, hash or repr
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    identity: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.elements)
-        if len(set(self.elements)) != n:
-            raise InvariantError("duplicate element labels")
-        if len(self.table) != n or any(len(row) != n for row in self.table):
-            raise InvariantError("table shape mismatch")
-        idx = {x: i for i, x in enumerate(self.elements)}
-        object.__setattr__(self, "_index", idx)
-        for row in self.table:
-            for v in row:
-                if v not in idx:
-                    raise InvariantError(f"table value {v!r} outside carrier")
-        # identity
-        e = None
-        for cand in self.elements:
-            i = idx[cand]
-            if all(self.table[i][j] == x and self.table[j][i] == x
-                   for j, x in enumerate(self.elements)):
-                e = cand
-                break
-        if e is None:
-            raise InvariantError("no identity element")
-        object.__setattr__(self, "identity", e)
-        # inverses
-        for i, a in enumerate(self.elements):
-            if e not in self.table[i]:
-                raise InvariantError(f"{a!r} has no inverse")
-        # associativity
-        for i in range(n):
-            for j in range(n):
-                ij = idx[self.table[i][j]]
-                for k in range(n):
-                    if self.table[ij][k] != self.table[i][idx[self.table[j][k]]]:
-                        raise InvariantError("associativity fails")
-
-    def mul(self, a: str, b: str) -> str:
-        idx = self._index
-        if a not in idx or b not in idx:
-            raise ElementNotInG(f"{a!r} or {b!r} not in {self.name}")
-        return self.table[idx[a]][idx[b]]
-
-    def inverse(self, a: str) -> str:
-        if a not in self._index:
-            raise ElementNotInG(f"{a!r} not in {self.name}")
-        return self.elements[self.table[self._index[a]].index(self.identity)]
-
-    def conjugate(self, g: str, x: str) -> str:
-        return self.mul(self.mul(g, x), self.inverse(g))
-
-    def __len__(self) -> int:
-        return len(self.elements)
+def _m(a, b) -> App:
+    return App("mul", (a, b))
 
 
-def make_group(name: str, elements, mul) -> Group:
-    elements = tuple(elements)
-    table = tuple(tuple(mul(a, b) for b in elements) for a in elements)
-    return Group(name, elements, table)
+_x, _y, _z, _e = Var(0), Var(1), Var(2), App("e", ())
+
+# the laws make_group checks, each with the failure it reports; e is the
+# first left identity and inv(a) the first b with a * b = e, so these are
+# what the derivation leaves open
+_LAWS = (
+    (alg.Identity(_m(_x, _e), _x, 1), "no identity element"),
+    (alg.Identity(_m(App("inv", (_x,)), _x), _e, 1), "inverses are one-sided"),
+    (alg.Identity(_m(_m(_x, _y), _z), _m(_x, _m(_y, _z)), 3), "associativity fails"),
+)
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    dom: Group
-    cod: Group
-    table: tuple[str, ...]  # aligned with dom.elements
-
-    def __post_init__(self):
-        if len(self.table) != len(self.dom):
-            raise InvariantError("hom table length mismatch")
-        for v in self.table:
-            if v not in self.cod._index:
-                raise InvariantError(f"hom value {v!r} outside codomain")
-        idx = self.dom._index
-        for a in self.dom.elements:
-            for b in self.dom.elements:
-                lhs = self.table[idx[self.dom.mul(a, b)]]
-                rhs = self.cod.mul(self.table[idx[a]], self.table[idx[b]])
-                if lhs != rhs:
-                    raise InvariantError("not a homomorphism")
-
-    def __call__(self, a: str) -> str:
-        try:
-            return self.table[self.dom._index[a]]
-        except KeyError:
-            raise DomainMismatch(f"{a!r} not in domain") from None
-
-    def is_injective(self) -> bool:
-        return len(set(self.table)) == len(self.table)
-
-    def is_surjective(self) -> bool:
-        return set(self.table) == set(self.cod.elements)
-
-
-def identity_hom(G: Group) -> GroupHom:
-    return GroupHom(G, G, G.elements)
-
-
-def compose_homs(g: GroupHom, f: GroupHom) -> GroupHom:
-    if f.cod != g.dom:
-        raise CodMismatch("homs not composable")
-    return GroupHom(f.dom, g.cod, tuple(g(y) for y in f.table))
-
-
-def conjugation_hom(G: Group, g: str) -> GroupHom:
-    _check_members(G, [g])
-    return GroupHom(G, G, tuple(G.conjugate(g, x) for x in G.elements))
-
-
-def group_to_algebra(G: Group) -> alg.FiniteAlgebra:
-    """The Cayley-table group as an algebra over {mul, inv, e}."""
-    return alg.make_algebra(
-        G.name,
-        GROUP_SIG,
-        G.elements,
-        {"mul": G.mul, "inv": G.inverse, "e": G.identity},
-    )
-
-
-def algebra_to_group(A: alg.FiniteAlgebra) -> Group:
-    """Read a group back off a {mul, inv, e} algebra; the Group constructor
-    re-checks every axiom.
+def make_group(name: str, elements, mul) -> alg.FiniteAlgebra:
+    """The group on elements under mul, as an algebra over GROUP_SIG. mul is
+    a callable on two labels or the Cayley table as rows aligned with
+    elements. Anything that is not a group raises InvariantError.
     """
-    if A.signature != GROUP_SIG:
-        raise SignatureMismatch("expected the group signature {mul, inv, e}")
-    mul = A.tables["mul"]
-    table = tuple(
-        tuple(mul[(a, b)] for b in A.carrier.elements) for a in A.carrier.elements
-    )
-    return Group(A.name, A.carrier.elements, table)
+    carrier = FinSetObj(tuple(elements))  # rejects duplicate labels
+    elems = carrier.elements
+    rows = [[mul(a, b) for b in elems] for a in elems] if callable(mul) else mul
+    if len(rows) != len(elems) or any(len(row) != len(elems) for row in rows):
+        raise InvariantError("table shape mismatch")
+    table = {(a, b): v for a, row in zip(elems, rows) for b, v in zip(elems, row)}
+    for v in table.values():
+        if v not in carrier:
+            raise InvariantError(f"table value {v!r} outside carrier")
+    e = next((a for a in elems if all(table[a, b] == b for b in elems)), None)
+    if e is None:
+        raise InvariantError("no identity element")
+    inv = {}
+    for a in elems:
+        inv[(a,)] = next((b for b in elems if table[a, b] == e), None)
+        if inv[(a,)] is None:
+            raise InvariantError(f"{a!r} has no inverse")
+    G = alg.make_algebra(name, GROUP_SIG, carrier, {"mul": table, "inv": inv, "e": e})
+    for law, failure in _LAWS:
+        if not alg.satisfies(G, law):
+            raise InvariantError(failure)
+    return G
 
 
-def _check_members(G: Group, xs) -> tuple[str, ...]:
+def identity(G: alg.FiniteAlgebra) -> str:
+    return G.tables["e"][()]
+
+
+def mul(G: alg.FiniteAlgebra, a: str, b: str) -> str:
+    try:
+        return G.tables["mul"][a, b]
+    except KeyError:
+        raise ElementNotInG(f"{a!r} or {b!r} not in {G.name}") from None
+
+
+def inverse(G: alg.FiniteAlgebra, a: str) -> str:
+    try:
+        return G.tables["inv"][(a,)]
+    except KeyError:
+        raise ElementNotInG(f"{a!r} not in {G.name}") from None
+
+
+def conjugate(G: alg.FiniteAlgebra, g: str, x: str) -> str:
+    return mul(G, mul(G, g, x), inverse(G, g))
+
+
+def conjugation_hom(G: alg.FiniteAlgebra, g: str) -> alg.AlgHom:
+    _check_members(G, [g])
+    return alg.AlgHom(G, G, tuple(conjugate(G, g, x) for x in G.carrier.elements))
+
+
+def _check_members(G: alg.FiniteAlgebra, xs) -> tuple[str, ...]:
     xs = tuple(xs)
     for x in xs:
-        if x not in G._index:
+        if x not in G.carrier:
             raise ElementNotInG(f"{x!r} not in {G.name}")
     return xs
 
 
-def subgroup_closure(G: Group, gens) -> tuple[str, ...]:
+def subgroup_closure(G: alg.FiniteAlgebra, gens) -> tuple[str, ...]:
     """Smallest subgroup containing gens, as labels in ambient order."""
-    return alg.subalgebra_closure(group_to_algebra(G), _check_members(G, gens))
+    return alg.subalgebra_closure(G, _check_members(G, gens))
 
 
-def normal_closure(G: Group, gens) -> tuple[str, ...]:
+def _kernel_congruence(G: alg.FiniteAlgebra, gens) -> alg.Partition:
+    """The congruence that identifies each generator with the identity."""
+    return alg.congruence_closure(G, [(g, identity(G)) for g in _check_members(G, gens)])
+
+
+def normal_closure(G: alg.FiniteAlgebra, gens) -> tuple[str, ...]:
     """Smallest normal subgroup containing gens: the identity's class in the
     congruence that identifies each generator with the identity.
     """
-    e = G.identity
-    partition = alg.congruence_closure(
-        group_to_algebra(G), [(g, e) for g in _check_members(G, gens)]
-    )
-    return next(c for c in partition if e in c)
+    e = identity(G)
+    return next(c for c in _kernel_congruence(G, gens) if e in c)
 
 
-def sub_group(G: Group, members, name: str | None = None) -> tuple[Group, GroupHom]:
-    """The subgroup on the given closed member set, with its inclusion."""
-    members = tuple(x for x in G.elements if x in set(members))
-    H = Group(name or f"{G.name}|sub", members,
-              tuple(tuple(G.mul(a, b) for b in members) for a in members))
-    return H, GroupHom(H, G, members)
-
-
-def quotient_by_pairs(G: Group, pairs, name: str | None = None) -> tuple[Group, GroupHom]:
-    """Quotient by the congruence of the group algebra that the pairs
-    generate; cosets named by their earliest member.
-    """
-    A = group_to_algebra(G)
-    partition = alg.congruence_closure(A, pairs)
-    Q, proj = alg.quotient_algebra(A, partition, name or f"{G.name}/N")
-    H = algebra_to_group(Q)
-    return H, GroupHom(G, H, proj.table)
-
-
-def quotient_group(G: Group, normal_members, name: str | None = None) -> tuple[Group, GroupHom]:
+def quotient_group(
+    G: alg.FiniteAlgebra, normal_members, name: str | None = None
+) -> tuple[alg.FiniteAlgebra, alg.AlgHom]:
     """Quotient by a normal subgroup; cosets named by their earliest member.
     Members that are not exactly a normal subgroup raise InvariantError.
     """
-    members = _check_members(G, normal_members)
-    Q, proj = quotient_by_pairs(G, [(n, G.identity) for n in members], name)
-    if {x for x in G.elements if proj(x) == Q.identity} != set(members):
+    members = tuple(normal_members)
+    partition = _kernel_congruence(G, members)
+    e = identity(G)
+    if set(next(c for c in partition if e in c)) != set(members):
         raise InvariantError(f"not a normal subgroup of {G.name}")
-    return Q, proj
+    return alg.quotient_algebra(G, partition, name or f"{G.name}/N")
 
 
 # -- corpus -------------------------------------------------------------------
 
-def _cyclic(n: int) -> Group:
+def _cyclic(n: int) -> alg.FiniteAlgebra:
     return make_group(f"C{n}", tuple(str(i) for i in range(n)),
                       lambda a, b: str((int(a) + int(b)) % n))
 
 
-def _klein() -> Group:
+def _klein() -> alg.FiniteAlgebra:
     def mul(a, b):
         if a == "e":
             return b
@@ -233,7 +155,7 @@ def _klein() -> Group:
     return make_group("V4", ("e", "a", "b", "c"), mul)
 
 
-def _perm_group(name: str, perms: dict[str, tuple[int, ...]]) -> Group:
+def _perm_group(name: str, perms: dict[str, tuple[int, ...]]) -> alg.FiniteAlgebra:
     by_perm = {p: lbl for lbl, p in perms.items()}
 
     def mul(a, b):
@@ -243,7 +165,7 @@ def _perm_group(name: str, perms: dict[str, tuple[int, ...]]) -> Group:
     return make_group(name, tuple(perms), mul)
 
 
-def _symmetric(name: str, n: int, even_only: bool = False) -> Group:
+def _symmetric(name: str, n: int, even_only: bool = False) -> alg.FiniteAlgebra:
     """S_n (or A_n), elements in cycle notation ordered by (length, label)."""
     perms = {}
     for p in itertools.permutations(range(1, n + 1)):
@@ -269,7 +191,7 @@ def _cycle_label(p: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "e"
 
 
-def _dihedral(n: int, name: str) -> Group:
+def _dihedral(n: int, name: str) -> alg.FiniteAlgebra:
     # r{i} rotations, s{i} = reflection s * r^i, with s r s = r^-1
     labels = tuple(f"r{i}" for i in range(n)) + tuple(f"s{i}" for i in range(n))
 
@@ -287,7 +209,7 @@ def _dihedral(n: int, name: str) -> Group:
     return make_group(name, labels, mul)
 
 
-def _q8() -> Group:
+def _q8() -> alg.FiniteAlgebra:
     labels = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
     base = {"i": ("j", "k"), "j": ("k", "i"), "k": ("i", "j")}
 
@@ -313,7 +235,7 @@ def _q8() -> Group:
 
 
 @lru_cache(maxsize=1)
-def corpus() -> dict[str, Group]:
+def corpus() -> dict[str, alg.FiniteAlgebra]:
     """The 14 bundled groups of order <= 16, validated on construction."""
     groups = [
         _cyclic(1), _cyclic(2), _cyclic(3), _cyclic(4), _cyclic(5),

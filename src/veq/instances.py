@@ -10,8 +10,8 @@ sub-object, quotient, product and coproduct. Sets keep only their
 factorization, which needs no search; categories keep only their hom
 enumeration, whose object and arrow positions draw from different pools.
 A functor's table runs over the source's objects and then its arrows,
-tagged by kind. Group quotients are taken in the group algebra over
-{mul, inv, e}.
+tagged by kind. Groups are the algebras over {mul, inv, e} that satisfy
+the group laws, so FinGrp is FinAlg restricted to them.
 
 Each instance normalizes its canonical-subobject values (inclusions) into
 plain morphisms on input, so general solutions flow back through compose,
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from . import algebras as alg
 from . import cats
 from . import finset as fs
-from . import groups as grp
 from . import posets as po
 from .equations import CompCategory
 from .errors import CodMismatch, EmptyList, InvariantError, NotParallel, TargetMismatch
@@ -203,36 +202,6 @@ class FinSetCat(_TableCategory):
         return fs.factor_through(self._m(f), self._m(g))
 
 
-class FinGrpCat(_TableCategory):
-    """Finite groups and homomorphisms. Equalizers are agreement subgroups;
-    coequalizers quotient by the congruence of the group algebra that the
-    pointwise pairs generate, i.e. by a normal subgroup. No products,
-    coproducts or cokernel pairs here.
-    """
-
-    name = "FinGrp"
-
-    law = staticmethod(lambda x, a: alg.hom_checks(grp.group_to_algebra(x), grp.group_to_algebra(a)))
-
-    def carrier(self, obj: grp.Group):
-        return obj.elements
-
-    def morphism(self, dom, cod, table):
-        return grp.GroupHom(dom, cod, table)
-
-    def compose(self, g, f):
-        return grp.compose_homs(g, f)
-
-    def identity(self, obj: grp.Group):
-        return grp.identity_hom(obj)
-
-    def sub(self, obj: grp.Group, members):
-        return grp.sub_group(obj, members)[1]
-
-    def quotient(self, obj: grp.Group, pairs):
-        return grp.quotient_by_pairs(obj, pairs)[1]
-
-
 class FinAlgCat(_TableCategory):
     """Finite algebras over one signature. Coequalizers quotient by the
     congruence the pointwise pairs generate; coproducts are absent (free
@@ -265,6 +234,23 @@ class FinAlgCat(_TableCategory):
 
     def product(self, objs):
         return alg.product_algebra(list(objs))
+
+
+class FinGrpCat(FinAlgCat):
+    """Finite groups and homomorphisms: the full subcategory of FinAlg on
+    the algebras over groups.GROUP_SIG that satisfy the group laws. Groups
+    form a variety, so FinAlg's equalizers (agreement subgroups) and
+    coequalizers (quotients by the congruence the pointwise pairs generate,
+    i.e. by a normal subgroup) of groups are groups. No products,
+    coproducts, cokernel pairs or pullbacks here.
+    """
+
+    name = "FinGrp"
+
+    has_products = False
+    has_pullbacks = False
+    product = CompCategory.product
+    pullback = CompCategory.pullback
 
 
 class FinPosetCat(_TableCategory):

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from group_oracle import oracle_generating_set
+from group_oracle import algebra_to_group, oracle_generating_set
 from veq import cats
 from veq import finset as fs
 from veq.cats import FiniteCategory
@@ -248,7 +248,7 @@ def oracle_hom_size(cat, x, a) -> int:
     """How many tables cat.hom(x, a) enumerates: one per image of a
     generating set for groups, every table otherwise."""
     if isinstance(cat, FinGrpCat):
-        return len(a) ** len(oracle_generating_set(x))
+        return len(a) ** len(oracle_generating_set(algebra_to_group(x)))
     return len(cat.carrier(a)) ** len(cat.carrier(x))
 
 

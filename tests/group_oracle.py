@@ -1,28 +1,156 @@
-"""The coset-based group closures and quotient that the group-algebra
-wrappers in veq.groups replaced, and the generator-image hom enumeration
-and isomorphism search that the table search replaced, kept as an oracle.
+"""Finite groups as Cayley tables, the coset-based closures and quotient, and
+the generator-image hom enumeration and isomorphism search, kept as an
+oracle for veq.groups and the table search.
+
+veq holds a group as its algebra over {mul, inv, e} (veq.groups.make_group).
+`Group` and `GroupHom` are the Cayley-table group and its homomorphism that
+veq used before, each re-checking every axiom on construction.
+`algebra_to_group` reads a package group into a `Group`, and
+`group_to_algebra` takes it back, so the tests can run these oracles on the
+package's groups and compare answers.
 
 Subgroup closure, normal closure and quotients are now taken in the algebra
-over {mul, inv, e} (subalgebra closure, the identity's congruence class, the
-quotient algebra). These are the earlier fixpoint loops over the Cayley
-table, unchanged apart from their names, so the tests can compare the new
-path with an independent one. ORACLE_S3_PERMS is the hand-written
-permutation list the corpus built S3 from before S3 and A4 shared one
-builder.
+(subalgebra closure, the identity's congruence class, the quotient
+algebra). The oracle's versions are fixpoint loops over the Cayley table,
+so the tests can compare the two paths. ORACLE_S3_PERMS is the
+hand-written permutation list the corpus built S3 from before S3 and A4
+shared one builder.
 
 `oracle_all_homs` extends each choice of generator images over the Cayley
 graph and keeps the extensions the GroupHom constructor accepts;
 `oracle_find_isomorphism` filters its list after comparing element-order
-profiles. veq now gets both from finset.search_tables under the group
-algebra's homomorphism law (FinGrpCat.hom, algebras.find_alg_isomorphism).
+profiles. veq now gets both from finset.search_tables under the algebra's
+homomorphism law (FinGrpCat.hom, algebras.find_alg_isomorphism).
 `oracle_is_abelian` and `oracle_centralizer` are the brute checks the
 package kept for its tests until they moved here.
 """
 
 import itertools
+from dataclasses import dataclass, field
 
-from veq.errors import ElementNotInG, InvariantError
-from veq.groups import Group, GroupHom, make_group
+from veq import algebras as alg
+from veq.errors import DomainMismatch, ElementNotInG, InvariantError, SignatureMismatch
+from veq.groups import GROUP_SIG
+
+
+@dataclass(frozen=True)
+class Group:
+    name: str
+    elements: tuple[str, ...]
+    table: tuple[tuple[str, ...], ...]  # table[i][j] = elements[i] * elements[j]
+    # derived once on construction; not part of equality, hash or repr
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    identity: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.elements)
+        if len(set(self.elements)) != n:
+            raise InvariantError("duplicate element labels")
+        if len(self.table) != n or any(len(row) != n for row in self.table):
+            raise InvariantError("table shape mismatch")
+        idx = {x: i for i, x in enumerate(self.elements)}
+        object.__setattr__(self, "_index", idx)
+        for row in self.table:
+            for v in row:
+                if v not in idx:
+                    raise InvariantError(f"table value {v!r} outside carrier")
+        e = None
+        for cand in self.elements:
+            i = idx[cand]
+            if all(self.table[i][j] == x and self.table[j][i] == x
+                   for j, x in enumerate(self.elements)):
+                e = cand
+                break
+        if e is None:
+            raise InvariantError("no identity element")
+        object.__setattr__(self, "identity", e)
+        for i, a in enumerate(self.elements):
+            if e not in self.table[i]:
+                raise InvariantError(f"{a!r} has no inverse")
+        for i in range(n):
+            for j in range(n):
+                ij = idx[self.table[i][j]]
+                for k in range(n):
+                    if self.table[ij][k] != self.table[i][idx[self.table[j][k]]]:
+                        raise InvariantError("associativity fails")
+
+    def mul(self, a: str, b: str) -> str:
+        idx = self._index
+        if a not in idx or b not in idx:
+            raise ElementNotInG(f"{a!r} or {b!r} not in {self.name}")
+        return self.table[idx[a]][idx[b]]
+
+    def inverse(self, a: str) -> str:
+        if a not in self._index:
+            raise ElementNotInG(f"{a!r} not in {self.name}")
+        return self.elements[self.table[self._index[a]].index(self.identity)]
+
+    def conjugate(self, g: str, x: str) -> str:
+        return self.mul(self.mul(g, x), self.inverse(g))
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
+def _group(name: str, elements, mul) -> Group:
+    elements = tuple(elements)
+    return Group(name, elements, tuple(tuple(mul(a, b) for b in elements) for a in elements))
+
+
+@dataclass(frozen=True)
+class GroupHom:
+    dom: Group
+    cod: Group
+    table: tuple[str, ...]  # aligned with dom.elements
+
+    def __post_init__(self):
+        if len(self.table) != len(self.dom):
+            raise InvariantError("hom table length mismatch")
+        for v in self.table:
+            if v not in self.cod._index:
+                raise InvariantError(f"hom value {v!r} outside codomain")
+        idx = self.dom._index
+        for a in self.dom.elements:
+            for b in self.dom.elements:
+                lhs = self.table[idx[self.dom.mul(a, b)]]
+                rhs = self.cod.mul(self.table[idx[a]], self.table[idx[b]])
+                if lhs != rhs:
+                    raise InvariantError("not a homomorphism")
+
+    def __call__(self, a: str) -> str:
+        try:
+            return self.table[self.dom._index[a]]
+        except KeyError:
+            raise DomainMismatch(f"{a!r} not in domain") from None
+
+    def is_injective(self) -> bool:
+        return len(set(self.table)) == len(self.table)
+
+    def is_surjective(self) -> bool:
+        return set(self.table) == set(self.cod.elements)
+
+
+def group_to_algebra(G: Group) -> alg.FiniteAlgebra:
+    """The Cayley-table group as an algebra over {mul, inv, e}."""
+    return alg.make_algebra(
+        G.name,
+        GROUP_SIG,
+        G.elements,
+        {"mul": G.mul, "inv": G.inverse, "e": G.identity},
+    )
+
+
+def algebra_to_group(A: alg.FiniteAlgebra) -> Group:
+    """Read a group back off a {mul, inv, e} algebra; the Group constructor
+    re-checks every axiom.
+    """
+    if A.signature != GROUP_SIG:
+        raise SignatureMismatch("expected the group signature {mul, inv, e}")
+    mul = A.tables["mul"]
+    table = tuple(
+        tuple(mul[(a, b)] for b in A.carrier.elements) for a in A.carrier.elements
+    )
+    return Group(A.name, A.carrier.elements, table)
 
 
 def oracle_subgroup_closure(G: Group, gens) -> tuple[str, ...]:
@@ -78,8 +206,7 @@ def oracle_quotient_group(G: Group, normal_members, name: str | None = None) -> 
         reps.append(rep)
         for c in coset:
             seen[c] = rep
-    Q = make_group(name or f"{G.name}/N", tuple(reps),
-                   lambda a, b: seen[G.mul(a, b)])
+    Q = _group(name or f"{G.name}/N", reps, lambda a, b: seen[G.mul(a, b)])
     return Q, GroupHom(G, Q, tuple(seen[x] for x in G.elements))
 
 

@@ -82,6 +82,12 @@ def test_undefined_name(capsys):
     assert "undefined system 'Nope'" in captured.err
 
 
+def test_element_outside_the_group(capsys):
+    code = cli.main(["centralizer", "S3", "nope", "-f", "corpus/groups.veq"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "veq: ElementNotInG: 'nope' not in S3\n")
+
+
 def test_missing_workspace(capsys):
     code = cli.main(["solve", "E", "--json"])
     captured = capsys.readouterr()

@@ -312,8 +312,8 @@ def test_multi_equation_cosolution_group_instance():
     cosys = CoEquationSystem(
         GC,
         tuple(
-            Equation(grp.conjugation_hom(S3, g), grp.identity_hom(S3))
-            for g in S3.elements
+            Equation(grp.conjugation_hom(S3, g), GC.identity(S3))
+            for g in S3.carrier.elements
         ),
     )
     c = general_cosolution(cosys)

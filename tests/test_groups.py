@@ -2,6 +2,8 @@ import pytest
 
 from group_oracle import (
     ORACLE_S3_PERMS,
+    algebra_to_group,
+    group_to_algebra,
     oracle_all_homs,
     oracle_centralizer,
     oracle_commutator_subgroup,
@@ -19,12 +21,9 @@ from veq.instances import FinGrpCat
 
 
 CORPUS = grp.corpus()
+# the same groups read into the oracle's Cayley-table type
+ORACLE = {name: algebra_to_group(G) for name, G in CORPUS.items()}
 GC = FinGrpCat()
-
-
-def find_isomorphism(G, H):
-    """An isomorphism G -> H as the package finds one: on the group algebras."""
-    return alg.find_alg_isomorphism(grp.group_to_algebra(G), grp.group_to_algebra(H))
 
 
 def test_corpus_has_fourteen_groups_up_to_order_sixteen():
@@ -37,27 +36,57 @@ def test_corpus_has_fourteen_groups_up_to_order_sixteen():
 def test_corpus_validates_on_load():
     # construction itself runs the exhaustive axiom checks; spot-check a few
     # structural facts on top
-    assert CORPUS["C1"].elements == ("0",)
+    assert CORPUS["C1"].carrier.elements == ("0",)
     assert len(CORPUS["D4"]) == 8
     assert len(CORPUS["D8"]) == 16
-    assert not oracle_is_abelian(CORPUS["S3"])
-    assert oracle_is_abelian(CORPUS["C8"])
-    assert not oracle_is_abelian(CORPUS["Q8"])
+    assert not oracle_is_abelian(ORACLE["S3"])
+    assert oracle_is_abelian(ORACLE["C8"])
+    assert not oracle_is_abelian(ORACLE["Q8"])
 
 
-def test_bad_table_rejected():
-    with pytest.raises(InvariantError):
-        grp.Group("bad", ("a", "b"), (("a", "a"), ("a", "a")))
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_groups_pass_the_oracle_and_convert_back(name):
+    """The oracle's Group re-checks identity, inverses and associativity on
+    the Cayley table; converting it back gives the corpus algebra, tables
+    included."""
+    assert group_to_algebra(algebra_to_group(CORPUS[name])) == CORPUS[name]
+
+
+# one table per rejection, each reaching its own check; rows are aligned
+# with the elements
+REJECTED = [
+    ("duplicate-labels", "duplicate labels", ("a", "a"), (("a", "a"), ("a", "a"))),
+    ("ragged", "^table shape mismatch$", ("a", "b"), (("a", "b"), ("b",))),
+    ("outside-carrier", "^table value 'zz' outside carrier$", ("a", "b"), (("a", "b"), ("b", "zz"))),
+    ("no-identity", "^no identity element$", ("a", "b"), (("a", "a"), ("a", "a"))),
+    # every element is a left identity, none is a right one
+    ("left-identity-only", "^no identity element$", ("a", "b"), (("a", "b"), ("a", "b"))),
+    ("no-inverse", "^'a' has no inverse$", ("e", "a"), (("e", "a"), ("a", "a"))),
+    # a * b = e but b * a = a
+    ("one-sided-inverse", "^inverses are one-sided$", ("e", "a", "b"),
+     (("e", "a", "b"), ("a", "b", "e"), ("b", "a", "e"))),
+    # a Latin square with identity 0 and every element its own inverse: the
+    # smallest loop that is not a group
+    ("non-associative", "^associativity fails$", tuple("01234"),
+     tuple(tuple(row) for row in ("01234", "10342", "24013", "32401", "43120"))),
+]
+
+
+@pytest.mark.parametrize("match,elements,rows", [r[1:] for r in REJECTED],
+                         ids=[r[0] for r in REJECTED])
+def test_make_group_rejects_non_groups(match, elements, rows):
+    with pytest.raises(InvariantError, match=match):
+        grp.make_group("bad", elements, rows)
 
 
 def test_cayley_basics():
     S3 = CORPUS["S3"]
-    assert S3.identity == "e"
-    assert S3.mul("(12)", "(12)") == "e"
-    assert S3.mul("(123)", "(123)") == "(132)"
-    assert S3.inverse("(123)") == "(132)"
+    assert grp.identity(S3) == "e"
+    assert grp.mul(S3, "(12)", "(12)") == "e"
+    assert grp.mul(S3, "(123)", "(123)") == "(132)"
+    assert grp.inverse(S3, "(123)") == "(132)"
     # conjugation permutes transpositions
-    assert S3.conjugate("(123)", "(12)") in {"(13)", "(23)"}
+    assert grp.conjugate(S3, "(123)", "(12)") in {"(13)", "(23)"}
 
 
 def test_subgroup_and_normal_closure():
@@ -66,7 +95,7 @@ def test_subgroup_and_normal_closure():
     assert grp.subgroup_closure(S3, []) == ("e",)
     assert grp.subgroup_closure(S3, ["(123)"]) == ("e", "(123)", "(132)")
     # the 2-element subgroup is not normal; its closure is everything
-    assert grp.normal_closure(S3, ["(12)"]) == S3.elements
+    assert grp.normal_closure(S3, ["(12)"]) == S3.carrier.elements
     assert grp.normal_closure(S3, ["(123)"]) == ("e", "(123)", "(132)")
     with pytest.raises(ElementNotInG):
         grp.subgroup_closure(S3, ["nope"])
@@ -77,9 +106,9 @@ def test_quotient_group():
     Q, proj = grp.quotient_group(S3, ("e", "(123)", "(132)"))
     assert len(Q) == 2
     assert proj.is_surjective()
-    assert find_isomorphism(Q, CORPUS["C2"]) is not None
+    assert alg.find_alg_isomorphism(Q, CORPUS["C2"]) is not None
     # kernel is exactly the normal subgroup
-    assert tuple(x for x in S3.elements if proj(x) == Q.identity) == (
+    assert tuple(x for x in S3.carrier.elements if proj(x) == grp.identity(Q)) == (
         "e",
         "(123)",
         "(132)",
@@ -105,62 +134,62 @@ def test_quotient_group_rejects_members_that_are_not_a_normal_subgroup():
 
 
 def test_commutator_subgroups():
-    assert oracle_commutator_subgroup(CORPUS["S3"]) == ("e", "(123)", "(132)")
-    assert oracle_commutator_subgroup(CORPUS["Q8"]) == ("1", "-1")
-    assert oracle_commutator_subgroup(CORPUS["C6"]) == ("0",)
-    a4_comm = oracle_commutator_subgroup(CORPUS["A4"])
+    assert oracle_commutator_subgroup(ORACLE["S3"]) == ("e", "(123)", "(132)")
+    assert oracle_commutator_subgroup(ORACLE["Q8"]) == ("1", "-1")
+    assert oracle_commutator_subgroup(ORACLE["C6"]) == ("0",)
+    a4_comm = oracle_commutator_subgroup(ORACLE["A4"])
     assert len(a4_comm) == 4  # the Klein-type normal subgroup
 
 
 def test_brute_centralizer():
-    S3 = CORPUS["S3"]
+    S3 = ORACLE["S3"]
     assert oracle_centralizer(S3, ["(12)"]) == ("e", "(12)")
     assert oracle_centralizer(S3, ["e"]) == S3.elements
     assert oracle_centralizer(S3, S3.elements) == ("e",)
-    C6 = CORPUS["C6"]
+    C6 = ORACLE["C6"]
     assert oracle_centralizer(C6, ["3"]) == C6.elements
 
 
 def test_all_homs_counts():
-    C2, C4 = CORPUS["C2"], CORPUS["C4"]
-    for homs in (GC.hom, oracle_all_homs):
+    for groups, homs in ((CORPUS, GC.hom), (ORACLE, oracle_all_homs)):
+        C2, C4 = groups["C2"], groups["C4"]
         assert len(homs(C2, C4)) == 2  # 0 -> 0, 1 -> 2
         assert len(homs(C4, C2)) == 2
-        assert len(homs(CORPUS["C3"], C2)) == 1
+        assert len(homs(groups["C3"], C2)) == 1
         # homs S3 -> C2: trivial and sign
-        assert len(homs(CORPUS["S3"], C2)) == 2
+        assert len(homs(groups["S3"], C2)) == 2
 
 
 def test_all_homs_are_exactly_the_homomorphisms():
-    C2, V4 = CORPUS["C2"], CORPUS["V4"]
-    brute = set()
-    for img in V4.elements:
-        if V4.mul(img, img) == V4.identity:
-            brute.add((V4.identity, img))
-    for homs in (GC.hom, oracle_all_homs):
-        assert {h.table for h in homs(C2, V4)} == brute
+    V4 = CORPUS["V4"]
+    e = grp.identity(V4)
+    brute = {(e, img) for img in V4.carrier.elements if grp.mul(V4, img, img) == e}
+    for groups, homs in ((CORPUS, GC.hom), (ORACLE, oracle_all_homs)):
+        assert {h.table for h in homs(groups["C2"], groups["V4"])} == brute
 
 
 def test_find_isomorphism():
-    for iso in (find_isomorphism, oracle_find_isomorphism):
-        assert iso(CORPUS["C4"], CORPUS["V4"]) is None
-        assert iso(CORPUS["C6"], CORPUS["S3"]) is None
-        found = iso(CORPUS["V4"], CORPUS["V4"])
+    for groups, iso in ((CORPUS, alg.find_alg_isomorphism), (ORACLE, oracle_find_isomorphism)):
+        assert iso(groups["C4"], groups["V4"]) is None
+        assert iso(groups["C6"], groups["S3"]) is None
+        found = iso(groups["V4"], groups["V4"])
         assert found is not None and found.is_injective()
         # D4 and Q8 share order-profiles only partially; they are not isomorphic
-        assert iso(CORPUS["D4"], CORPUS["Q8"]) is None
+        assert iso(groups["D4"], groups["Q8"]) is None
 
 
 def test_hom_sets_and_isomorphisms_match_oracle_on_all_corpus_pairs():
-    """FinGrpCat.hom and the group-algebra isomorphism against the
+    """FinGrpCat.hom and the algebra isomorphism search against the
     generator-image oracles, whole lists in order, on all 196 ordered
     pairs of corpus groups."""
-    pairs = [(G, H) for G in CORPUS.values() for H in CORPUS.values()]
+    pairs = [(G, H) for G in CORPUS for H in CORPUS]
     assert len(pairs) == 196
     isomorphic = 0
     for G, H in pairs:
-        assert [h.table for h in GC.hom(G, H)] == [h.table for h in oracle_all_homs(G, H)]
-        got, want = find_isomorphism(G, H), oracle_find_isomorphism(G, H)
+        assert ([h.table for h in GC.hom(CORPUS[G], CORPUS[H])]
+                == [h.table for h in oracle_all_homs(ORACLE[G], ORACLE[H])])
+        got = alg.find_alg_isomorphism(CORPUS[G], CORPUS[H])
+        want = oracle_find_isomorphism(ORACLE[G], ORACLE[H])
         assert (got and got.table) == (want and want.table)
         isomorphic += got is not None
     assert isomorphic == 14  # the corpus groups are pairwise non-isomorphic
@@ -169,21 +198,21 @@ def test_hom_sets_and_isomorphisms_match_oracle_on_all_corpus_pairs():
 def test_group_hom_rejects_labels_outside_its_groups():
     C2 = CORPUS["C2"]
     with pytest.raises(DomainMismatch):
-        grp.identity_hom(C2)("zz")
+        GC.identity(C2)("zz")
     with pytest.raises(InvariantError, match="outside codomain"):
-        grp.GroupHom(C2, C2, ("0", "zz"))
+        GC.morphism(C2, C2, ("0", "zz"))
 
 
 def test_element_orders():
-    orders = oracle_element_orders(CORPUS["A4"])
+    orders = oracle_element_orders(ORACLE["A4"])
     assert sorted(orders.values()) == [1, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3]
-    assert oracle_element_orders(CORPUS["Q8"])["-1"] == 2
-    assert oracle_element_orders(CORPUS["Q8"])["i"] == 4
+    assert oracle_element_orders(ORACLE["Q8"])["-1"] == 2
+    assert oracle_element_orders(ORACLE["Q8"])["i"] == 4
 
 
 def test_conjugation_hom_is_automorphism():
     for G in (CORPUS["S3"], CORPUS["D4"]):
-        for g in G.elements:
+        for g in G.carrier.elements:
             phi = grp.conjugation_hom(G, g)
             assert phi.is_injective() and phi.is_surjective()
 
@@ -192,9 +221,9 @@ def test_dihedral_relations():
     D4 = CORPUS["D4"]
     # reflection conjugates rotation to its inverse
     r, s = "r1", "s0"
-    assert D4.mul(D4.mul(s, r), s) == D4.inverse(r)
-    assert oracle_element_orders(D4)[r] == 4
-    assert oracle_element_orders(D4)[s] == 2
+    assert grp.mul(D4, grp.mul(D4, s, r), s) == grp.inverse(D4, r)
+    assert oracle_element_orders(ORACLE["D4"])[r] == 4
+    assert oracle_element_orders(ORACLE["D4"])[s] == 2
 
 
 # -- the group-algebra path against the coset-based oracle ----------------------
@@ -209,35 +238,31 @@ def _oracle_normal_subgroups(G):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_closures_match_oracle(name):
-    G = CORPUS[name]
-    for x in G.elements:
-        assert grp.subgroup_closure(G, [x]) == oracle_subgroup_closure(G, [x])
-        assert grp.normal_closure(G, [x]) == oracle_normal_closure(G, [x])
-    assert grp.subgroup_closure(G, []) == oracle_subgroup_closure(G, [])
+    G, O = CORPUS[name], ORACLE[name]
+    for x in G.carrier.elements:
+        assert grp.subgroup_closure(G, [x]) == oracle_subgroup_closure(O, [x])
+        assert grp.normal_closure(G, [x]) == oracle_normal_closure(O, [x])
+    assert grp.subgroup_closure(G, []) == oracle_subgroup_closure(O, [])
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_quotients_match_oracle(name):
     G = CORPUS[name]
-    for N in _oracle_normal_subgroups(G):
+    for N in _oracle_normal_subgroups(ORACLE[name]):
         Q, proj = grp.quotient_group(G, N)
-        want_Q, want_proj = oracle_quotient_group(G, N)
-        assert Q.name == want_Q.name
-        assert Q.elements == want_Q.elements
-        assert Q.table == want_Q.table
+        want_Q, want_proj = oracle_quotient_group(ORACLE[name], N)
+        assert Q == group_to_algebra(want_Q)
         assert proj.table == want_proj.table
 
 
-def test_cached_index_and_identity_stay_out_of_equality():
+def test_identity_inverses_and_labels_outside_the_group():
     S3 = CORPUS["S3"]
-    rebuilt = grp.Group(S3.name, S3.elements, S3.table)
-    assert rebuilt == S3 and hash(rebuilt) == hash(S3)
-    assert repr(S3) == (f"Group(name={S3.name!r}, elements={S3.elements!r}, "
-                        f"table={S3.table!r})")
-    assert S3.identity == "e" and CORPUS["Q8"].identity == "1"
-    assert [S3.inverse(x) for x in S3.elements] == [
+    assert grp.identity(S3) == "e" and grp.identity(CORPUS["Q8"]) == "1"
+    assert [grp.inverse(S3, x) for x in S3.carrier.elements] == [
         "e", "(12)", "(13)", "(23)", "(132)", "(123)"]
-    with pytest.raises(ElementNotInG):
-        S3.inverse("nope")
+    with pytest.raises(ElementNotInG, match="^'nope' not in S3$"):
+        grp.inverse(S3, "nope")
+    with pytest.raises(ElementNotInG, match="^'nope' or 'e' not in S3$"):
+        grp.mul(S3, "nope", "e")
     with pytest.raises(ElementNotInG):
         grp.normal_closure(S3, ["nope"])

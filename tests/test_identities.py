@@ -15,13 +15,13 @@ from birkhoff_oracle import oracle_identities_of, oracle_normal_form
 from veq import _models, birkhoff, cli, dsl
 from veq.algebras import FiniteAlgebra, Identity, make_algebra, satisfies
 from veq.birkhoff import (
-    GROUP_SIG,
     _PROOF_PREFIX,
     hsp_member,
     identities_of,
     replay_hsp_witness,
 )
 from veq.finset import FinSetObj
+from veq.groups import GROUP_SIG
 from veq.theories import App, Normalizer, Signature, Var, term_size, term_vars
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -189,14 +189,14 @@ def test_searches_match_brute_oracles(seed):
         lambda t: cats.FunctorData(D, E, dict(zip(D.objects, t)), dict(zip(D.morphisms, t[n:]))),
         [tuple(functor_table(F)) for F in functors])
 
-    # groups: factorizations through the group algebra, the law
+    # groups: factorizations under the algebra's homomorphism law
     G, H, K = (GROUPS[rng.choice(["C2", "C3", "C4", "V4", "S3"])] for _ in range(3))
     for f in GC.hom(G, K)[:4]:
         for g in GC.hom(H, K)[:4]:
             same_factor(GC, f, g, lambda h: h.table)
     assert_law_matches_constructor(
-        rng, GC.law(G, H), [H.elements] * len(G),
-        lambda t: grp.GroupHom(G, H, t), [h.table for h in GC.hom(G, H)])
+        rng, GC.law(G, H), [H.carrier.elements] * len(G),
+        lambda t: GC.morphism(G, H, t), [h.table for h in GC.hom(G, H)])
 
 
 def limit_inputs():

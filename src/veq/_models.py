@@ -1,13 +1,9 @@
-"""Small finite countermodels to an equation, in the style of Mace4 (W.
-McCune, Mace4 Reference Manual, ANL/MCS-TM-264, 2003).
-
-The search fills operation-table cells one at a time. Every ground instance
-of an axiom, and the goal's instance at fresh constants for its variables,
-is a constraint watched on the first unset cell its evaluation reads; it is
-evaluated again only when that cell gets a value. Cells are set in order of
-their largest argument, and a cell takes only the values up to one past the
-largest element mentioned so far (the least-number rule), since the
-elements above that are interchangeable.
+"""Small finite countermodels to an equation, found by the one finite
+search, finset.search_tables. Its unknown cells are the operation tables'
+entries and a fresh constant for each of the goal's variables. The law is
+every ground instance of an axiom, and the goal's instance at those
+constants as a disequation. A cell's bound for the least-number rule, and
+so its place in the order, is its largest argument.
 """
 
 from __future__ import annotations
@@ -15,184 +11,69 @@ from __future__ import annotations
 import itertools
 
 from .algebras import FiniteAlgebra, tabulate
-from .finset import FinSetObj
+from .errors import CarrierTooLarge
+from .finset import FinSetObj, Law, search_tables
 from .theories import Signature, Term, Var, term_vars
 
-_HOLDS = -1
-_FAILS = -2
 
-
-def countermodel(
-    signature: Signature,
-    axioms,
-    lhs: Term,
-    rhs: Term,
-    sizes,
-    nodes: int,
-) -> FiniteAlgebra | None:
+def countermodel(signature: Signature, axioms, lhs: Term, rhs: Term, sizes, nodes: int) -> FiniteAlgebra | None:
     """A model of the axioms (pairs of terms) on one of the given carrier
     sizes in which lhs ~ rhs fails, or None once the sizes are exhausted or
     nodes cell values have been tried. Carrier labels are "0", "1", ...
     """
     left = nodes
     for n in sizes:
-        model, left = _search(signature, axioms, lhs, rhs, n, left)
-        if model is not None or left < 0:
-            return model
+        law, cells = _law(signature, axioms, lhs, rhs, n)
+        try:
+            table = next(search_tables([law.values] * len(cells), law, False, left))
+        except StopIteration as done:
+            left = done.value
+            continue
+        except CarrierTooLarge:
+            return None
+        value = dict(zip(cells, table))  # (symbol, argument indices) -> label
+        tables = tabulate(signature, law.values, lambda sym, args: value[sym, tuple(map(int, args))])
+        return FiniteAlgebra(f"model{n}", signature, FinSetObj(law.values), tables)
     return None
 
 
-def _search(signature, axioms, lhs, rhs, n, left):
-    """(model or None, nodes left) for carriers of exactly n elements."""
-    # cell natural index: base of the symbol + the argument tuple read in
-    # base n; the goal's variables become fresh constants after the symbols
+def _law(signature, axioms, lhs, rhs, n):
+    """The law of a model on n elements, with each cell's (symbol, argument
+    tuple). A cell is the base of its symbol + its arguments read in base
+    n; the goal's variables become fresh constants after the symbols."""
     bases = {}
-    natural = []  # (symbol, argument tuple) per natural index
+    cells = []
     for sym, arity in signature.ops:
-        bases[sym] = len(natural)
-        natural.extend((sym, args) for args in itertools.product(range(n), repeat=arity))
+        bases[sym] = len(cells)
+        cells.extend((sym, args) for args in itertools.product(range(n), repeat=arity))
     goal_vars = sorted(term_vars(lhs) | term_vars(rhs))
-    skolem = {}
-    for v in goal_vars:
-        skolem[v] = len(natural)
-        natural.append((None, ()))
-    m = len(natural)
-    arg_max = [max(args, default=-1) for _, args in natural]
-    order = sorted(range(m), key=arg_max.__getitem__)
-    where = [0] * m  # natural index -> place in the assignment order
-    for place, i in enumerate(order):
-        where[i] = place
-    top_arg = [arg_max[i] for i in order]
-
+    skolem = [(len(cells) + i, ()) for i in range(len(goal_vars))]
+    cells.extend((None, ()) for _ in goal_vars)
     instances = []
     for l, r in axioms:
         vs = sorted(term_vars(l) | term_vars(r))
         for values in itertools.product(range(n), repeat=len(vs)):
-            instances.append(_ground(l, r, dict(zip(vs, values)), bases, True))
-    instances.append(_ground(lhs, rhs, skolem, bases, False, ground_vars=False))
-
-    table = [-1] * m
-    watches: list[list] = [[] for _ in range(m)]
-    for inst in instances:
-        r = _check(inst, table, where, n)
-        if r == _FAILS:
-            return None, left
-        if r >= 0:
-            watches[r].append(inst)
-
-    top = [-1] * (m + 1)  # largest element mentioned before each cell
-    nxt = [0] * m
-    trail: list = [None] * m
-    c = 0
-    while c >= 0:
-        if c == m:
-            return _model(signature, n, natural, order, table), left
-        if trail[c] is not None:
-            _undo(watches, trail[c])
-            trail[c] = None
-        lim = min(n - 1, max(top[c], top_arg[c]) + 1)
-        v = nxt[c]
-        while v <= lim:
-            left -= 1
-            if left < 0:
-                return None, left
-            table[c] = v
-            v += 1
-            moved = _assign(watches, watches[c], table, where, n)
-            if moved is not None:
-                nxt[c], trail[c] = v, moved
-                top[c + 1] = max(top[c], top_arg[c], v - 1)
-                c += 1
-                break
-        else:
-            table[c], nxt[c] = -1, 0
-            c -= 1
-    return None, left
+            instances.append(_instance(l, r, dict(zip(vs, values)), bases, True, []))
+    goal = {v: ~i for i, v in enumerate(goal_vars)}  # the constants are read first
+    instances.append(_instance(lhs, rhs, goal, bases, False, skolem))
+    bounds = [max(args, default=-1) for _, args in cells]
+    return Law(tuple(map(str, range(n))), (), tuple(instances), bounds), cells
 
 
-def _assign(watches, watched, table, where, n):
-    """Re-check the instances watched on a cell just set. The cells they
-    move to, or None (with the moves undone) when one fails."""
-    moved = []
-    for inst in watched:
-        r = _check(inst, table, where, n)
-        if r >= 0:
-            watches[r].append(inst)
-            moved.append(r)
-        elif r == _FAILS:
-            _undo(watches, moved)
-            return None
-    return moved
-
-
-def _undo(watches, moved):
-    for r in reversed(moved):
-        watches[r].pop()
-
-
-def _check(inst, table, where, n):
-    """_HOLDS, _FAILS, or the place of the first unset cell read."""
-    steps, lres, rres, equal = inst
-    vals = []
-    for base, args in steps:
-        i = 0
-        for a in args:
-            i = i * n + (a if a >= 0 else vals[~a])
-        c = where[base + i]
-        v = table[c]
-        if v < 0:
-            return c
-        vals.append(v)
-    lv = lres if lres >= 0 else vals[~lres]
-    rv = rres if rres >= 0 else vals[~rres]
-    return _HOLDS if (lv == rv) == equal else _FAILS
-
-
-def _ground(lhs, rhs, subst, bases, equal, ground_vars=True):
-    """One instance as (steps, lhs result, rhs result, equal). A step is
-    (natural base, arguments) and its value is the cell read; an argument
-    or result >= 0 is an element, and ~j is the value of step j. With
-    ground_vars False, subst maps each variable to the natural index of a
-    constant cell instead of an element."""
-    steps: list = []
+def _instance(lhs, rhs, subst, bases, equal, steps):
+    """lhs ~ rhs (or lhs !~ rhs) in the format of finset.Law, after the
+    given steps; subst maps each variable to an element or a step."""
     seen: dict = {}
-
-    def step(key):
-        j = seen.get(key)
-        if j is None:
-            j = seen[key] = len(steps)
-            steps.append(key)
-        return ~j
-
-    def encode(t):
-        out: list = []
-        todo: list = [t]
-        while todo:
-            u = todo.pop()
-            if u.__class__ is tuple:
-                k = len(out) - u[1]
-                key = (bases[u[0]], tuple(out[k:]))
-                del out[k:]
-                out.append(step(key))
-            elif u.__class__ is Var:
-                out.append(subst[u.index] if ground_vars else step((subst[u.index], ())))
-            elif u.args:
-                todo.append((u.symbol, len(u.args)))
-                todo.extend(reversed(u.args))
-            else:
-                out.append(step((bases[u.symbol], ())))
-        return out[0]
-
-    lres, rres = encode(lhs), encode(rhs)
-    return tuple(steps), lres, rres, equal
+    left, right = (_read(t, subst, bases, steps, seen) for t in (lhs, rhs))
+    return tuple(steps), left, right, equal
 
 
-def _model(signature, n, natural, order, table) -> FiniteAlgebra:
-    labels = [str(i) for i in range(n)]
-    value = {}
-    for place, i in enumerate(order):
-        sym, args = natural[i]
-        if sym is not None:
-            value[sym, tuple(labels[a] for a in args)] = labels[table[place]]
-    tables = tabulate(signature, labels, lambda sym, args: value[sym, args])
-    return FiniteAlgebra(f"model{n}", signature, FinSetObj(tuple(labels)), tables)
+def _read(t, subst, bases, steps, seen):
+    """The value of t: an element, or ~j for the step j that reads it."""
+    if t.__class__ is Var:
+        return subst[t.index]
+    key = (bases[t.symbol], tuple(_read(a, subst, bases, steps, seen) for a in t.args))
+    if key not in seen:
+        seen[key] = ~len(steps)
+        steps.append(key)
+    return seen[key]

@@ -18,7 +18,7 @@ from .errors import (
     SignatureMismatch,
     UnboundVariable,
 )
-from .finset import FinSetObj, _UnionFind, search_tables, tuple_label
+from .finset import FinSetObj, Law, _UnionFind, search_tables, table_equation, tuple_label
 from .theories import Signature, Term, Var, term_vars
 
 
@@ -228,20 +228,20 @@ def compose_alg_homs(g: AlgHom, f: AlgHom) -> AlgHom:
     return AlgHom(f.dom, g.cod, tuple(g(v) for v in f.table))
 
 
-def hom_checks(A: FiniteAlgebra, B: FiniteAlgebra) -> list[list]:
-    """The homomorphism law A -> B for search_tables over A's carrier: one
-    check per operation-table entry."""
+def hom_checks(A: FiniteAlgebra, B: FiniteAlgebra) -> Law:
+    """The homomorphism law A -> B for search_tables over A's carrier: B's
+    tables are fixed cells, and each entry out = f(args) of A's tables is
+    the equation h(out) = f_B(h(args))."""
     if A.signature != B.signature:
         raise SignatureMismatch("homomorphism endpoints disagree on signature")
-    idx = A.carrier._index
-    checks: list[list] = [[] for _ in A.carrier.elements]
-    for sym, table in A.tables.items():
-        image = B.tables[sym]
-        for args, out in table.items():
-            pos, o = tuple(idx[a] for a in args), idx[out]
-            checks[max(pos + (o,))].append(
-                lambda t, pos=pos, o=o, image=image: t[o] == image[tuple(map(t.__getitem__, pos))])
-    return checks
+    idx, code = A.carrier._index, B.carrier._index
+    fixed, instances = [], []
+    for sym, arity in A.signature.ops:
+        base, image = len(A.carrier) + len(fixed), B.tables[sym]
+        fixed += (code[image[args]] for args in itertools.product(B.carrier.elements, repeat=arity))
+        instances += (table_equation([idx[a] for a in args], base, idx[out])
+                      for args, out in A.tables[sym].items())
+    return Law(B.carrier.elements, tuple(fixed), tuple(instances))
 
 
 def product_algebra(As: list[FiniteAlgebra], name: str | None = None) -> "ProductAlgebraResult":
@@ -392,12 +392,18 @@ def congruence_closure(A: FiniteAlgebra, pairs) -> Partition:
 
 def is_congruence(A: FiniteAlgebra, partition: Partition) -> bool:
     """A partition of the carrier (nonempty, disjoint classes covering it)
-    that the congruence closure of its own pairs leaves unchanged."""
+    compatible with every operation: the class of each output is a function
+    of the classes of the arguments."""
     members = [x for c in partition for x in c]
     if not all(partition) or sorted(members) != sorted(A.carrier.elements):
         return False
-    closure = congruence_closure(A, _pairs(partition))
-    return set(map(frozenset, closure)) == set(map(frozenset, partition))
+    cls = {x: i for i, c in enumerate(partition) for x in c}
+    for table in A.tables.values():
+        image: dict = {}
+        for args, out in table.items():
+            if image.setdefault(tuple(map(cls.__getitem__, args)), cls[out]) != cls[out]:
+                return False
+    return True
 
 
 def congruences(A: FiniteAlgebra, bound: int = 8) -> list[Partition]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import AdjunctionInvalid, InvariantError
-from .finset import search_tables
+from .finset import Law, search_tables, table_equation
 
 
 @dataclass(frozen=True)
@@ -248,34 +248,48 @@ def functors_equal(F: FunctorData, G: FunctorData) -> bool:
     )
 
 
-def functor_checks(C: FiniteCategory, D: FiniteCategory) -> list[list]:
-    """The functor laws C -> D for search_tables over C's objects and then
-    its arrows, indexed apart since labels may collide: each arrow's
-    endpoints, then identities, then composites."""
-    ob = {x: i for i, x in enumerate(C.objects)}
-    ar = {m: len(ob) + j for j, m in enumerate(C.morphisms)}
-    checks: list[list] = [[] for _ in range(len(ob) + len(ar))]
-    for m, p in ar.items():
-        s, t = ob[C.src[m]], ob[C.tgt[m]]
-        checks[p].append(lambda F, p=p, s=s, t=t: D.src[F[p]] == F[s] and D.tgt[F[p]] == F[t])
-    for x, i in ob.items():
-        p = ar[C.ids[x]]
-        checks[p].append(lambda F, p=p, i=i: F[p] == D.ids[F[i]])
-    for (g, f), gf in C.comp.items():
-        pg, pf, pgf = ar[g], ar[f], ar[gf]
-        checks[max(pg, pf, pgf)].append(
-            lambda F, pg=pg, pf=pf, pgf=pgf: F[pgf] == D.comp[(F[pg], F[pf])])
-    return checks
+def cells(C: FiniteCategory) -> tuple:
+    """C's objects, then its arrows, tagged apart as labels may collide."""
+    return tuple([("obj", x) for x in C.objects] + [("arr", m) for m in C.morphisms])
+
+
+def functor_cells(F: FunctorData) -> tuple:
+    """F's table over cells(F.source), in cells(F.target)."""
+    return tuple([("obj", F.obj_map[x]) for x in F.source.objects]
+                 + [("arr", F.mor_map[m]) for m in F.source.morphisms])
+
+
+def functor_of(C: FiniteCategory, D: FiniteCategory, table) -> FunctorData:
+    """The functor C -> D whose table over cells(C) is table."""
+    labels = [label for _, label in table]
+    return FunctorData(C, D, dict(zip(C.objects, labels)),
+                       dict(zip(C.morphisms, labels[len(C.objects):])))
+
+
+def functor_checks(C: FiniteCategory, D: FiniteCategory) -> Law:
+    """The functor laws C -> D for search_tables over cells(C), with values
+    cells(D): identities, then composites, with D's ids and comp as fixed
+    tables (a hole, no value, where undefined). Endpoints need no equation:
+    F(m) = F(m) o F(id) is defined only where they agree."""
+    values = cells(D)
+    code = {v: i for i, v in enumerate(values)}
+    n, at = len(values), {v: i for i, v in enumerate(cells(C))}
+    ids, comp = [n] * n, [n] * (n * n)
+    for x in D.objects:
+        ids[code["obj", x]] = code["arr", D.ids[x]]
+    for (g, f), gf in D.comp.items():
+        comp[code["arr", g] * n + code["arr", f]] = code["arr", gf]
+    instances = [table_equation([at["obj", x]], len(at), at["arr", C.ids[x]]) for x in C.objects]
+    instances += (table_equation([at["arr", g], at["arr", f]], len(at) + n, at["arr", gf])
+                  for (g, f), gf in C.comp.items())
+    return Law(values, tuple(ids + comp), tuple(instances))
 
 
 def all_functors(C: FiniteCategory, D: FiniteCategory) -> list[FunctorData]:
     """Every functor C -> D in table order, by the table search."""
-    n = len(C.objects)
-    return [
-        FunctorData(C, D, dict(zip(C.objects, t)), dict(zip(C.morphisms, t[n:])))
-        for t in search_tables([D.objects] * n + [D.morphisms] * len(C.morphisms),
-                               functor_checks(C, D))
-    ]
+    values, k = cells(D), len(D.objects)
+    pools = [values[:k]] * len(C.objects) + [values[k:]] * len(C.morphisms)
+    return [functor_of(C, D, t) for t in search_tables(pools, functor_checks(C, D))]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Exact finite-set engine: objects, functions, canonical subobjects,
 products, coproducts, quotients, factorization through a function, and the
-one search over finite tables behind every hom enumeration (`search_tables`).
-One call of it tries at most `_TABLE_BUDGET` candidate values, the only
-bound on the hom enumerations, factorizations and limit checks built on it.
+one finite search (`search_tables`) behind every hom enumeration and
+countermodel, under a law given as data (`Law`). One call of it tries at
+most `_TABLE_BUDGET` candidate values unless its caller gives a budget.
 
 Equalizers, intersections, coequalizers, cokernel pairs and pullbacks of
 finite sets come from the table-category base in veq.instances, built from
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CarrierTooLarge, CodMismatch, DomainMismatch, EmptyList, InvariantError
 
@@ -266,35 +267,135 @@ def factor_through(f: FinFunction, g: FinFunction) -> FinFunction | None:
     return FinFunction(f.dom, g.dom, tuple(table))
 
 
-def search_tables(pools, checks, injective=False):
-    """Every table t with t[i] from pools[i] that passes each predicate in
-    checks[i], in itertools.product order (permutations order when
-    injective: a value already in the table is skipped). A predicate reads
-    the partial table, whose entries past i are stale, and is filed under
-    the last position it reads, so it runs as soon as its inputs are set.
-    The walk is iterative, so deep tables need no recursion. Trying more
-    than _TABLE_BUDGET candidate values in one call raises CarrierTooLarge."""
-    n = len(pools)
-    table: list = [None] * n
-    nxt = [0] * n  # the next candidate to try at each position
-    left = _TABLE_BUDGET
-    i = 0
-    while i >= 0:
-        if i == n:
-            yield tuple(table)
-            i -= 1
+class Law(NamedTuple):
+    """What a table must satisfy, as data. Cells 0 .. len(pools)-1 are the
+    table; fixed cells follow, e.g. a codomain's tables in itertools.product
+    order. A value is an index into values. An instance (steps, lhs, rhs,
+    equal) holds when its sides are equal (unequal when equal is False). A
+    step (base, args) reads cell base + args in base len(values); an
+    argument or side >= 0 is a value, ~j the value step j read. Cell c
+    mentions values up to bounds[c], and cells are set in order of bound
+    (in order, each mentioning every value, when bounds is None)."""
+
+    values: tuple
+    fixed: tuple = ()
+    instances: tuple = ()
+    bounds: list | None = None
+
+
+def table_equation(args, table: int, out: int):
+    """The instance cell out = table(cells args), where table is the first
+    cell of a fixed table. The args are read latest first, so the instance
+    waits for the last of them; out is read last, so they force it."""
+    order = sorted(range(len(args)), key=args.__getitem__, reverse=True)
+    refs = [0] * len(args)  # ~i where step i reads arg j
+    for i, j in enumerate(order):
+        refs[j] = ~i
+    steps = [(args[j], ()) for j in order] + [(table, tuple(refs)), (out, ())]
+    return tuple(steps), ~len(order) - 1, ~len(order), True
+
+
+def search_tables(pools, law: Law, injective: bool = False, budget: int | None = None):
+    """Every table t with t[i] from pools[i] (labels among law.values) that
+    satisfies the law, in itertools.product order when the law has no
+    bounds (permutations order when injective: no value twice). Returns the
+    budget left; raises CarrierTooLarge past budget values tried
+    (_TABLE_BUDGET when None). The design of SEM (J. Zhang and H. Zhang,
+    IJCAI 1995) and Mace4 (W. McCune, ANL/MCS-TM-264, 2003): an instance is
+    watched on the first unset cell it reads, and evaluated again when that
+    cell is set. An equation whose only unset read is one side's last step
+    forces that cell to one value. Least-number rule: a cell tries values up
+    to one past the largest mentioned before it (its bound and the values
+    set), as those above are interchangeable. The walk is iterative.
+    """
+    budget = _TABLE_BUDGET if budget is None else budget
+    values, n, u = law.values, len(law.values), len(pools)
+    code = {x: i for i, x in enumerate(values)}
+    pools = [[code[x] for x in pool] for pool in pools]
+    table = [-1] * u + list(law.fixed)
+    bounds = law.bounds or [n - 1] * u
+    order = sorted(range(u), key=bounds.__getitem__)
+    watches: list[list] = [[] for _ in range(u)]
+    forced = [-1] * u
+
+    def settle(instances, trail) -> bool:
+        # False when one fails; trail gets each watch (c) and force (~c) made
+        for inst in instances:
+            steps, lhs, rhs, equal = inst
+            vals: list = []
+            for base, args in steps:
+                i = 0
+                for a in args:
+                    i = i * n + (a if a >= 0 else vals[~a])
+                v = table[base + i]
+                if v < 0:
+                    break
+                vals.append(v)
+            else:
+                if ((lhs if lhs >= 0 else vals[~lhs]) == (rhs if rhs >= 0 else vals[~rhs])) != equal:
+                    return False
+                continue
+            c, j = base + i, len(vals)
+            if equal and j == len(steps) - 1 and (lhs == ~j) != (rhs == ~j):
+                # it forces c, and holds once c takes the forced value
+                other = rhs if lhs == ~j else lhs
+                w = other if other >= 0 else vals[~other]
+                if forced[c] < 0:
+                    forced[c] = w
+                    trail.append(~c)
+                elif forced[c] != w:
+                    return False
+            else:
+                watches[c].append(inst)
+                trail.append(c)
+        return True
+
+    def undo(trail):
+        for c in reversed(trail):
+            if c < 0:
+                forced[~c] = -1
+            else:
+                watches[c].pop()
+        trail.clear()
+
+    if not settle(law.instances, []):
+        return budget
+    top = [-1] * (u + 1)  # largest value mentioned before each place
+    nxt = [0] * u  # the next pool index to try at each place
+    trails: list = [[] for _ in range(u)]  # the watches and forces made at each place
+    p, left = 0, budget
+    while p >= 0:
+        if p == u:
+            yield tuple([values[v] for v in table[:u]])
+            p -= 1
             continue
-        pool, k = pools[i], nxt[i]
-        while k < len(pool):
-            table[i] = v = pool[k]
-            k += 1
+        if trails[p]:
+            undo(trails[p])
+        c = order[p]
+        pool, k = pools[c], nxt[p]
+        hi = top[p] if top[p] > bounds[c] else bounds[c]
+        lim = hi + 1 if hi < len(pool) - 1 else len(pool) - 1
+        w = forced[c]
+        if w >= 0:  # only the forced value, where the pool allows it
+            j = pool.index(w) if w in pool else len(pool)
+            k, lim = max(k, j), (j if j <= lim else -1)
+        while k <= lim:
             left -= 1
             if left < 0:
-                raise CarrierTooLarge(f"table search tried more than {_TABLE_BUDGET} candidates")
-            if not (injective and v in table[:i]) and all(c(table) for c in checks[i]):
-                nxt[i] = k
-                i += 1
-                break
-        else:  # no candidate left here
-            nxt[i] = 0
-            i -= 1
+                raise CarrierTooLarge(f"table search tried more than {budget} candidates")
+            v = pool[k]
+            k += 1
+            if injective and v in table[:u]:
+                continue
+            table[c] = v
+            if watches[c] and not settle(watches[c], trails[p]):
+                undo(trails[p])
+                continue
+            nxt[p] = k
+            top[p + 1] = hi if hi > v else v
+            p += 1
+            break
+        else:  # no value left here
+            table[c], nxt[p] = -1, 0
+            p -= 1
+    return left

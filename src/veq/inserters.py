@@ -163,12 +163,11 @@ def verify_universal_property(ins: InserterResult, V: cats.FunctorData, alpha: c
     W = mediating_functor(ins, V, alpha)
     U, lam, shape, cat = ins.forgetful, ins.inserted, V.source, ins.category
     pools = [
-        [p for p in cat.objects if U.obj_map[p] == V.obj_map[x] and lam.at(p) == alpha.at(x)]
+        [("obj", p) for p in cat.objects if U.obj_map[p] == V.obj_map[x] and lam.at(p) == alpha.at(x)]
         for x in shape.objects
-    ] + [[n for n in cat.morphisms if U.mor_map[n] == V.mor_map[m]] for m in shape.morphisms]
+    ] + [[("arr", n) for n in cat.morphisms if U.mor_map[n] == V.mor_map[m]] for m in shape.morphisms]
     found = itertools.islice(fs.search_tables(pools, cats.functor_checks(shape, cat)), 2)
-    return list(found) == [tuple(W.obj_map[x] for x in shape.objects)
-                           + tuple(W.mor_map[m] for m in shape.morphisms)]
+    return list(found) == [cats.functor_cells(W)]
 
 
 def _lift(ins: InserterResult, V: cats.FunctorData, obj_map: dict[str, str]) -> cats.FunctorData:
@@ -240,15 +239,18 @@ def inserter_poset(f: po.MonotoneMap, g: po.MonotoneMap) -> tuple[po.Poset, po.M
 # --- limit existence and creation -----------------------------------------
 
 
-def _cones(C: cats.FiniteCategory, z: str, diagram):
-    """Every cone from z over the diagram, as a table of legs. A diagram is
-    its objects and its arrows (label, i, j) from object i to object j; a
-    cone's legs commute with each arrow."""
+def _cones(C: cats.FiniteCategory, diagram) -> dict:
+    """Every cone over the diagram, by vertex, as tables of legs. A diagram
+    is its objects and its arrows (label, i, j) from object i to object j;
+    leg j = a o leg i for each, where a o - is a fixed row over C's arrows."""
     objs, arrows = diagram
-    checks: list[list] = [[] for _ in objs]
+    code = {m: i for i, m in enumerate(C.morphisms)}
+    fixed, instances = [], []
     for a, i, j in arrows:
-        checks[max(i, j)].append(lambda t, a=a, i=i, j=j: C.comp[(a, t[i])] == t[j])
-    return fs.search_tables([C.hom(z, d) for d in objs], checks)
+        instances.append(fs.table_equation([i], len(objs) + len(fixed), j))
+        fixed += (code[C.comp[a, m]] if (a, m) in C.comp else len(code) for m in C.morphisms)
+    law = fs.Law(C.morphisms, tuple(fixed), tuple(instances))
+    return {z: fs.search_tables([C.hom(z, d) for d in objs], law) for z in C.objects}
 
 
 def _is_limit(C: cats.FiniteCategory, cones, apex: str, legs) -> bool:
@@ -263,7 +265,7 @@ def _is_limit(C: cats.FiniteCategory, cones, apex: str, legs) -> bool:
 
 def _limit_cone(C: cats.FiniteCategory, diagram):
     """The first limit cone (apex, legs) in object and then cone order, or None."""
-    cones = {z: list(_cones(C, z, diagram)) for z in C.objects}
+    cones = {z: list(found) for z, found in _cones(C, diagram).items()}
     candidates = ((apex, legs) for apex in C.objects for legs in cones[apex])
     return next((cone for cone in candidates if _is_limit(C, cones, *cone)), None)
 
@@ -287,8 +289,8 @@ def _preserves_limits(F: cats.FunctorData, kind: str) -> bool:
         if cone is None:
             continue
         image = tuple(F.obj_map[x] for x in objs), tuple((F.mor_map[a], i, j) for a, i, j in arrows)
-        cones = {z: _cones(F.target, z, image) for z in F.target.objects}
-        if not _is_limit(F.target, cones, F.obj_map[cone[0]], [F.mor_map[m] for m in cone[1]]):
+        legs = [F.mor_map[m] for m in cone[1]]
+        if not _is_limit(F.target, _cones(F.target, image), F.obj_map[cone[0]], legs):
             return False
     return True
 
@@ -459,20 +461,22 @@ def free_universal_map(free: FreeFAlgebra, target: fs.FinFunction, gen_map: fs.F
     if gen_map.cod != B:
         raise SourceMismatch("generator assignment must land in the target carrier")
 
+    # target's table lists each constructor's images in itertools.product
+    # order, constructor by constructor: the fixed cells after h's
+    bases, base = {}, len(free.carrier)
+    for cons, k in functor.summands:
+        bases[cons], base = base, base + len(B) ** k
     idx = free.carrier._index
-    law: list[list] = [[] for _ in free.carrier.elements]
+    instances = []
     for e in free.applied.elements:
         if e not in free.frontier:
             # only the identity polynomial applies to a bare generator
             cons, args = free.recipes.get(e, ("", (e,)))
-            pos, out = tuple(idx[a] for a in args), idx[free.structure[e]]
-            law[max(pos + (out,))].append(
-                lambda h, cons=cons, pos=pos, out=out:
-                h[out] == target(functor.term(cons, tuple(h[p] for p in pos)))
-            )
+            instances.append(fs.table_equation([idx[a] for a in args], bases[cons], idx[free.structure[e]]))
+    law = fs.Law(B.elements, tuple(B._index[y] for y in target.table), tuple(instances))
 
-    # a term's value is forced by the check at its own position, which
-    # follows its arguments', so the first table is the map built term by term
+    # a term's value is forced by its equation once its arguments', which
+    # come before it, are set; so the first table is the map built term by term
     pools = [B.elements if t in free.recipes else (gen_map(t),) for t in free.carrier.elements]
     tables = fs.search_tables(pools, law)
     table = next(tables, None)

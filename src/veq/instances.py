@@ -43,7 +43,7 @@ class _TableCategory(CompCategory):
     quotient(obj, pairs) (the projection onto the least quotient identifying
     the pairs). Pullbacks need product(objs) and cokernel pairs
     coproduct(objs), where has_pullbacks and has_cokernel_pairs offer them.
-    law(x, a) gives the fs.search_tables checks that a table x -> a must pass.
+    law(x, a) gives the fs.Law that a table x -> a must satisfy.
     """
 
     has_equalizers = True
@@ -120,11 +120,12 @@ class _TableCategory(CompCategory):
         """Every morphism x -> a in itertools.product order of the tables,
         found by the table search under the instance's law. Past the
         search's candidate budget (fs._TABLE_BUDGET, 2 000 000 values) it
-        raises CarrierTooLarge: all 531 441 functions from 12 points into 3
-        fit, those from 14 points into 3 do not.
+        raises CarrierTooLarge before it builds a morphism: the 531 441
+        functions from 12 points into 3 fit, those from 14 points do not.
         """
         pools = [self.carrier(a)] * len(self.carrier(x))
-        return [self.morphism(x, a, t) for t in fs.search_tables(pools, self.law(x, a))]
+        tables = list(fs.search_tables(pools, self.law(x, a)))
+        return [self.morphism(x, a, t) for t in tables]
 
     def factor(self, f, g):
         """The first h with g o h = f among the tables drawn from the preimage
@@ -152,12 +153,14 @@ class FinSetCat(_TableCategory):
     """
 
     name = "FinSet"
-    law = staticmethod(lambda x, a: [[] for _ in x.elements])  # every table is a function
 
     has_products = True
     has_coproducts = True
     has_cokernel_pairs = True
     has_pullbacks = True
+
+    def law(self, x, a):
+        return fs.Law(a.elements)  # every table is a function
 
     @staticmethod
     def _m(f) -> fs.FinFunction:
@@ -397,22 +400,10 @@ class FinCatCat(_TableCategory):
     def target(self, f: cats.FunctorData):
         return f.target
 
-    def carrier(self, obj: cats.FiniteCategory):
-        return [("obj", x) for x in obj.objects] + [("arr", m) for m in obj.morphisms]
-
-    def table(self, f: cats.FunctorData):
-        return [("obj", f.obj_map[x]) for x in f.source.objects] + [
-            ("arr", f.mor_map[m]) for m in f.source.morphisms
-        ]
-
-    def morphism(self, dom, cod, table):
-        labels = [label for _, label in table]
-        return cats.FunctorData(
-            dom,
-            cod,
-            dict(zip(dom.objects, labels)),
-            dict(zip(dom.morphisms, labels[len(dom.objects):])),
-        )
+    law = staticmethod(cats.functor_checks)
+    carrier = staticmethod(cats.cells)
+    table = staticmethod(cats.functor_cells)
+    morphism = staticmethod(cats.functor_of)
 
     def compose(self, g, f):
         return cats.compose_functors(g, f)
@@ -422,10 +413,6 @@ class FinCatCat(_TableCategory):
 
     def hom(self, x: cats.FiniteCategory, a: cats.FiniteCategory):
         return cats.all_functors(x, a)
-
-    # cats.functor_checks on the label of each tagged entry (None while unset)
-    law = staticmethod(lambda x, a: [[lambda t, c=c: c([e and e[1] for e in t]) for c in position]
-                                     for position in cats.functor_checks(x, a)])
 
     def sub(self, obj: cats.FiniteCategory, members):
         return _subcategory_inclusion(

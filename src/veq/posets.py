@@ -18,6 +18,7 @@ from .cats import (
     tabulate_category,
 )
 from .errors import DomainMismatch, InvariantError
+from .finset import Law, table_equation
 
 ARROW = "->"
 
@@ -147,13 +148,15 @@ def compose_maps(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     return MonotoneMap(f.dom, g.cod, tuple(g(v) for v in f.table))
 
 
-def order_checks(P: Poset, Q: Poset) -> list[list]:
-    """The monotonicity law P -> Q for search_tables: one check per order pair."""
+def order_checks(P: Poset, Q: Poset) -> Law:
+    """The monotonicity law P -> Q for search_tables: Q's order is a fixed
+    table of 0/1 cells, followed by a cell holding 1, and each pair x <= y
+    of P is the equation 1 = leq_Q(h(x), h(y))."""
     idx = {x: i for i, x in enumerate(P.elements)}
-    checks: list[list] = [[] for _ in P.elements]
-    for i, j in ((idx[x], idx[y]) for x, y in P.rel):
-        checks[max(i, j)].append(lambda t, i=i, j=j: (t[i], t[j]) in Q.rel)
-    return checks
+    leq = tuple(int(pair in Q.rel) for pair in itertools.product(Q.elements, repeat=2))
+    one = len(idx) + len(leq)  # the cell after the order's, holding 1
+    return Law(Q.elements, leq + (1,),
+               tuple(table_equation([idx[x], idx[y]], len(idx), one) for x, y in P.rel))
 
 
 def sub_poset(P: Poset, members, name: str | None = None) -> tuple[Poset, MonotoneMap]:

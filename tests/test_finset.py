@@ -70,6 +70,20 @@ def test_hom_shares_the_table_search_budget(monkeypatch):
         SC.hom(fs.FinSetObj(tuple(f"x{i}" for i in range(14))), three)
 
 
+def test_hom_raises_on_the_budget_before_building_a_morphism(monkeypatch):
+    # 5 points into 3 take 3 + 9 + 27 + 81 + 243 = 363 candidates
+    built = []
+    real = FinSetCat.morphism
+    monkeypatch.setattr(FinSetCat, "morphism", lambda self, *a: built.append(a) or real(self, *a))
+    monkeypatch.setattr(fs, "_TABLE_BUDGET", 362)
+    three, five = fs.finset("0", "1", "2"), fs.FinSetObj(tuple(f"x{i}" for i in range(5)))
+    with pytest.raises(CarrierTooLarge, match="more than 362 candidates"):
+        SC.hom(five, three)
+    assert built == []
+    monkeypatch.setattr(fs, "_TABLE_BUDGET", 363)
+    assert len(SC.hom(five, three)) == len(built) == 3 ** 5
+
+
 def test_equalizer_matches_brute_filter():
     e = equalizer(P, Q)
     assert e.carrier.elements == ("a", "c")

@@ -1,6 +1,7 @@
 """Identity extraction against the oracle that decides every pair by the
 full-budget proof search, and the small countermodels that now refute pairs
-before it, checked as certificates and against a brute-force table search."""
+before it, checked as certificates, against a brute-force table search and
+against the countermodel search veq used before forced values."""
 
 import gc
 import itertools
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from birkhoff_oracle import oracle_identities_of, oracle_normal_form
+from model_oracle import oracle_search
 from veq import _models, birkhoff, cli, dsl
 from veq.algebras import FiniteAlgebra, Identity, make_algebra, satisfies
 from veq.birkhoff import (
@@ -286,6 +288,18 @@ def test_countermodel_search_matches_brute_force(problem):
         for l, r in axioms:
             assert satisfies(M, Identity(l, r, 2))
         assert not satisfies(M, Identity(lhs, rhs, 2))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_problems(), st.sampled_from([30, 300, 10 ** 6]))
+def test_countermodel_search_matches_the_old_search(problem, nodes):
+    """Where the old search (no forced values) finishes within the nodes,
+    with a model or without, the same answer; so a model it finds is never
+    missed. Where it runs out, the new search may still find a model."""
+    n, sig, axioms, lhs, rhs = problem
+    want, left = oracle_search(sig, axioms, lhs, rhs, n, nodes)
+    if left >= 0:
+        assert _models.countermodel(sig, axioms, lhs, rhs, (n,), nodes) == want
 
 
 def test_countermodel_search_matches_brute_force_on_three_element_magmas():

@@ -352,18 +352,21 @@ def test_free_universal_map_exhaustive_cap(monkeypatch):
     gen_map = fs.FinFunction(fs.FinSetObj(()), B, ())
     deep = free_f_algebra(numerals, fs.FinSetObj(()), 13)  # 3^13 > 10^6 maps
     assert free_universal_map(deep, target, gen_map).table[-1] == "0"
-    # the exhaustive search prunes all but 39 candidates
-    monkeypatch.setattr(fs, "_TABLE_BUDGET", 39)
+    # each term's value is forced by its equation: one candidate per term,
+    # and the exhaustive search tries nothing more
+    monkeypatch.setattr(fs, "_TABLE_BUDGET", 13)
     assert free_universal_map(deep, target, gen_map, exhaustive=True).table == (
         ("0", "1", "2") * 4 + ("0",))
-    free = free_f_algebra(numerals, fs.FinSetObj(()), 4)  # 3^4 = 81 maps
     monkeypatch.setattr(fs, "_TABLE_BUDGET", 12)
+    with pytest.raises(CarrierTooLarge, match="more than 12 candidates"):
+        free_universal_map(deep, target, gen_map, exhaustive=True)
+    free = free_f_algebra(numerals, fs.FinSetObj(()), 4)  # 3^4 = 81 maps
+    monkeypatch.setattr(fs, "_TABLE_BUDGET", 4)
     assert free_universal_map(free, target, gen_map, exhaustive=True).table == (
         "0", "1", "2", "0")
-    monkeypatch.setattr(fs, "_TABLE_BUDGET", 11)
-    assert free_universal_map(free, target, gen_map).table == ("0", "1", "2", "0")
-    with pytest.raises(CarrierTooLarge, match="more than 11 candidates"):
-        free_universal_map(free, target, gen_map, exhaustive=True)
+    monkeypatch.setattr(fs, "_TABLE_BUDGET", 3)
+    with pytest.raises(CarrierTooLarge, match="more than 3 candidates"):
+        free_universal_map(free, target, gen_map)
 
 
 def test_free_universal_map_identity_polynomial_law():

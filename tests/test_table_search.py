@@ -1,8 +1,8 @@
 """finset.search_tables and the searches built on it, against the brute
 enumerations kept in the oracles: hom, isomorphism, monotone-map and functor
 lists and factorizations compared whole and in order, limit creation reports
-and universal-property counts, and the claim that a complete table passes
-every check of a law exactly when the validating constructor accepts it.
+and universal-property counts, and the claim that a complete table satisfies
+a law exactly when the validating constructor accepts it.
 """
 
 import itertools
@@ -113,12 +113,10 @@ def functor_key(F):
     return F.obj_map, F.mor_map
 
 
-def functor_table(F):
-    return [F.obj_map[x] for x in F.source.objects] + [F.mor_map[m] for m in F.source.morphisms]
-
-
-def passes(checks, table) -> bool:
-    return all(check(table) for position in checks for check in position)
+def passes(law, table) -> bool:
+    """The law holds for the complete table: the search over singleton pools
+    finds it."""
+    return list(search_tables([[x] for x in table], law)) == [tuple(table)]
 
 
 def accepts(build, table) -> bool:
@@ -129,15 +127,15 @@ def accepts(build, table) -> bool:
     return True
 
 
-def assert_law_matches_constructor(rng, checks, pools, build, found):
+def assert_law_matches_constructor(rng, law, pools, build, found):
     """Random complete tables, and found tables with one entry redrawn: the
-    checks pass exactly when the constructor accepts."""
+    law holds exactly when the constructor accepts."""
     tables = [tuple(rng.choice(p) for p in pools) for _ in range(10)]
     for t in found[:5]:
         i = rng.randrange(len(t))
         tables += [t, t[:i] + (rng.choice(pools[i]),) + t[i + 1:]]
     for t in tables:
-        assert passes(checks, list(t)) == accepts(build, t)
+        assert passes(law, t) == accepts(build, t)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -183,11 +181,10 @@ def test_searches_match_brute_oracles(seed):
     for f in rng.sample(into[0], min(4, len(into[0]))):
         for g in rng.sample(into[1], min(4, len(into[1]))):
             same_factor(CC, f, g, functor_key)
-    n = len(D.objects)
+    values, k = cats.cells(E), len(E.objects)
     assert_law_matches_constructor(
-        rng, cats.functor_checks(D, E), [E.objects] * n + [E.morphisms] * len(D.morphisms),
-        lambda t: cats.FunctorData(D, E, dict(zip(D.objects, t)), dict(zip(D.morphisms, t[n:]))),
-        [tuple(functor_table(F)) for F in functors])
+        rng, cats.functor_checks(D, E), [values[:k]] * len(D.objects) + [values[k:]] * len(D.morphisms),
+        lambda t: cats.functor_of(D, E, t), [cats.functor_cells(F) for F in functors])
 
     # groups: factorizations under the algebra's homomorphism law
     G, H, K = (GROUPS[rng.choice(["C2", "C3", "C4", "V4", "S3"])] for _ in range(3))
@@ -235,17 +232,18 @@ def test_limit_reports_and_universal_property_match_oracle():
 
 
 def test_search_order_is_product_or_permutation_order():
+    abc = fs.Law(("a", "b", "c"))  # no equations: every table
     pools = [["a", "b"], [], ["c"]]
-    assert list(search_tables(pools, [[]] * 3)) == []
+    assert list(search_tables(pools, abc)) == []
     pools = [["a", "b", "c"], ["b", "a"], ["c", "a"]]
-    assert list(search_tables(pools, [[]] * 3)) == list(itertools.product(*pools))
-    assert list(search_tables([], [])) == [()]
-    labels = ["x", "y", "z", "w"]
-    got = list(search_tables([labels] * 4, [[]] * 4, injective=True))
+    assert list(search_tables(pools, abc)) == list(itertools.product(*pools))
+    assert list(search_tables([], fs.Law(()))) == [()]
+    labels = ("x", "y", "z", "w")
+    got = list(search_tables([labels] * 4, fs.Law(labels), injective=True))
     assert got == list(itertools.permutations(labels))
-    # a check filed under position 1 prunes every table with t[0] == t[1]
-    checks = [[], [lambda t: t[0] != t[1]]]
-    assert list(search_tables([labels] * 2, checks)) == list(itertools.permutations(labels, 2))
+    # one disequation, cell 0 != cell 1, prunes every table with t[0] == t[1]
+    apart = fs.Law(labels, (), ((((0, ()), (1, ())), ~0, ~1, False),))
+    assert list(search_tables([labels] * 2, apart)) == list(itertools.permutations(labels, 2))
 
 
 def test_deep_carrier_needs_no_recursion():
@@ -259,7 +257,7 @@ def test_budget_bounds_the_candidates_of_one_call(monkeypatch):
     monkeypatch.setattr(fs, "_TABLE_BUDGET", 5)
     got = []
     with pytest.raises(CarrierTooLarge, match="more than 5 candidates"):
-        got.extend(fs.search_tables([["a", "b"]] * 2, [[]] * 2))
+        got.extend(fs.search_tables([["a", "b"]] * 2, fs.Law(("a", "b"))))
     assert got == [("a", "a"), ("a", "b"), ("b", "a")]
     # 13-chain -> 3-chain meet-semilattices: 3^13 tables, 105 homs, 1365 candidates
     meet = Signature((("meet", 2),))

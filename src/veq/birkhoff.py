@@ -25,6 +25,7 @@ from .theories import (
     Term,
     TheoryPresentation,
     Var,
+    _ProofSearch,
     congruent,
     term_size,
 )
@@ -78,10 +79,10 @@ def identities_of(
     that A satisfies. Deduplicated modulo derivability from earlier output:
     a pair is dropped when the kept identities rewrite both sides to one
     normal form, or when a proof search of budget expansions derives it from
-    them. Where that search runs past _PROOF_PREFIX expansions, a model of
-    the kept identities with at most _MODEL_SIZE elements in which the pair
-    fails is sought first; one proves that the search cannot succeed. Pass
-    raw=True for every valid pair.
+    them. Where that search runs past _PROOF_PREFIX expansions, it pauses
+    for a model of the kept identities with at most _MODEL_SIZE elements in
+    which the pair fails; one proves that the search cannot succeed, and
+    without one the search resumes. Pass raw=True for every valid pair.
     """
     if raw:
         return [Identity(l, r, n_vars) for l, r in _valid_pairs(A, n_vars, depth, True)]
@@ -132,22 +133,22 @@ def _kept_identities(A: FiniteAlgebra, n_vars: int, depth: int, budget: int = 30
 
 def _derivable(theory: TheoryPresentation, l: Term, r: Term, budget: int) -> bool:
     """congruent(theory, l, r, budget).provable, answered sooner where it can
-    be. The search is breadth-first, so a larger budget only extends it: a
-    proof within _PROOF_PREFIX expansions is the one the full search finds,
-    and a search whose frontiers run dry before then finds none at any
-    budget. Every proof step is an instance of an axiom, so neither does a
-    search in a theory with a model where l ~ r fails.
+    be. The search is breadth-first, so a larger budget only extends it and
+    one search is resumed past _PROOF_PREFIX expansions: a proof within them
+    is the one the full search finds, and a search whose frontiers run dry
+    before then finds none at any budget. Every proof step is an instance of
+    an axiom, so neither does a search in a theory with a model where l ~ r fails.
     """
-    if budget > _PROOF_PREFIX:
-        first = congruent(theory, l, r, Budget(steps=_PROOF_PREFIX))
-        if first.provable:
-            return True
-        if first.expansions < _PROOF_PREFIX:
-            return False
-        sizes = range(2, _MODEL_SIZE + 1)  # a one-element model satisfies every equation
-        if countermodel(theory.signature, theory.axioms, l, r, sizes, budget) is not None:
-            return False
-    return congruent(theory, l, r, Budget(steps=budget)).provable
+    if budget <= _PROOF_PREFIX:
+        return congruent(theory, l, r, Budget(steps=budget)).provable
+    search = _ProofSearch(theory, l, r, Budget().max_term_size)
+    first = search.run(_PROOF_PREFIX)
+    if first.provable or first.expansions < _PROOF_PREFIX:
+        return first.provable
+    sizes = range(2, _MODEL_SIZE + 1)  # a one-element model satisfies every equation
+    if countermodel(theory.signature, theory.axioms, l, r, sizes, budget) is not None:
+        return False
+    return search.run(budget - _PROOF_PREFIX).provable
 
 
 # -- HSP membership --------------------------------------------------------

@@ -42,7 +42,8 @@ rewriting whole terms, in their order. A subterm is tried only against the
 rules filed under its shape, its head and its arguments' heads, which the
 rule table files on first use (term indexing to depth two, as in Sekar,
 Ramakrishnan and Voronkov, "Term Indexing", Handbook of Automated
-Reasoning, 2001). The store and the memo live and die with the search.
+Reasoning, 2001). The store and the memo live as long as the search, a
+_ProofSearch, which goes on from where it stopped each time it is run.
 
 The compiled rules and their one-step rewrites serve normalization too, so
 a rule is matched and instantiated in one place. A Normalizer compiles a
@@ -712,6 +713,52 @@ def _step(store: _TermStore, entry, forward: bool = True) -> ProofStep:
     return ProofStep(tuple(position), axiom, subst, fwd == forward)
 
 
+class _ProofSearch:
+    """congruent's search, kept between runs: run(k), then run(m), is run(k + m)."""
+
+    __slots__ = ("_rules", "_store", "_sides", "_frontiers", "_memo", "_max_size", "_met", "_expansions")
+
+    def __init__(self, theory: TheoryPresentation, lhs: Term, rhs: Term, max_size: int):
+        self._rules, self._memo, self._max_size, self._expansions = theory._rules, {}, max_size, 0
+        store = self._store = self._rules[0].copy()
+        lhs, rhs = store.add(lhs), store.add(rhs)
+        # sides[side][id] = (previous id, _rewrites entry applied to previous)
+        self._sides = ({lhs: None}, {rhs: None})
+        self._frontiers = (deque([lhs]), deque([rhs]))
+        self._met = lhs if lhs == rhs else None  # the id where the two sides meet
+
+    def run(self, steps: int) -> CongruenceResult:
+        """Up to steps further expansions, and the result so far."""
+        rules, store, memo, max_size = self._rules, self._store, self._memo, self._max_size
+        sides, frontiers, met, expansions = self._sides, self._frontiers, self._met, self._expansions
+        limit = expansions + steps
+        while met is None and expansions < limit and (frontiers[0] or frontiers[1]):
+            side = 1 if not frontiers[0] or 0 < len(frontiers[1]) < len(frontiers[0]) else 0
+            seen, other, frontier = sides[side], sides[1 - side], frontiers[side]
+            current = frontier.popleft()
+            expansions += 1
+            for entry in _rewrites(rules, store, current, max_size, memo):
+                new = entry[0]
+                if new in seen:
+                    continue
+                seen[new] = (current, entry)
+                if new in other:
+                    met = new
+                    break
+                frontier.append(new)
+        self._met, self._expansions = met, expansions
+        if met is None:
+            return CongruenceResult("unknown", None, expansions)
+        proof = []
+        for seen, forward in zip(sides, (True, False)):
+            chain, cur = [], met
+            while seen[cur] is not None:
+                cur, entry = seen[cur]
+                chain.append(_step(store, entry, forward))
+            proof += reversed(chain) if forward else chain
+        return CongruenceResult("provable", tuple(proof), expansions)
+
+
 def congruent(
     theory: TheoryPresentation, lhs: Term, rhs: Term, budget: Budget | int = Budget()
 ) -> CongruenceResult:
@@ -723,50 +770,7 @@ def congruent(
     """
     if isinstance(budget, int):
         budget = Budget(steps=budget)
-    if lhs == rhs:
-        return CongruenceResult("provable", (), 0)
-
-    rules = theory._rules
-    store = rules[0].copy()
-    lhs, rhs = store.add(lhs), store.add(rhs)
-    # parents[side][id] = (previous id, _rewrites entry applied to previous)
-    sides = ({lhs: None}, {rhs: None})
-    frontiers = (deque([lhs]), deque([rhs]))
-    expansions = 0
-    memo: dict = {}
-
-    def build(meeting: int) -> tuple[ProofStep, ...]:
-        fwd = []
-        cur = meeting
-        while sides[0][cur] is not None:
-            prev, entry = sides[0][cur]
-            fwd.append(_step(store, entry))
-            cur = prev
-        fwd.reverse()
-        back = []
-        cur = meeting
-        while sides[1][cur] is not None:
-            prev, entry = sides[1][cur]
-            back.append(_step(store, entry, False))
-            cur = prev
-        return tuple(fwd + back)
-
-    while expansions < budget.steps and (frontiers[0] or frontiers[1]):
-        side = 0 if len(frontiers[0]) <= len(frontiers[1]) and frontiers[0] else 1
-        if not frontiers[side]:
-            side = 1 - side
-        seen, other, frontier = sides[side], sides[1 - side], frontiers[side]
-        current = frontier.popleft()
-        expansions += 1
-        for entry in _rewrites(rules, store, current, budget.max_term_size, memo):
-            new = entry[0]
-            if new in seen:
-                continue
-            seen[new] = (current, entry)
-            if new in other:
-                return CongruenceResult("provable", build(new), expansions)
-            frontier.append(new)
-    return CongruenceResult("unknown", None, expansions)
+    return _ProofSearch(theory, lhs, rhs, budget.max_term_size).run(budget.steps)
 
 
 class Normalizer:

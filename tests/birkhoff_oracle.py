@@ -3,8 +3,9 @@
 `oracle_identities_of` decides every pair by one proof search at the full
 budget and returns the whole list. veq.birkhoff now yields the same
 identities one at a time, so that `hsp_member` can stop at the first one B
-violates, and it first runs the search for a short prefix of the budget,
-then looks for a small countermodel, before it runs the full search.
+violates. It first runs the search for a short prefix of the budget, then
+looks for a small countermodel, and only then extends the same search to
+the full budget; it never restarts it.
 
 `oracle_normal_form` is the term-level rewriter veq.birkhoff used before it
 normalized with `theories.Normalizer`, proof search's compiled rules on

@@ -24,7 +24,7 @@ from veq.birkhoff import (
 )
 from veq.finset import FinSetObj
 from veq.groups import GROUP_SIG
-from veq.theories import App, Normalizer, Signature, Var, term_size, term_vars
+from veq.theories import App, Normalizer, Signature, Var, _ProofSearch, term_size, term_vars
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MAGMA = Signature((("mul", 2),))
@@ -203,15 +203,44 @@ def test_hsp_violated_identity_is_the_oracles_first():
     assert non_members >= 10
 
 
-def test_hsp_stops_at_the_first_violated_identity(monkeypatch):
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts the proof searches built, by congruent or by identities_of."""
+    built = [0]
+    real = _ProofSearch.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        real(self, *args)
+
+    monkeypatch.setattr(_ProofSearch, "__init__", counted)
+    return built
+
+
+def test_hsp_stops_at_the_first_violated_identity(searches):
     # Flip2 violates Meet2's first identity, which needs no proof search
     ws = dsl.parse_files([os.path.join(ROOT, "corpus", "algebras.veq")])
-    calls = []
-    real = birkhoff.congruent
-    monkeypatch.setattr(birkhoff, "congruent", lambda *a: calls.append(a) or real(*a))
     res = hsp_member(ws.get("algebra", "Flip2"), ws.get("algebra", "Meet2"))
     assert res.violated_identity == Identity(x0, mul(x0, x0), 2)
-    assert calls == []
+    assert searches == [0]
+
+
+def test_each_pair_builds_at_most_one_search(searches, monkeypatch):
+    """Past the proof prefix and a failed model search, the prefix's search
+    goes on: no pair is searched twice."""
+    pairs = []
+    real = birkhoff._derivable
+
+    def counted(*args):
+        before = searches[0]
+        derivable = real(*args)
+        pairs.append(searches[0] - before)
+        return derivable
+
+    monkeypatch.setattr(birkhoff, "_derivable", counted)
+    for A in two_element_magmas() + seeded_three_element_magmas():
+        identities_of(A, 2, 2, budget=300)
+    assert pairs and max(pairs) == 1
 
 
 def test_identities_of_leaves_no_cyclic_garbage():

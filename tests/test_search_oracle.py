@@ -8,7 +8,8 @@ implementations are kept verbatim as oracles: the recursive term walkers
 full (flat_*), and the memo search over hash-consed App terms that the id
 store replaced (memo_*). The fast path must produce the same successors in
 the same order, less the self-loops and repeats the search skips, hence the
-same certificates and expansion counts.
+same certificates and expansion counts. A search resumed in chunks must
+end where a fresh search of the summed budget ends.
 """
 
 import inspect
@@ -683,6 +684,55 @@ def test_memo_keeps_only_growth_that_fits(word_theories):
         assert store.sizes[u] == th.term_size(store.term(u))
         assert all(growth <= max_size - store.sizes[u] < 0
                    for _, growth, *_ in memo[u])
+
+
+# -- a resumed search is the search of the summed budget -----------------------
+
+def resume_pool(word_theories):
+    """Seeded pairs in the theories above: Mon and CMon words, the derived
+    theories' candidates, group and ternary terms, and a pair whose two
+    sides are one term."""
+    rng = random.Random(41)
+    pool = []
+    for name in ("Mon", "CMon"):
+        for _ in range(6):
+            word = [rng.randrange(4) for _ in range(rng.randrange(2, 5))]
+            other = list(word)
+            rng.shuffle(other)
+            rhs = App("m", (App("e"), bracket(rng, other)))
+            pool.append((word_theories[name], bracket(rng, word), rhs))
+    for theory, candidates in derived_theories():
+        pool += [(theory, l, r) for l, r in rng.sample(candidates, min(2, len(candidates)))]
+    for name in ("group", "ternary"):
+        theory, terms = non_binary_terms(name, 12, rng)
+        pool += [(theory, l, r) for l, r in zip(terms[::2], terms[1::2])]
+    t = bracket(rng, [0, 1, 2])
+    return pool + [(word_theories["Mon"], t, t)]
+
+
+def test_resumed_search_is_the_fresh_search(word_theories):
+    """A search run in two or three chunks returns, after each, what a fresh
+    search of the budget so far returns, and at the end the flat oracle's
+    answer; once its sides have met or its frontiers have run dry, a
+    further run changes nothing."""
+    rng = random.Random(43)
+    met = dry = 0
+    for (theory, lhs, rhs), max_size in itertools.product(resume_pool(word_theories), (7, 64)):
+        for k in (3, 40, 150):
+            ends = sorted(rng.sample(range(1, k), rng.choice((1, 2)))) + [k]
+            search = th._ProofSearch(theory, lhs, rhs, max_size)
+            done = 0
+            for end in ends:
+                got = search.run(end - done)
+                done = end
+                budget = Budget(steps=done, max_term_size=max_size)
+                assert got == th.congruent(theory, lhs, rhs, budget)
+            assert got == flat_congruent(theory, lhs, rhs, budget)
+            if got.provable or got.expansions < k:
+                met += got.provable
+                dry += not got.provable
+                assert search.run(rng.randrange(1, 100)) == got
+    assert met and dry
 
 
 # -- repr and hash are those of the plain frozen dataclasses --------------------

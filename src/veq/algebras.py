@@ -2,6 +2,15 @@
 (over all assignments at once), satisfaction, homomorphisms, products,
 subalgebra closure, congruences, and quotients, with every operation table
 built by `tabulate`. The Birkhoff-style closure operations build on these.
+
+`term_function` keeps one module-level memo slot: for the algebra of its
+last call (by identity) and that call's n, the projection columns, |A|^n,
+the arity of each symbol, and the column of every subterm with arguments
+evaluated since. A call with another algebra or n replaces the slot, so it
+holds one algebra's subterms at a time, and it is emptied before it would
+hold more than _MEMO_CELLS (2^16) column entries. `tabulate` shares the
+argument tuples of one carrier and arity between all the tables built over
+it, for carriers with at most _SHARED_ARGUMENTS of them.
 """
 
 from __future__ import annotations
@@ -68,8 +77,9 @@ class FiniteAlgebra:
 
 def tabulate(signature: Signature, labels, value) -> dict[str, dict[tuple[str, ...], str]]:
     """One table per symbol: value(sym, args) at every argument tuple of labels."""
+    labels = tuple(labels)
     return {
-        sym: {args: value(sym, args) for args in itertools.product(labels, repeat=arity)}
+        sym: {args: value(sym, args) for args in _arguments(labels, arity)}
         for sym, arity in signature.ops
     }
 
@@ -87,6 +97,23 @@ def make_algebra(name: str, signature: Signature, carrier, ops: dict) -> FiniteA
         return fn  # constant given as a bare label
 
     return FiniteAlgebra(name, signature, carrier, tabulate(signature, carrier.elements, value))
+
+
+# the most argument tuples of one carrier and arity that _arguments shares
+_SHARED_ARGUMENTS = 4096
+
+
+def _arguments(labels: tuple[str, ...], arity: int):
+    """Every arity-tuple of labels, in lexicographic order. Small carriers
+    share one set of tuples between all their tables."""
+    if len(labels) ** arity <= _SHARED_ARGUMENTS:
+        return _shared_arguments(labels, arity)
+    return itertools.product(labels, repeat=arity)
+
+
+@lru_cache(maxsize=16)
+def _shared_arguments(labels: tuple[str, ...], arity: int) -> tuple[tuple[str, ...], ...]:
+    return tuple(itertools.product(labels, repeat=arity))
 
 
 @lru_cache(maxsize=16)
@@ -109,39 +136,85 @@ def pointwise(A: FiniteAlgebra, sym: str, columns, size: int) -> tuple[str, ...]
     return tuple(map(A.tables[sym].__getitem__, args))
 
 
+class _SubtermMemo:
+    """What term_function keeps between calls on one algebra and one n: the
+    per-(A, n) constants, and each subterm evaluated so far with its column.
+    It holds A itself, so that `algebra is A` never matches a recycled id."""
+
+    __slots__ = ("algebra", "n", "cols", "size", "arities", "memoized", "room")
+
+    def __init__(self, A: FiniteAlgebra, n: int):
+        self.algebra, self.n = A, n
+        self.cols = _columns(A.carrier.elements, n)
+        self.size = len(A.carrier) ** n
+        self.arities = dict(A.signature.ops)
+        self.memoized: dict[Term, tuple[str, ...]] = {}
+        # every column of one (A, n) has `size` entries, so the cell cap is
+        # a cap on the number of columns
+        self.room = _MEMO_CELLS // max(self.size, 1)
+
+
+# the most column entries term_function's memo holds; a column that would
+# pass it empties the memo first, and a column larger than it is not kept
+_MEMO_CELLS = 1 << 16
+_memo: _SubtermMemo | None = None
+
+
 def term_function(A: FiniteAlgebra, t: Term, n: int) -> tuple[str, ...]:
     """The induced n-ary function as its output tuple over all assignments.
 
     Raises at the first node in preorder that is a variable of index n or
     more, a symbol A lacks, or a symbol at the wrong arity.
+
+    Subterm columns are memoized for one algebra and one n at a time: the
+    memo is keyed on A by identity and on n, and a call with another A or n
+    replaces it. It maps every subterm with arguments evaluated since then
+    to its column, so a term over already evaluated subterms costs one
+    pointwise step; it is emptied before it would hold more than _MEMO_CELLS
+    (2^16) column entries. A column is stored only after its node has
+    evaluated, so a memoized subterm holds no offending node and errors are
+    unchanged.
     """
-    cols = _columns(A.carrier.elements, n)
-    size = len(A.carrier) ** n
-    tables, arities = A.tables, dict(A.signature.ops)
+    global _memo
+    memo = _memo
+    if memo is None or memo.algebra is not A or memo.n != n:
+        memo = _memo = _SubtermMemo(A, n)
+    cols, size, arities = memo.cols, memo.size, memo.arities
+    memoized, room = memo.memoized, memo.room
+    tables = A.tables
     values: list[tuple[str, ...]] = []
-    # terms to visit in preorder, and (table, arity) entries that apply a
-    # symbol to the columns its arguments left on top of `values`
+    # terms to visit in preorder, and (table, arity, term) entries that apply
+    # a symbol to the columns its arguments left on top of `values`
     todo: list = [t]
     while todo:
         u = todo.pop()
         if u.__class__ is tuple:
-            table, k = u
+            table, k, u = u
             k = len(values) - k
             out = tuple(map(table.__getitem__, zip(*values[k:])))
             del values[k:]
             values.append(out)
+            if len(memoized) < room:
+                memoized[u] = out
+            elif room:
+                memoized.clear()
+                memoized[u] = out
         elif u.__class__ is Var:
             if u.index >= n:
                 raise UnboundVariable(f"variable {u.index} not assigned")
             values.append(cols[u.index])
         else:
+            out = memoized.get(u)
+            if out is not None:
+                values.append(out)
+                continue
             sym, args = u.symbol, u.args
             if sym not in tables:
                 raise SignatureMismatch(f"symbol {sym} not in algebra {A.name}")
             if len(args) != arities[sym]:
                 raise SignatureMismatch(f"symbol {sym} applied at wrong arity")
             if args:
-                todo.append((tables[sym], len(args)))
+                todo.append((tables[sym], len(args), u))
                 todo.extend(reversed(args))
             else:
                 values.append((tables[sym][()],) * size)

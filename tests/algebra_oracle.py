@@ -1,17 +1,19 @@
-"""The per-assignment and fold-based term evaluators, the fixed-point and
-loop-based congruence checks, the re-closing congruence lattice, the
-product-table loop and the brute hom and isomorphism enumerations that
-veq.algebras replaced, kept as an oracle.
+"""The per-assignment, fold-based and column-wise term evaluators, the
+fixed-point and loop-based congruence checks, the re-closing congruence
+lattice, the product-table loop and the brute hom and isomorphism
+enumerations that veq.algebras replaced, kept as an oracle.
 
 veq.algebras now evaluates a term column-wise in one explicit-stack loop over
-projection columns taken from a cache keyed by the carrier's labels and n,
-builds every table with `tabulate`, closes a set of pairs to a congruence by
-pair propagation (each union of a and b pushes the images of a and b under
-every one-position translation), joins congruences by a union-find merge of
-their pairs alone, and checks a congruence by asking whether the closure of
-its own pairs leaves it unchanged. These are the earlier versions, unchanged
-apart from their names: the first evaluator recurses once per assignment and
-the second folds the columns through `theories._fold` with callbacks; the
+projection columns, memoizing subterm columns for one algebra and one number
+of variables at a time, builds every table with `tabulate`, closes a set of
+pairs to a congruence by pair propagation (each union of a and b pushes the
+images of a and b under every one-position translation), joins congruences by
+a union-find merge of their pairs alone, and checks a congruence by asking
+whether the closure of its own pairs leaves it unchanged. These are the
+earlier versions, unchanged apart from their names: the first evaluator
+recurses once per assignment, the second folds the columns through
+`theories._fold` with callbacks, and the third is the explicit-stack loop
+without the memo, which builds every subterm's column again on each call; the
 closure rescans every argument tuple against every element of the same class
 until nothing changes, and the lattice closes every join again; the
 congruence check tries every argument position against every element of the
@@ -74,6 +76,42 @@ def oracle_fold_term_function(A: FiniteAlgebra, t: Term, n: int) -> tuple[str, .
         return None
 
     return _fold(t, leaf, lambda u, args: alg.pointwise(A, u.symbol, args, size))
+
+
+def oracle_columnwise_term_function(A: FiniteAlgebra, t: Term, n: int) -> tuple[str, ...]:
+    """The same output tuple, by one explicit-stack loop over the projection
+    columns that evaluates every subterm again on each call."""
+    cols = alg.projections(A, n)
+    size = len(A.carrier) ** n
+    tables, arities = A.tables, dict(A.signature.ops)
+    values: list[tuple[str, ...]] = []
+    # terms to visit in preorder, and (table, arity) entries that apply a
+    # symbol to the columns its arguments left on top of `values`
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        if u.__class__ is tuple:
+            table, k = u
+            k = len(values) - k
+            out = tuple(map(table.__getitem__, zip(*values[k:])))
+            del values[k:]
+            values.append(out)
+        elif u.__class__ is Var:
+            if u.index >= n:
+                raise UnboundVariable(f"variable {u.index} not assigned")
+            values.append(cols[u.index])
+        else:
+            sym, args = u.symbol, u.args
+            if sym not in tables:
+                raise SignatureMismatch(f"symbol {sym} not in algebra {A.name}")
+            if len(args) != arities[sym]:
+                raise SignatureMismatch(f"symbol {sym} applied at wrong arity")
+            if args:
+                todo.append((tables[sym], len(args)))
+                todo.extend(reversed(args))
+            else:
+                values.append((tables[sym][()],) * size)
+    return values[0]
 
 
 def oracle_congruence_closure(A: FiniteAlgebra, pairs) -> Partition:

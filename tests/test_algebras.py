@@ -1,18 +1,23 @@
-"""Column-wise term functions, the shared table builder, congruence closure by
-pair propagation, the congruence lattice's union-find joins and the
-closure-based congruence check, held to the per-assignment, fold-based and
-fixed-point oracles in algebra_oracle."""
+"""Column-wise term functions and their subterm memo, the shared table
+builder, congruence closure by pair propagation, the congruence lattice's
+union-find joins and the closure-based congruence check, held to the
+per-assignment, fold-based, memo-free column-wise and fixed-point oracles in
+algebra_oracle. The memo's tests also check that it lets go of an algebra it
+leaves and never holds more column entries than its cap."""
 
+import gc
 import itertools
 import os
 import random
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebra_oracle import (
+    oracle_columnwise_term_function,
     oracle_congruence_closure,
     oracle_congruences,
     oracle_fold_term_function,
@@ -20,6 +25,7 @@ from algebra_oracle import (
     oracle_product_tables,
     oracle_term_function,
 )
+from veq import algebras as alg
 from veq import dsl
 from veq import groups as grp
 from veq.algebras import (
@@ -37,10 +43,11 @@ from veq.algebras import (
     satisfies,
     term_function,
 )
-from veq.birkhoff import enumerate_terms
+from veq.birkhoff import enumerate_terms, identities_of
 from veq.errors import DomainMismatch, InvariantError, SignatureMismatch, UnboundVariable
 from veq.instances import FinGrpCat
-from veq.theories import App, Signature, Var
+from veq.finset import FinSetObj
+from veq.theories import App, Signature, Var, _fold
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -331,3 +338,112 @@ def test_term_function_and_satisfies_properties(A, lhs, rhs):
     assert satisfies(A, Identity(lhs, rhs, 2)) == (
         oracle_term_function(A, lhs, 2) == oracle_term_function(A, rhs, 2)
     )
+
+
+# -- the subterm memo --------------------------------------------------------------
+
+def _fresh_copy(t):
+    """A term equal to t that shares no node with it."""
+    return _fold(t, lambda u: Var(u.index) if u.__class__ is Var else None,
+                 lambda u, args: App(u.symbol, tuple(args)))
+
+
+def _outcome(evaluate, A, t, n):
+    try:
+        return evaluate(A, t, n)
+    except (UnboundVariable, SignatureMismatch) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def memo_sessions(draw):
+    """Algebras, and calls (algebra, term, n, fresh) over a pool of terms
+    built on each other, so that terms share subterms; a term may hold an
+    unknown symbol, a wrong arity or an unbound variable after well-formed
+    arguments, so that it raises after a prefix was evaluated."""
+    A, B = draw(algebras()), draw(algebras())
+    # equal tables over carriers in two label orders, and an equal copy of A
+    flipped = FiniteAlgebra(A.name, A.signature,
+                            FinSetObj(A.carrier.elements[::-1]), A.tables)
+    twin = FiniteAlgebra(A.name, A.signature, A.carrier, A.tables)
+    pool = [Var(0), Var(1), Var(2), App("c", ())]
+    for _ in range(draw(st.integers(1, 12))):
+        sym, arity = draw(st.sampled_from(SIG.ops[1:] + (("zz", 1),)))
+        arity += draw(st.sampled_from((0, 0, 0, 0, 1)))
+        pool.append(App(sym, tuple(draw(st.sampled_from(pool)) for _ in range(arity))))
+    calls = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from(pool), st.integers(0, 3), st.booleans()),
+        min_size=1, max_size=24))
+    return [A, flipped, B, twin], calls
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(memo_sessions())
+def test_memoized_term_function_matches_columnwise_oracle(session):
+    algebras_, calls = session
+    for which, t, n, fresh in calls:
+        A = algebras_[which]
+        if fresh:
+            t = _fresh_copy(t)
+        assert _outcome(term_function, A, t, n) == _outcome(
+            oracle_columnwise_term_function, A, t, n), (A, t, n)
+
+
+def test_a_failed_term_keeps_its_evaluated_prefix_and_its_error():
+    A = random_algebra(random.Random(2), 3)
+    prefix = App("b", (App("u", (Var(0),)), Var(1)))
+    bad = App("t", (prefix, App("zz", ()), Var(0)))
+    for _ in range(2):
+        with pytest.raises(SignatureMismatch, match="^symbol zz not in algebra r3$"):
+            term_function(A, bad, 2)
+        assert prefix in alg._memo.memoized
+    assert term_function(A, prefix, 2) == oracle_columnwise_term_function(A, prefix, 2)
+    with pytest.raises(UnboundVariable, match="^variable 1 not assigned$"):
+        term_function(A, prefix, 1)
+
+
+def test_memo_lets_go_of_the_algebra_it_leaves():
+    A, B = chain3(), make_algebra("max3", MEET, ["0", "1", "2"], {"meet": max})
+    ref = weakref.ref(A)
+    t = App("meet", (Var(0), App("meet", (Var(1), Var(0)))))
+    assert term_function(A, t, 2) == oracle_columnwise_term_function(A, t, 2)
+    assert term_function(B, t, 2) == oracle_columnwise_term_function(B, t, 2)
+    del A
+    gc.collect()
+    assert ref() is None
+
+
+def test_memo_never_holds_more_cells_than_its_cap(monkeypatch):
+    cells = []
+
+    class Watched(dict):
+        def __setitem__(self, key, column):
+            super().__setitem__(key, column)
+            cells.append(len(self) * len(column))
+
+    init = alg._SubtermMemo.__init__
+
+    def watched_init(memo, A, n):
+        init(memo, A, n)
+        memo.memoized = Watched()
+
+    monkeypatch.setattr(alg._SubtermMemo, "__init__", watched_init)
+    magma = Signature((("mul", 2),))
+    rng = random.Random(5)
+    A = random_algebra(rng, 4, magma)
+    identities_of(A, 3, 2)
+    assert cells
+    # 420 terms of 4^4 entries each hold more than the cap: the memo empties
+    terms = enumerate_terms(magma, 4, 2)
+    assert len(terms) * 4 ** 4 > alg._MEMO_CELLS
+    for t in terms:
+        assert term_function(A, t, 4) == oracle_columnwise_term_function(A, t, 4)
+    # it fills to the cap exactly, and never past it
+    assert max(cells) == alg._MEMO_CELLS
+    # under a cap below one column, no column is kept
+    cells.clear()
+    monkeypatch.setattr(alg, "_MEMO_CELLS", 8)
+    t = App("mul", (App("mul", (Var(0), Var(1))), Var(0)))
+    B = random_algebra(rng, 3, magma)
+    assert term_function(B, t, 2) == oracle_columnwise_term_function(B, t, 2)
+    assert cells == [] and not alg._memo.memoized

@@ -1,7 +1,9 @@
 """Finite algebras over a one-sorted signature: column-wise term evaluation
 (over all assignments at once), satisfaction, homomorphisms, products,
 subalgebra closure, congruences, and quotients, with every operation table
-built by `tabulate`. The Birkhoff-style closure operations build on these.
+built by `tabulate`. A product algebra is the table-category product of
+finset.product_of, with its tables tabulated factor by factor. The
+Birkhoff-style closure operations build on these.
 
 `term_function` keeps one module-level memo slot: for the algebra of its
 last call (by identity) and that call's n, the projection columns, |A|^n,
@@ -27,7 +29,16 @@ from .errors import (
     SignatureMismatch,
     UnboundVariable,
 )
-from .finset import FinSetObj, Law, _UnionFind, search_tables, table_equation, tuple_label
+from .finset import (
+    FinSetObj,
+    Law,
+    ProductResult,
+    _UnionFind,
+    product_of,
+    search_tables,
+    table_equation,
+    tuple_label,
+)
 from .theories import Signature, Term, Var, term_vars
 
 
@@ -317,45 +328,28 @@ def hom_checks(A: FiniteAlgebra, B: FiniteAlgebra) -> Law:
     return Law(B.carrier.elements, tuple(fixed), tuple(instances))
 
 
-def product_algebra(As: list[FiniteAlgebra], name: str | None = None) -> "ProductAlgebraResult":
+def product_algebra(As: list[FiniteAlgebra], name: str | None = None) -> ProductResult:
     if not As:
         raise EmptyList("product of no algebras")
     sig = As[0].signature
     for A in As:
         if A.signature != sig:
             raise SignatureMismatch("product factors disagree on signature")
-    combos = list(itertools.product(*(A.carrier.elements for A in As)))
-    labels = [tuple_label(c) for c in combos]
-    carrier = FinSetObj(tuple(labels))
-    unpack = dict(zip(labels, combos))
 
-    def value(sym, args):
-        # factor by factor, so a constant takes each factor's own value
-        cols = [unpack[a] for a in args]
-        return tuple_label([F.op(sym, tuple(c[i] for c in cols)) for i, F in enumerate(As)])
+    def make(labels, tuples):
+        unpack = dict(zip(labels, tuples))
 
-    tables = tabulate(sig, labels, value)
-    P = FiniteAlgebra(name or tuple_label([A.name for A in As]), sig, carrier, tables)
-    legs = tuple(
-        AlgHom(P, As[i], tuple(unpack[l][i] for l in labels)) for i in range(len(As))
-    )
-    return ProductAlgebraResult(P, legs, unpack)
+        def value(sym, args):
+            # factor by factor, so a constant takes each factor's own value
+            cols = [unpack[a] for a in args]
+            return tuple_label([F.op(sym, tuple(c[i] for c in cols)) for i, F in enumerate(As)])
 
-
-@dataclass(frozen=True)
-class ProductAlgebraResult:
-    obj: FiniteAlgebra
-    projections: tuple[AlgHom, ...]
-    _unpack: dict[str, tuple[str, ...]] = field(compare=False)
-
-    def tuple_of(self, legs: list[AlgHom]) -> AlgHom:
-        if len(legs) != len(self.projections):
-            raise InvariantError("tupling needs one leg per factor")
-        dom = legs[0].dom
-        table = tuple(
-            tuple_label([leg(x) for leg in legs]) for x in dom.carrier.elements
+        return FiniteAlgebra(
+            name or tuple_label([A.name for A in As]), sig, FinSetObj(labels),
+            tabulate(sig, labels, value),
         )
-        return AlgHom(dom, self.obj, table)
+
+    return product_of(As, lambda A: A.carrier.elements, make, AlgHom)
 
 
 def subalgebra_closure(A: FiniteAlgebra, seed) -> tuple[str, ...]:
@@ -364,7 +358,7 @@ def subalgebra_closure(A: FiniteAlgebra, seed) -> tuple[str, ...]:
     """
     members = set(seed)
     for x in members:
-        if x not in set(A.carrier.elements):
+        if x not in A.carrier:
             raise InvariantError(f"seed element {x} not in carrier")
     changed = True
     while changed:

@@ -35,6 +35,13 @@ _GRP_CAT = FinGrpCat()
 # most assignments (|A|^n) a term function is evaluated or tabulated over
 _MAX_ASSIGNMENTS = 4096
 
+# hsp_member's bounds: the variables and depth of the identities a negative
+# answer draws its certificate from, and the largest subalgebra of a power
+# whose congruences it searches
+_CERTIFICATE_VARS = 2
+_CERTIFICATE_DEPTH = 2
+_CONGRUENCE_BOUND = 8
+
 # identities_of's proof search finds nearly every proof it finds at all
 # within this many expansions (histogram in CHANGES.md); past it, a small
 # countermodel is sought before the search runs to its full budget
@@ -174,23 +181,17 @@ class HspResult:
         return self.status == "Yes"
 
 
-def hsp_member(
-    B: FiniteAlgebra,
-    A: FiniteAlgebra,
-    k_max: int | None = None,
-    certificate_vars: int = 2,
-    certificate_depth: int = 2,
-    congruence_bound: int = 8,
-) -> HspResult:
+def hsp_member(B: FiniteAlgebra, A: FiniteAlgebra, k_max: int | None = None) -> HspResult:
     """Is B a quotient of a subalgebra of a finite power of A?
 
     Searches k = 1..k_max (default |B|); generator subsets of the power,
     from the empty one up, are capped at |B| elements, which loses nothing:
     a quotient onto B needs at most one generator per element of B.
-    Intermediate subalgebras above congruence_bound are skipped, so a
-    negative answer is bound-relative; it carries the first identity of
-    identities_of(A, certificate_vars, certificate_depth) that B violates,
-    when there is one, and extracts no identity after it.
+    Intermediate subalgebras above _CONGRUENCE_BOUND (8) elements are
+    skipped, so a negative answer is bound-relative; it carries the first
+    identity of identities_of(A, _CERTIFICATE_VARS, _CERTIFICATE_DEPTH)
+    (2 variables, depth 2) that B violates, when there is one, and extracts
+    no identity after it.
     """
     if B.signature != A.signature:
         raise SignatureMismatch("hsp membership needs one signature")
@@ -198,12 +199,12 @@ def hsp_member(
         k_max = max(1, len(B.carrier))
     for k in range(1, k_max + 1):
         power = alg.product_algebra([A] * k).obj
-        found = _search_power(B, power, k, congruence_bound)
+        found = _search_power(B, power, k)
         if found is not None:
             return found
     violated = None
     try:
-        for ident in _kept_identities(A, certificate_vars, certificate_depth):
+        for ident in _kept_identities(A, _CERTIFICATE_VARS, _CERTIFICATE_DEPTH):
             if not alg.satisfies(B, ident):
                 violated = ident
                 break
@@ -212,9 +213,7 @@ def hsp_member(
     return HspResult("NoWithinBounds", violated_identity=violated)
 
 
-def _search_power(
-    B: FiniteAlgebra, power: FiniteAlgebra, k: int, congruence_bound: int
-) -> HspResult | None:
+def _search_power(B: FiniteAlgebra, power: FiniteAlgebra, k: int) -> HspResult | None:
     seen_subs: set[tuple[str, ...]] = set()
     max_gens = min(len(B.carrier), len(power.carrier))
     for size in range(max_gens + 1):
@@ -223,10 +222,10 @@ def _search_power(
             if members in seen_subs:
                 continue
             seen_subs.add(members)
-            if len(members) < len(B.carrier) or len(members) > congruence_bound:
+            if len(members) < len(B.carrier) or len(members) > _CONGRUENCE_BOUND:
                 continue
             S, _ = alg.sub_algebra(power, members)
-            for partition in alg.congruences(S, congruence_bound):
+            for partition in alg.congruences(S, _CONGRUENCE_BOUND):
                 if len(partition) != len(B.carrier):
                     continue
                 Q, _ = alg.quotient_algebra(S, partition)

@@ -4,9 +4,14 @@ one finite search (`search_tables`) behind every hom enumeration and
 countermodel, under a law given as data (`Law`). One call of it tries at
 most `_TABLE_BUDGET` candidate values unless its caller gives a budget.
 
-Equalizers, intersections, coequalizers, cokernel pairs and pullbacks of
-finite sets come from the table-category base in veq.instances, built from
-the pieces here. Everything is label-based and deterministic. Composite
+Products and coproducts are written once for every table category whose
+carrier is a tuple of labels: `product_of` and `coproduct_of` label the
+carrier and build the projections, the instance supplies the object on the
+labels, and `ProductResult` and `CoproductResult` tuple and cotuple legs
+through the category's morphism constructor. Equalizers, intersections,
+coequalizers, cokernel pairs and pullbacks of finite sets come from the
+table-category base in veq.instances, built from the pieces here.
+Everything is label-based and deterministic. Composite
 constructions emit structured labels: product tuples "(a,b)", coproduct tags
 "in0:a", quotient classes named by their lexicographically least member.
 """
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import CarrierTooLarge, CodMismatch, DomainMismatch, EmptyList, InvariantError
 
@@ -144,24 +149,89 @@ def tuple_label(labels) -> str:
     return "(" + ",".join(labels) + ")"
 
 
+def tag_label(i: int, label: str) -> str:
+    return f"in{i}:{label}"
+
+
 @dataclass(frozen=True)
 class ProductResult:
-    obj: FinSetObj
-    projections: tuple[FinFunction, ...]
+    """A product in a table category: the object, one projection per
+    factor, and the category's validating constructor morphism(dom, cod,
+    table), which builds the tupling."""
 
-    def tuple_of(self, legs: tuple[FinFunction, ...] | list) -> FinFunction:
+    obj: object
+    projections: tuple
+    morphism: Callable = field(compare=False, repr=False)
+
+    def tuple_of(self, legs) -> object:
         """Mediating morphism of a cone: the unique pairing into the product."""
         legs = tuple(legs)
-        if len(legs) != len(self.projections):
+        if not legs or len(legs) != len(self.projections):
             raise EmptyList("cone leg count differs from factor count")
         apex = legs[0].dom
-        for i, leg in enumerate(legs):
+        for leg, p in zip(legs, self.projections):
             if leg.dom != apex:
                 raise DomainMismatch("cone legs must share a domain")
-            if leg.cod != self.projections[i].cod:
+            if leg.cod != p.cod:
                 raise CodMismatch("cone leg codomain differs from factor")
-        table = tuple(tuple_label([leg(x) for leg in legs]) for x in apex.elements)
-        return FinFunction(apex, self.obj, table)
+        table = tuple(map(tuple_label, zip(*(leg.table for leg in legs))))
+        return self.morphism(apex, self.obj, table)
+
+
+@dataclass(frozen=True)
+class CoproductResult:
+    """A coproduct in a table category: the object, one coprojection per
+    summand, and the category's validating constructor morphism(dom, cod,
+    table), which builds the cotupling."""
+
+    obj: object
+    coprojections: tuple
+    morphism: Callable = field(compare=False, repr=False)
+
+    def cotuple_of(self, legs) -> object:
+        """Mediating morphism of a cocone out of the coproduct."""
+        legs = tuple(legs)
+        if not legs or len(legs) != len(self.coprojections):
+            raise EmptyList("cocone leg count differs from summand count")
+        cod = legs[0].cod
+        for leg, c in zip(legs, self.coprojections):
+            if leg.cod != cod:
+                raise CodMismatch("cocone legs must share a codomain")
+            if leg.dom != c.dom:
+                raise DomainMismatch("cocone leg domain differs from summand")
+        return self.morphism(self.obj, cod, tuple(v for leg in legs for v in leg.table))
+
+
+def product_of(objs, elements, make, morphism) -> ProductResult:
+    """The product of objs in a table category. Its carrier is the tuples
+    of elements(obj) in itertools.product order, labelled by tuple_label;
+    make(labels, tuples) builds the object on them and morphism(dom, cod,
+    table) each projection."""
+    objs = tuple(objs)
+    tuples = list(itertools.product(*map(elements, objs)))
+    obj = make(tuple(map(tuple_label, tuples)), tuples)
+    projections = tuple(
+        morphism(obj, o, tuple(t[i] for t in tuples)) for i, o in enumerate(objs)
+    )
+    return ProductResult(obj, projections, morphism)
+
+
+def coproduct_of(objs, elements, make, morphism) -> CoproductResult:
+    """The coproduct of objs in a table category. Its carrier is the pairs
+    (i, x) for x in elements(objs[i]), summand by summand, labelled by
+    tag_label; make(labels, tags) builds the object on them and
+    morphism(dom, cod, table) each coprojection."""
+    objs = tuple(objs)
+    tags = [(i, x) for i, o in enumerate(objs) for x in elements(o)]
+    obj = make(tuple(itertools.starmap(tag_label, tags)), tags)
+    coprojections = tuple(
+        morphism(o, obj, tuple(tag_label(i, x) for x in elements(o))) for i, o in enumerate(objs)
+    )
+    return CoproductResult(obj, coprojections, morphism)
+
+
+def _set_of(labels, _) -> FinSetObj:
+    return FinSetObj(labels)
 
 
 def product(objs) -> ProductResult:
@@ -169,37 +239,7 @@ def product(objs) -> ProductResult:
     objs = tuple(objs)
     if not objs:
         raise EmptyList("empty products are rejected; no terminal-object convention")
-    combos = list(itertools.product(*(o.elements for o in objs)))
-    obj = FinSetObj(tuple(tuple_label(c) for c in combos))
-    projections = tuple(
-        FinFunction(obj, objs[i], tuple(c[i] for c in combos)) for i in range(len(objs))
-    )
-    return ProductResult(obj, projections)
-
-
-def tag_label(i: int, label: str) -> str:
-    return f"in{i}:{label}"
-
-
-@dataclass(frozen=True)
-class CoproductResult:
-    obj: FinSetObj
-    coprojections: tuple[FinFunction, ...]
-
-    def cotuple_of(self, legs) -> FinFunction:
-        """Mediating morphism of a cocone out of the coproduct."""
-        legs = tuple(legs)
-        if len(legs) != len(self.coprojections):
-            raise EmptyList("cocone leg count differs from summand count")
-        cod = legs[0].cod
-        table = []
-        for i, leg in enumerate(legs):
-            if leg.cod != cod:
-                raise CodMismatch("cocone legs must share a codomain")
-            if leg.dom != self.coprojections[i].dom:
-                raise DomainMismatch("cocone leg domain differs from summand")
-            table.extend(leg.table)
-        return FinFunction(self.obj, cod, tuple(table))
+    return product_of(objs, lambda o: o.elements, _set_of, FinFunction)
 
 
 def coproduct(objs) -> CoproductResult:
@@ -207,15 +247,7 @@ def coproduct(objs) -> CoproductResult:
     objs = tuple(objs)
     if not objs:
         raise EmptyList("empty coproducts are rejected")
-    labels = []
-    for i, o in enumerate(objs):
-        labels.extend(tag_label(i, x) for x in o.elements)
-    obj = FinSetObj(tuple(labels))
-    coprojections = tuple(
-        FinFunction(objs[i], obj, tuple(tag_label(i, x) for x in objs[i].elements))
-        for i in range(len(objs))
-    )
-    return CoproductResult(obj, coprojections)
+    return coproduct_of(objs, lambda o: o.elements, _set_of, FinFunction)
 
 
 class _UnionFind:

@@ -565,31 +565,24 @@ class _FamilyCatBuilder:
         )
         return (fsrc, atgt, out)
 
-    def close(self, cap: int):
-        for name in self.objects:
-            self.identity(name)
-        changed = True
-        while changed:
-            changed = False
-            labels = list(self.entries)
-            for after in labels:
-                for first in labels:
-                    if self.entries[first][1] != self.entries[after][0]:
-                        continue
-                    key = self.compose_key(after, first)
-                    if key not in self.rev:
-                        self.morphism(*key)
-                        changed = True
-            if len(self.entries) > cap:
-                raise BoundTooLarge(f"category closure exceeds {cap} morphisms")
-
     def build(self, name: str) -> cats.FiniteCategory:
+        """The category of the maps added so far and the identities, which
+        must be closed under composition: both family categories are, by
+        construction."""
+        ids = {x: self.identity(x) for x in self.objects}  # adds any missing
+
+        def compose(after: str, first: str) -> str:
+            key = self.compose_key(after, first)
+            if key not in self.rev:
+                raise InvariantError(f"{name}: no composite of {after} after {first}")
+            return self.rev[key]
+
         return cats.tabulate_category(
             name,
             self.objects,
             {m: (src, tgt) for m, (src, tgt, _) in self.entries.items()},
-            {x: self.identity(x) for x in self.objects},
-            lambda after, first: self.rev[self.compose_key(after, first)],
+            ids,
+            compose,
         )
 
 
@@ -651,7 +644,6 @@ def sigma_alg_as_inserter(sig: SortedSignature, size_bound: int) -> dict:
     for xn in families:
         for yn in families:
             base_b.add_all_functions(xn, yn)
-    base_b.close(_SIGMA_CAP * 2)
     base_cat = base_b.build("SetFam")
 
     def shape_src(comps):
@@ -700,7 +692,6 @@ def sigma_alg_as_inserter(sig: SortedSignature, size_bound: int) -> dict:
         src_mor[d] = sigma_b.morphism(src_name[xn], src_name[yn], out_src)
         out_tgt = [tables[sort_index[res]] for _, _, res in sig.ops]
         tgt_mor[d] = sigma_b.morphism(tgt_name[xn], tgt_name[yn], out_tgt)
-    sigma_b.close(_SIGMA_CAP * 4)
     sigma_cat = sigma_b.build("OpFam")
 
     arg_functor = cats.FunctorData(

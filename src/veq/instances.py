@@ -9,9 +9,13 @@ mono test and factorization are written once, over each instance's law,
 sub-object, quotient, product and coproduct. Sets keep only their
 factorization, which needs no search; categories keep only their hom
 enumeration, whose object and arrow positions draw from different pools.
-A functor's table runs over the source's objects and then its arrows,
-tagged by kind. Groups are the algebras over {mul, inv, e} that satisfy
-the group laws, so FinGrp is FinAlg restricted to them.
+The products and coproducts of sets, algebras and posets come from
+finset.product_of and finset.coproduct_of, each instance supplying only the
+object on the labelled carrier; categories keep their own product, as a
+functor's table is not a tuple of labels: it runs over the source's
+objects and then its arrows, tagged by kind. Groups are the algebras over
+{mul, inv, e} that satisfy the group laws, so FinGrp is FinAlg restricted
+to them.
 
 Each instance normalizes its canonical-subobject values (inclusions) into
 plain morphisms on input, so general solutions flow back through compose,
@@ -21,7 +25,6 @@ factor, and the rest without ceremony.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import algebras as alg
 from . import cats
@@ -295,58 +298,32 @@ class FinPosetCat(_TableCategory):
         return _poset_coproduct(list(objs))
 
 
-@dataclass(frozen=True)
-class _PosetProductResult:
-    obj: po.Poset
-    projections: tuple[po.MonotoneMap, ...]
+def _poset_product(objs: list[po.Poset]) -> fs.ProductResult:
+    """The componentwise order on the tuples of the factors."""
 
-    def tuple_of(self, legs):
-        dom = legs[0].dom
-        table = tuple(fs.tuple_label([leg(x) for leg in legs]) for x in dom.elements)
-        return po.MonotoneMap(dom, self.obj, table)
+    def make(labels, tuples):
+        rel = frozenset(
+            (a, b)
+            for a, s in zip(labels, tuples)
+            for b, t in zip(labels, tuples)
+            if all(P.leq(x, y) for P, x, y in zip(objs, s, t))
+        )
+        return po.Poset(fs.tuple_label([P.name for P in objs]), labels, rel)
 
-
-def _poset_product(objs: list[po.Poset]) -> _PosetProductResult:
-    combos = list(itertools.product(*(P.elements for P in objs)))
-    labels = [fs.tuple_label(c) for c in combos]
-    unpack = dict(zip(labels, combos))
-    rel = frozenset(
-        (a, b)
-        for a in labels
-        for b in labels
-        if all(P.leq(unpack[a][i], unpack[b][i]) for i, P in enumerate(objs))
-    )
-    obj = po.Poset(fs.tuple_label([P.name for P in objs]), tuple(labels), rel)
-    projections = tuple(
-        po.MonotoneMap(obj, objs[i], tuple(unpack[l][i] for l in labels))
-        for i in range(len(objs))
-    )
-    return _PosetProductResult(obj, projections)
+    return fs.product_of(objs, lambda P: P.elements, make, po.MonotoneMap)
 
 
-@dataclass(frozen=True)
-class _PosetCoproductResult:
-    obj: po.Poset
-    coprojections: tuple[po.MonotoneMap, ...]
+def _poset_coproduct(objs: list[po.Poset]) -> fs.CoproductResult:
+    """Each summand's order on its tagged elements; nothing across summands."""
 
-    def cotuple_of(self, legs):
-        table = tuple(v for leg in legs for v in leg.table)
-        return po.MonotoneMap(self.obj, legs[0].cod, table)
+    def make(labels, tags):
+        tagged = dict(zip(tags, labels))
+        rel = frozenset(
+            (tagged[i, a], tagged[i, b]) for i, P in enumerate(objs) for a, b in P.rel
+        )
+        return po.Poset("+".join(P.name for P in objs), labels, rel)
 
-
-def _poset_coproduct(objs: list[po.Poset]) -> _PosetCoproductResult:
-    labels: list[str] = []
-    rel: set[tuple[str, str]] = set()
-    for i, P in enumerate(objs):
-        tagged = {x: fs.tag_label(i, x) for x in P.elements}
-        labels.extend(tagged[x] for x in P.elements)
-        rel.update((tagged[a], tagged[b]) for a, b in P.rel)
-    obj = po.Poset("+".join(P.name for P in objs), tuple(labels), frozenset(rel))
-    coprojections = tuple(
-        po.MonotoneMap(P, obj, tuple(fs.tag_label(i, x) for x in P.elements))
-        for i, P in enumerate(objs)
-    )
-    return _PosetCoproductResult(obj, coprojections)
+    return fs.coproduct_of(objs, lambda P: P.elements, make, po.MonotoneMap)
 
 
 def _poset_collapse(P: po.Poset, pairs) -> po.MonotoneMap:

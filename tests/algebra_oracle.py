@@ -1,7 +1,8 @@
 """The per-assignment, fold-based and column-wise term evaluators, the
 fixed-point and loop-based congruence checks, the re-closing congruence
 lattice, the product-table loop and the brute hom and isomorphism
-enumerations that veq.algebras replaced, kept as an oracle.
+enumerations and the product algebra that veq.algebras replaced, kept as
+an oracle.
 
 veq.algebras now evaluates a term column-wise in one explicit-stack loop over
 projection columns, memoizing subterm columns for one algebra and one number
@@ -23,15 +24,25 @@ accepts; veq now finds them with finset.search_tables under
 algebras.hom_checks. The free algebra's closure rescanned every argument
 tuple of the growing carrier each round and evaluated the tables again
 afterwards; veq.birkhoff now evaluates each tuple once, in a semi-naive
-closure.
+closure. The product algebra labelled its own tuples and tupled its legs
+with its own checks; veq now builds it with finset.product_of, as every
+table category's product.
 """
 
 import itertools
+from dataclasses import dataclass, field
 
 from veq import algebras as alg
 from veq.algebras import AlgHom, FiniteAlgebra, Partition, _pairs, _partition_of
 from veq.birkhoff import _MAX_ASSIGNMENTS, FreeAlgebraResult
-from veq.errors import BoundsTooLarge, CarrierTooLarge, InvariantError, SignatureMismatch, UnboundVariable
+from veq.errors import (
+    BoundsTooLarge,
+    CarrierTooLarge,
+    EmptyList,
+    InvariantError,
+    SignatureMismatch,
+    UnboundVariable,
+)
 from veq.finset import FinSetObj, _UnionFind, tuple_label
 from veq.theories import App, Term, Var, _fold
 
@@ -202,6 +213,48 @@ def oracle_product_tables(As: list[FiniteAlgebra]) -> dict[str, dict[tuple[str, 
             table[args] = tuple_label(out)
         tables[sym] = table
     return tables
+
+
+def oracle_product_algebra(As: list[FiniteAlgebra], name: str | None = None) -> "ProductAlgebraResult":
+    """The product algebra with its projections, labelling its own tuples."""
+    if not As:
+        raise EmptyList("product of no algebras")
+    sig = As[0].signature
+    for A in As:
+        if A.signature != sig:
+            raise SignatureMismatch("product factors disagree on signature")
+    combos = list(itertools.product(*(A.carrier.elements for A in As)))
+    labels = [tuple_label(c) for c in combos]
+    carrier = FinSetObj(tuple(labels))
+    unpack = dict(zip(labels, combos))
+
+    def value(sym, args):
+        # factor by factor, so a constant takes each factor's own value
+        cols = [unpack[a] for a in args]
+        return tuple_label([F.op(sym, tuple(c[i] for c in cols)) for i, F in enumerate(As)])
+
+    tables = alg.tabulate(sig, labels, value)
+    P = FiniteAlgebra(name or tuple_label([A.name for A in As]), sig, carrier, tables)
+    legs = tuple(
+        AlgHom(P, As[i], tuple(unpack[l][i] for l in labels)) for i in range(len(As))
+    )
+    return ProductAlgebraResult(P, legs, unpack)
+
+
+@dataclass(frozen=True)
+class ProductAlgebraResult:
+    obj: FiniteAlgebra
+    projections: tuple[AlgHom, ...]
+    _unpack: dict[str, tuple[str, ...]] = field(compare=False)
+
+    def tuple_of(self, legs: list[AlgHom]) -> AlgHom:
+        if len(legs) != len(self.projections):
+            raise InvariantError("tupling needs one leg per factor")
+        dom = legs[0].dom
+        table = tuple(
+            tuple_label([leg(x) for leg in legs]) for x in dom.carrier.elements
+        )
+        return AlgHom(dom, self.obj, table)
 
 
 def oracle_all_alg_homs(A: FiniteAlgebra, B: FiniteAlgebra, cap: int = 1_000_000) -> list[AlgHom]:

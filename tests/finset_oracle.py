@@ -1,29 +1,109 @@
 """The finite-set equalizer, intersection, coequalizer, cokernel pair and
 pullback that veq.finset kept before FinSetCat joined the table-category
-base in veq.instances, kept as an oracle, unchanged.
+base in veq.instances, and its product and coproduct from before they
+came from finset.product_of and finset.coproduct_of, kept as an oracle,
+unchanged.
 
 Each is written directly over label tables: the equalizer filters the
 domain, the pullback pairs up the points the two legs send to one label,
-and the intersection overlaps images, accepting canonical subobjects and
-plain monos alike.
+the intersection overlaps images, accepting canonical subobjects and
+plain monos alike, and the product and coproduct label their own tuples
+and tags and check their own cone and cocone legs.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from veq.errors import CodMismatch, EmptyList, InvariantError, NotParallel, TargetMismatch
+from veq.errors import (
+    CodMismatch,
+    DomainMismatch,
+    EmptyList,
+    InvariantError,
+    NotParallel,
+    TargetMismatch,
+)
 from veq.finset import (
     FinFunction,
     FinSetObj,
     SubobjectMono,
     compose,
-    coproduct,
     partition_quotient,
     sub,
     tag_label,
     tuple_label,
 )
+
+
+@dataclass(frozen=True)
+class ProductResult:
+    obj: FinSetObj
+    projections: tuple[FinFunction, ...]
+
+    def tuple_of(self, legs: tuple[FinFunction, ...] | list) -> FinFunction:
+        """Mediating morphism of a cone: the unique pairing into the product."""
+        legs = tuple(legs)
+        if len(legs) != len(self.projections):
+            raise EmptyList("cone leg count differs from factor count")
+        apex = legs[0].dom
+        for i, leg in enumerate(legs):
+            if leg.dom != apex:
+                raise DomainMismatch("cone legs must share a domain")
+            if leg.cod != self.projections[i].cod:
+                raise CodMismatch("cone leg codomain differs from factor")
+        table = tuple(tuple_label([leg(x) for leg in legs]) for x in apex.elements)
+        return FinFunction(apex, self.obj, table)
+
+
+def product(objs) -> ProductResult:
+    """Finite product; element labels are tuples in lexicographic order."""
+    objs = tuple(objs)
+    if not objs:
+        raise EmptyList("empty products are rejected; no terminal-object convention")
+    combos = list(itertools.product(*(o.elements for o in objs)))
+    obj = FinSetObj(tuple(tuple_label(c) for c in combos))
+    projections = tuple(
+        FinFunction(obj, objs[i], tuple(c[i] for c in combos)) for i in range(len(objs))
+    )
+    return ProductResult(obj, projections)
+
+
+@dataclass(frozen=True)
+class CoproductResult:
+    obj: FinSetObj
+    coprojections: tuple[FinFunction, ...]
+
+    def cotuple_of(self, legs) -> FinFunction:
+        """Mediating morphism of a cocone out of the coproduct."""
+        legs = tuple(legs)
+        if len(legs) != len(self.coprojections):
+            raise EmptyList("cocone leg count differs from summand count")
+        cod = legs[0].cod
+        table = []
+        for i, leg in enumerate(legs):
+            if leg.cod != cod:
+                raise CodMismatch("cocone legs must share a codomain")
+            if leg.dom != self.coprojections[i].dom:
+                raise DomainMismatch("cocone leg domain differs from summand")
+            table.extend(leg.table)
+        return FinFunction(self.obj, cod, tuple(table))
+
+
+def coproduct(objs) -> CoproductResult:
+    """Finite coproduct; labels are tagged "in0:a", "in1:b", ..."""
+    objs = tuple(objs)
+    if not objs:
+        raise EmptyList("empty coproducts are rejected")
+    labels = []
+    for i, o in enumerate(objs):
+        labels.extend(tag_label(i, x) for x in o.elements)
+    obj = FinSetObj(tuple(labels))
+    coprojections = tuple(
+        FinFunction(objs[i], obj, tuple(tag_label(i, x) for x in objs[i].elements))
+        for i in range(len(objs))
+    )
+    return CoproductResult(obj, coprojections)
 
 
 def equalizer(p: FinFunction, q: FinFunction) -> SubobjectMono:

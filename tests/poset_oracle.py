@@ -1,11 +1,14 @@
-"""The earlier FinPoset quotient and coproduct legs and the brute
-monotone-map enumeration, kept as an oracle.
+"""The earlier FinPoset quotient, product, coproduct and coproduct legs
+and the brute monotone-map enumeration, kept as an oracle.
 
 veq.instances now collapses a poset with one Warshall closure and one merge
 of the order-cycles among the classes, and builds coproduct legs from the
 tagged labels. These are the earlier versions, unchanged apart from their
 names: the quotient re-runs the closure after every round of merges until
 none is left, and the legs are read off the coproduct carrier by offset.
+The product and coproduct labelled their own tuples and tags, and their
+tupling and cotupling checked no leg; veq now builds both with
+finset.product_of and finset.coproduct_of.
 The enumeration filters every table of itertools.product by the order
 pairs; veq now finds them with finset.search_tables under
 posets.order_checks.
@@ -16,6 +19,7 @@ inputs of the tests; the last draws its maps from FinPosetCat().hom.
 
 import itertools
 import random
+from dataclasses import dataclass
 
 from veq import finset as fs
 from veq import posets as po
@@ -60,6 +64,60 @@ def oracle_poset_collapse(P: po.Poset, pairs) -> po.MonotoneMap:
             rel = frozenset((rep[a], rep[b]) for a in roots for b in reach[a])
             Q = po.Poset(f"{P.name}/~", tuple(order), rel)
             return po.MonotoneMap(P, Q, tuple(rep[uf.find(x)] for x in P.elements))
+
+
+@dataclass(frozen=True)
+class PosetProductResult:
+    obj: po.Poset
+    projections: tuple[po.MonotoneMap, ...]
+
+    def tuple_of(self, legs):
+        dom = legs[0].dom
+        table = tuple(fs.tuple_label([leg(x) for leg in legs]) for x in dom.elements)
+        return po.MonotoneMap(dom, self.obj, table)
+
+
+def oracle_poset_product(objs: list[po.Poset]) -> PosetProductResult:
+    combos = list(itertools.product(*(P.elements for P in objs)))
+    labels = [fs.tuple_label(c) for c in combos]
+    unpack = dict(zip(labels, combos))
+    rel = frozenset(
+        (a, b)
+        for a in labels
+        for b in labels
+        if all(P.leq(unpack[a][i], unpack[b][i]) for i, P in enumerate(objs))
+    )
+    obj = po.Poset(fs.tuple_label([P.name for P in objs]), tuple(labels), rel)
+    projections = tuple(
+        po.MonotoneMap(obj, objs[i], tuple(unpack[l][i] for l in labels))
+        for i in range(len(objs))
+    )
+    return PosetProductResult(obj, projections)
+
+
+@dataclass(frozen=True)
+class PosetCoproductResult:
+    obj: po.Poset
+    coprojections: tuple[po.MonotoneMap, ...]
+
+    def cotuple_of(self, legs):
+        table = tuple(v for leg in legs for v in leg.table)
+        return po.MonotoneMap(self.obj, legs[0].cod, table)
+
+
+def oracle_poset_coproduct(objs: list[po.Poset]) -> PosetCoproductResult:
+    labels: list[str] = []
+    rel: set[tuple[str, str]] = set()
+    for i, P in enumerate(objs):
+        tagged = {x: fs.tag_label(i, x) for x in P.elements}
+        labels.extend(tagged[x] for x in P.elements)
+        rel.update((tagged[a], tagged[b]) for a, b in P.rel)
+    obj = po.Poset("+".join(P.name for P in objs), tuple(labels), frozenset(rel))
+    coprojections = tuple(
+        po.MonotoneMap(P, obj, tuple(fs.tag_label(i, x) for x in P.elements))
+        for i, P in enumerate(objs)
+    )
+    return PosetCoproductResult(obj, coprojections)
 
 
 def oracle_coprojections(objs: list[po.Poset], obj: po.Poset) -> tuple[po.MonotoneMap, ...]:

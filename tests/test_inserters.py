@@ -20,6 +20,7 @@ from veq.inserters import (
     IDENTITY_POLY,
     PolyFunctor,
     SortedSignature,
+    _FamilyCatBuilder,
     free_f_algebra,
     free_universal_map,
     inserter,
@@ -428,6 +429,20 @@ def test_sigma_binary_bound_two():
     assert report["matched"] is True
     assert report["object_count"] == 18  # 1 + 1 + 16 magma tables
     assert verify_forgetful(report["forgetful"]) == ALL_TRUE
+
+
+def test_family_build_rejects_a_missing_composite():
+    # X = {0,1} -> Y = {0} -> X: the composite X -> X, constant at 0, was
+    # never added, so the maps are not closed under composition
+    b = _FamilyCatBuilder()
+    b.add_object("X", (fs.finset("0", "1"),))
+    b.add_object("Y", (fs.finset("0"),))
+    b.morphism("X", "Y", (("0", "0"),))
+    b.morphism("Y", "X", (("0",),))
+    with pytest.raises(InvariantError, match="no composite of Y>X#0 after X>Y#0"):
+        b.build("Fam")
+    b.morphism("X", "X", (("0", "0"),))
+    assert len(b.build("Fam").morphisms) == 5
 
 
 def test_sigma_bound_too_large():

@@ -1,9 +1,12 @@
 """Finite algebras over a one-sorted signature: column-wise term evaluation
 (over all assignments at once), satisfaction, homomorphisms, products,
 subalgebra closure, congruences, and quotients, with every operation table
-built by `tabulate`. A product algebra is the table-category product of
-finset.product_of, with its tables tabulated factor by factor. The
-Birkhoff-style closure operations build on these.
+built by `tabulate`. A homomorphism (`AlgHom`) is a finset.FinFunction
+that adds only the signature check and the hom law; its mapping
+constructor, identity and compose are FinFunction's. A product algebra is
+the table-category product of finset.product_of, with its tables
+tabulated factor by factor. The Birkhoff-style closure operations build on
+these.
 
 `term_function` keeps one module-level memo slot: for the algebra of its
 last call (by identity) and that call's n, the projection columns, |A|^n,
@@ -23,13 +26,12 @@ from functools import lru_cache
 
 from .errors import (
     CarrierTooLarge,
-    DomainMismatch,
-    EmptyList,
     InvariantError,
     SignatureMismatch,
     UnboundVariable,
 )
 from .finset import (
+    FinFunction,
     FinSetObj,
     Law,
     ProductResult,
@@ -254,21 +256,18 @@ def satisfies(A: FiniteAlgebra, ident: Identity) -> bool:
 
 
 @dataclass(frozen=True)
-class AlgHom:
-    dom: FiniteAlgebra
-    cod: FiniteAlgebra
-    table: tuple[str, ...]
+class AlgHom(FinFunction):
+    """A homomorphism between algebras over one signature: a table map
+    whose table commutes with every operation."""
+
+    _length_error = "homomorphism table length mismatch"
+    _value_error = "homomorphism value {} outside codomain"
 
     def __post_init__(self):
         if self.dom.signature != self.cod.signature:
             raise SignatureMismatch("homomorphism endpoints disagree on signature")
-        if len(self.table) != len(self.dom.carrier):
-            raise InvariantError("homomorphism table length mismatch")
-        cod_elems = set(self.cod.carrier.elements)
-        for v in self.table:
-            if v not in cod_elems:
-                raise InvariantError(f"homomorphism value {v} outside codomain")
-        image = dict(zip(self.dom.carrier.elements, self.table)).__getitem__
+        super().__post_init__()
+        image = self.mapping().__getitem__
         for sym, arity in self.dom.signature.ops:
             table = self.dom.tables[sym]
             # column-wise over the table's entries, in whatever order it lists them
@@ -282,34 +281,10 @@ class AlgHom:
                 )
                 raise InvariantError(f"not a homomorphism at {sym}{args}")
 
-    def __call__(self, x: str) -> str:
-        try:
-            return self.table[self.dom.carrier._index[x]]
-        except KeyError:
-            raise DomainMismatch(f"{x!r} not in domain") from None
 
-    def mapping(self) -> dict[str, str]:
-        return dict(zip(self.dom.carrier.elements, self.table))
-
-    def is_injective(self) -> bool:
-        return len(set(self.table)) == len(self.table)
-
-    def is_surjective(self) -> bool:
-        return set(self.table) == set(self.cod.carrier.elements)
-
-
-def alg_hom(dom: FiniteAlgebra, cod: FiniteAlgebra, mapping: dict[str, str]) -> AlgHom:
-    return AlgHom(dom, cod, tuple(mapping[x] for x in dom.carrier.elements))
-
-
-def identity_alg_hom(A: FiniteAlgebra) -> AlgHom:
-    return AlgHom(A, A, A.carrier.elements)
-
-
-def compose_alg_homs(g: AlgHom, f: AlgHom) -> AlgHom:
-    if f.cod != g.dom:
-        raise InvariantError("algebra hom composition endpoints mismatch")
-    return AlgHom(f.dom, g.cod, tuple(g(v) for v in f.table))
+alg_hom = AlgHom.from_mapping
+identity_alg_hom = AlgHom.identity
+compose_alg_homs = AlgHom.compose
 
 
 def hom_checks(A: FiniteAlgebra, B: FiniteAlgebra) -> Law:
@@ -329,11 +304,8 @@ def hom_checks(A: FiniteAlgebra, B: FiniteAlgebra) -> Law:
 
 
 def product_algebra(As: list[FiniteAlgebra], name: str | None = None) -> ProductResult:
-    if not As:
-        raise EmptyList("product of no algebras")
-    sig = As[0].signature
     for A in As:
-        if A.signature != sig:
+        if A.signature != As[0].signature:
             raise SignatureMismatch("product factors disagree on signature")
 
     def make(labels, tuples):
@@ -344,12 +316,13 @@ def product_algebra(As: list[FiniteAlgebra], name: str | None = None) -> Product
             cols = [unpack[a] for a in args]
             return tuple_label([F.op(sym, tuple(c[i] for c in cols)) for i, F in enumerate(As)])
 
+        sig = As[0].signature
         return FiniteAlgebra(
             name or tuple_label([A.name for A in As]), sig, FinSetObj(labels),
             tabulate(sig, labels, value),
         )
 
-    return product_of(As, lambda A: A.carrier.elements, make, AlgHom)
+    return product_of(As, make, AlgHom)
 
 
 def subalgebra_closure(A: FiniteAlgebra, seed) -> tuple[str, ...]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import AdjunctionInvalid, InvariantError
+from .errors import AdjunctionInvalid, BoundTooLarge, InvariantError
 from .finset import Law, search_tables, table_equation
 
 
@@ -77,9 +77,6 @@ class FiniteCategory:
                         raise InvariantError(
                             f"{self.name}: associativity fails at ({h}, {g}, {f})"
                         )
-
-    def compose(self, g: str, f: str) -> str:
-        return self.comp[(g, f)]
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self._homs.get((x, y), ())
@@ -178,6 +175,11 @@ def discrete_category(name: str, objects: list[str]) -> FiniteCategory:
     )
 
 
+# the most composable pairs of arrows tabulate_category lays out; the largest
+# category the test suite builds has 6404
+_COMPOSABLE_CAP = 200_000
+
+
 def tabulate_category(
     name: str,
     objects,
@@ -187,11 +189,20 @@ def tabulate_category(
 ) -> FiniteCategory:
     """The category whose arrows map each label to its (source, target), in
     order, with ids giving each object's identity and compose(g, f) the
-    label of g o f for every composable pair. The constructor validates
-    the result."""
+    label of g o f for every composable pair. It counts the composable
+    pairs first and raises BoundTooLarge past _COMPOSABLE_CAP of them; the
+    constructor validates the result."""
     src = {m: s for m, (s, _) in arrows.items()}
     tgt = {m: t for m, (_, t) in arrows.items()}
-    comp = {(g, f): compose(g, f) for g in arrows for f in arrows if src[g] == tgt[f]}
+    into: dict[str, list[str]] = {}  # arrows by target, in order
+    for m, t in tgt.items():
+        into.setdefault(t, []).append(m)
+    pairs = sum(len(into.get(src[g], ())) for g in arrows)
+    if pairs > _COMPOSABLE_CAP:
+        raise BoundTooLarge(
+            f"{name}: {pairs} composable arrow pairs exceed _COMPOSABLE_CAP ({_COMPOSABLE_CAP})"
+        )
+    comp = {(g, f): compose(g, f) for g in arrows for f in into.get(src[g], ())}
     return FiniteCategory(name, tuple(objects), tuple(arrows), src, tgt, ids, comp)
 
 

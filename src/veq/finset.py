@@ -1,25 +1,34 @@
-"""Exact finite-set engine: objects, functions, canonical subobjects,
-products, coproducts, quotients, factorization through a function, and the
-one finite search (`search_tables`) behind every hom enumeration and
-countermodel, under a law given as data (`Law`). One call of it tries at
-most `_TABLE_BUDGET` candidate values unless its caller gives a budget.
+"""Exact finite-set engine: objects, the one table map, canonical
+subobjects, products, coproducts, quotients, factorization through a
+function, and the one finite search (`search_tables`) behind every hom
+enumeration and countermodel, under a law given as data (`Law`). One call
+of it tries at most `_TABLE_BUDGET` candidate values unless its caller
+gives a budget.
+
+Every table-category object (a set, an algebra, a poset) has a `carrier`,
+a FinSetObj; a set is its own. `FinFunction` is the one table map over
+carriers: its table checks, evaluation, mapping constructor
+(`from_mapping`), `identity` and `compose` serve algebras.AlgHom and
+posets.MonotoneMap too, which add only their law.
 
 Products and coproducts are written once for every table category whose
-carrier is a tuple of labels: `product_of` and `coproduct_of` label the
-carrier and build the projections, the instance supplies the object on the
-labels, and `ProductResult` and `CoproductResult` tuple and cotuple legs
-through the category's morphism constructor. Equalizers, intersections,
-coequalizers, cokernel pairs and pullbacks of finite sets come from the
-table-category base in veq.instances, built from the pieces here.
-Everything is label-based and deterministic. Composite
-constructions emit structured labels: product tuples "(a,b)", coproduct tags
-"in0:a", quotient classes named by their lexicographically least member.
+carrier is a tuple of labels: `product_of` and `coproduct_of` reject an
+empty family, label the carrier and build the projections, the instance
+supplies the object on the labels, and `ProductResult` and
+`CoproductResult` tuple and cotuple legs through the category's morphism
+constructor. Equalizers, intersections, coequalizers, cokernel pairs and
+pullbacks of finite sets come from the table-category base in
+veq.instances, built from the pieces here. Everything is label-based and
+deterministic. Composite constructions emit structured labels: product
+tuples "(a,b)", coproduct tags "in0:a", quotient classes named by their
+lexicographically least member.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .errors import CarrierTooLarge, CodMismatch, DomainMismatch, EmptyList, InvariantError
@@ -54,6 +63,11 @@ class FinSetObj:
     def __repr__(self) -> str:
         return "FinSetObj({" + ", ".join(self.elements) + "})"
 
+    @property
+    def carrier(self) -> FinSetObj:
+        """A set is its own carrier, as every table-category object has one."""
+        return self
+
 
 def finset(*labels: str) -> FinSetObj:
     return FinSetObj(tuple(labels))
@@ -61,60 +75,73 @@ def finset(*labels: str) -> FinSetObj:
 
 @dataclass(frozen=True)
 class FinFunction:
-    """A total function between FinSetObj carriers, stored as a label table."""
+    """A total map between objects of a table category, stored as a label
+    table over their carriers: a function between FinSetObjs here, and,
+    through subclasses that add only their law, algebra homomorphisms
+    (algebras.AlgHom) and monotone maps (posets.MonotoneMap). Each class
+    words its construction errors through _length_error and _value_error."""
 
     dom: FinSetObj
     cod: FinSetObj
-    table: tuple[str, ...]  # image of dom.elements[i] is table[i]
+    table: tuple[str, ...]  # image of dom.carrier.elements[i] is table[i]
+
+    _length_error = "table length differs from domain size"
+    _value_error = "image label {!r} not in codomain"
 
     def __post_init__(self):
-        if len(self.table) != len(self.dom):
-            raise InvariantError("table length differs from domain size")
+        if len(self.table) != len(self.dom.carrier):
+            raise InvariantError(self._length_error)
+        cod = self.cod.carrier._index
         for y in self.table:
-            if y not in self.cod:
-                raise InvariantError(f"image label {y!r} not in codomain")
+            if y not in cod:
+                raise InvariantError(self._value_error.format(y))
+
+    @classmethod
+    def from_mapping(cls, dom, cod, mapping: dict[str, str]):
+        """The map that sends each label x of dom's carrier to mapping[x]."""
+        missing = [x for x in dom.carrier.elements if x not in mapping]
+        if missing:
+            raise InvariantError(f"mapping misses domain labels {missing!r}")
+        return cls(dom, cod, tuple(mapping[x] for x in dom.carrier.elements))
+
+    @classmethod
+    def identity(cls, obj):
+        return cls(obj, obj, obj.carrier.elements)
+
+    def compose(self, f):
+        """self after f, of self's class."""
+        if f.cod != self.dom:
+            raise CodMismatch("compose: codomain of first leg differs from domain of second")
+        index, table = self.dom.carrier._index, self.table
+        return type(self)(f.dom, self.cod, tuple(table[index[y]] for y in f.table))
 
     def __call__(self, label: str) -> str:
         try:
-            return self.table[self.dom._index[label]]
+            return self.table[self.dom.carrier._index[label]]
         except KeyError:
             raise DomainMismatch(f"{label!r} not in domain") from None
 
     def mapping(self) -> dict[str, str]:
-        return dict(zip(self.dom.elements, self.table))
+        return dict(zip(self.dom.carrier.elements, self.table))
 
     def image(self) -> tuple[str, ...]:
         seen = set(self.table)
-        return tuple(y for y in self.cod.elements if y in seen)
+        return tuple(y for y in self.cod.carrier.elements if y in seen)
 
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)
 
     def is_surjective(self) -> bool:
-        return set(self.table) == set(self.cod.elements)
+        return set(self.table) == set(self.cod.carrier.elements)
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{x}->{y}" for x, y in zip(self.dom.elements, self.table))
         return "FinFunction{" + pairs + "}"
 
 
-def fin_function(dom: FinSetObj, cod: FinSetObj, mapping: dict[str, str]) -> FinFunction:
-    """Build a FinFunction from a dict keyed by domain labels."""
-    missing = [x for x in dom.elements if x not in mapping]
-    if missing:
-        raise InvariantError(f"mapping misses domain labels {missing!r}")
-    return FinFunction(dom, cod, tuple(mapping[x] for x in dom.elements))
-
-
-def identity(obj: FinSetObj) -> FinFunction:
-    return FinFunction(obj, obj, obj.elements)
-
-
-def compose(g: FinFunction, f: FinFunction) -> FinFunction:
-    """g after f."""
-    if f.cod != g.dom:
-        raise CodMismatch("compose: codomain of first leg differs from domain of second")
-    return FinFunction(f.dom, g.cod, tuple(g(y) for y in f.table))
+fin_function = FinFunction.from_mapping
+identity = FinFunction.identity
+compose = FinFunction.compose  # compose(g, f) is g after f
 
 
 @dataclass(frozen=True)
@@ -157,25 +184,34 @@ def tag_label(i: int, label: str) -> str:
 class ProductResult:
     """A product in a table category: the object, one projection per
     factor, and the category's validating constructor morphism(dom, cod,
-    table), which builds the tupling."""
+    table), which builds the tupling. A leg is read through _source,
+    _target and _tupled, which a category whose tables are not labels
+    replaces."""
 
     obj: object
     projections: tuple
     morphism: Callable = field(compare=False, repr=False)
+
+    _source = staticmethod(attrgetter("dom"))
+    _target = staticmethod(attrgetter("cod"))
+
+    @staticmethod
+    def _tupled(legs) -> tuple:
+        """The table of the pairing of legs that share a domain."""
+        return tuple(map(tuple_label, zip(*(leg.table for leg in legs))))
 
     def tuple_of(self, legs) -> object:
         """Mediating morphism of a cone: the unique pairing into the product."""
         legs = tuple(legs)
         if not legs or len(legs) != len(self.projections):
             raise EmptyList("cone leg count differs from factor count")
-        apex = legs[0].dom
+        apex = self._source(legs[0])
         for leg, p in zip(legs, self.projections):
-            if leg.dom != apex:
+            if self._source(leg) != apex:
                 raise DomainMismatch("cone legs must share a domain")
-            if leg.cod != p.cod:
+            if self._target(leg) != self._target(p):
                 raise CodMismatch("cone leg codomain differs from factor")
-        table = tuple(map(tuple_label, zip(*(leg.table for leg in legs))))
-        return self.morphism(apex, self.obj, table)
+        return self.morphism(apex, self.obj, self._tupled(legs))
 
 
 @dataclass(frozen=True)
@@ -202,13 +238,16 @@ class CoproductResult:
         return self.morphism(self.obj, cod, tuple(v for leg in legs for v in leg.table))
 
 
-def product_of(objs, elements, make, morphism) -> ProductResult:
+def product_of(objs, make, morphism) -> ProductResult:
     """The product of objs in a table category. Its carrier is the tuples
-    of elements(obj) in itertools.product order, labelled by tuple_label;
-    make(labels, tuples) builds the object on them and morphism(dom, cod,
-    table) each projection."""
+    of the factors' carrier labels in itertools.product order, labelled by
+    tuple_label; make(labels, tuples) builds the object on them and
+    morphism(dom, cod, table) each projection. No factors raise EmptyList:
+    no instance takes a terminal object as the empty product."""
     objs = tuple(objs)
-    tuples = list(itertools.product(*map(elements, objs)))
+    if not objs:
+        raise EmptyList("empty products are rejected; no terminal-object convention")
+    tuples = list(itertools.product(*(o.carrier.elements for o in objs)))
     obj = make(tuple(map(tuple_label, tuples)), tuples)
     projections = tuple(
         morphism(obj, o, tuple(t[i] for t in tuples)) for i, o in enumerate(objs)
@@ -216,16 +255,20 @@ def product_of(objs, elements, make, morphism) -> ProductResult:
     return ProductResult(obj, projections, morphism)
 
 
-def coproduct_of(objs, elements, make, morphism) -> CoproductResult:
+def coproduct_of(objs, make, morphism) -> CoproductResult:
     """The coproduct of objs in a table category. Its carrier is the pairs
-    (i, x) for x in elements(objs[i]), summand by summand, labelled by
-    tag_label; make(labels, tags) builds the object on them and
-    morphism(dom, cod, table) each coprojection."""
+    (i, x) for x in the carrier labels of objs[i], summand by summand,
+    labelled by tag_label; make(labels, tags) builds the object on them and
+    morphism(dom, cod, table) each coprojection. No summands raise
+    EmptyList."""
     objs = tuple(objs)
-    tags = [(i, x) for i, o in enumerate(objs) for x in elements(o)]
+    if not objs:
+        raise EmptyList("empty coproducts are rejected")
+    tags = [(i, x) for i, o in enumerate(objs) for x in o.carrier.elements]
     obj = make(tuple(itertools.starmap(tag_label, tags)), tags)
     coprojections = tuple(
-        morphism(o, obj, tuple(tag_label(i, x) for x in elements(o))) for i, o in enumerate(objs)
+        morphism(o, obj, tuple(tag_label(i, x) for x in o.carrier.elements))
+        for i, o in enumerate(objs)
     )
     return CoproductResult(obj, coprojections, morphism)
 
@@ -236,18 +279,12 @@ def _set_of(labels, _) -> FinSetObj:
 
 def product(objs) -> ProductResult:
     """Finite product; element labels are tuples in lexicographic order."""
-    objs = tuple(objs)
-    if not objs:
-        raise EmptyList("empty products are rejected; no terminal-object convention")
-    return product_of(objs, lambda o: o.elements, _set_of, FinFunction)
+    return product_of(objs, _set_of, FinFunction)
 
 
 def coproduct(objs) -> CoproductResult:
     """Finite coproduct; labels are tagged "in0:a", "in1:b", ..."""
-    objs = tuple(objs)
-    if not objs:
-        raise EmptyList("empty coproducts are rejected")
-    return coproduct_of(objs, lambda o: o.elements, _set_of, FinFunction)
+    return coproduct_of(objs, _set_of, FinFunction)
 
 
 class _UnionFind:

@@ -3,19 +3,20 @@ abstract equation calculus: finite sets, finite groups, finite algebras,
 finite posets, and finite categories.
 
 All five share one base that reads a morphism only through its source,
-target and table of values on a labelled carrier: hom enumeration,
-equalizers, intersections, coequalizers, cokernel pairs, pullbacks, the
-mono test and factorization are written once, over each instance's law,
-sub-object, quotient, product and coproduct. Sets keep only their
-factorization, which needs no search; categories keep only their hom
-enumeration, whose object and arrow positions draw from different pools.
-The products and coproducts of sets, algebras and posets come from
-finset.product_of and finset.coproduct_of, each instance supplying only the
-object on the labelled carrier; categories keep their own product, as a
-functor's table is not a tuple of labels: it runs over the source's
-objects and then its arrows, tagged by kind. Groups are the algebras over
-{mul, inv, e} that satisfy the group laws, so FinGrp is FinAlg restricted
-to them.
+target and table of values on a labelled carrier: carriers, composition,
+identities, hom enumeration, equalizers, intersections, coequalizers,
+cokernel pairs, pullbacks, the mono test and factorization are written
+once. Sets, algebras and posets supply only their morphism constructor,
+law, sub-object, quotient, and product and coproduct; their morphisms are
+finset.FinFunction and its subclasses, composed and identified there. Sets
+also keep their factorization, which needs no search; categories keep
+their own carriers (tagged cells), composition, identities, hom enumeration
+and product, as a functor's table is not a tuple of labels: it runs over
+the source's objects and then its arrows, tagged by kind. The products and
+coproducts of sets, algebras and posets come from finset.product_of and
+finset.coproduct_of, each instance supplying only the object on the
+labelled carrier. Groups are the algebras over {mul, inv, e} that satisfy
+the group laws, so FinGrp is FinAlg restricted to them.
 
 Each instance normalizes its canonical-subobject values (inclusions) into
 plain morphisms on input, so general solutions flow back through compose,
@@ -25,6 +26,7 @@ factor, and the rest without ceremony.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 
 from . import algebras as alg
 from . import cats
@@ -37,16 +39,19 @@ from .errors import CodMismatch, EmptyList, InvariantError, NotParallel, TargetM
 class _TableCategory(CompCategory):
     """Objects with a labelled carrier; a morphism f runs from source(f) to
     target(f) and has a table of values aligned with carrier(source(f)).
-    source, target and table read f.dom, f.cod and f.table unless a subclass
-    says otherwise; nothing else here looks inside a morphism.
+    carrier reads obj.carrier's labels, and source, target and table read
+    the dom, cod and table of the morphism _m(f) that f stands for, unless a
+    subclass says otherwise; compose is finset's compose of those morphisms,
+    and the identity is morphism(obj, obj, carrier(obj)). Nothing else here
+    looks inside a morphism.
 
-    Subclasses supply carrier(obj), morphism(dom, cod, table) (the validating
-    constructor), compose and identity, plus sub(obj, members) (the
-    inclusion of a closed member set) and, where coequalizers are offered,
-    quotient(obj, pairs) (the projection onto the least quotient identifying
-    the pairs). Pullbacks need product(objs) and cokernel pairs
-    coproduct(objs), where has_pullbacks and has_cokernel_pairs offer them.
-    law(x, a) gives the fs.Law that a table x -> a must satisfy.
+    Subclasses supply morphism(dom, cod, table) (the validating
+    constructor), sub(obj, members) (the inclusion of a closed member set)
+    and, where coequalizers are offered, quotient(obj, pairs) (the
+    projection onto the least quotient identifying the pairs). Pullbacks
+    need product(objs) and cokernel pairs coproduct(objs), where
+    has_pullbacks and has_cokernel_pairs offer them. law(x, a) gives the
+    fs.Law that a table x -> a must satisfy.
     """
 
     has_equalizers = True
@@ -55,14 +60,29 @@ class _TableCategory(CompCategory):
     has_mono_test = True
     has_factorization = True
 
+    @staticmethod
+    def _m(f):
+        """The morphism that the value f stands for: f itself, unless a
+        subclass says otherwise."""
+        return f
+
     def source(self, f):
-        return f.dom
+        return self._m(f).dom
 
     def target(self, f):
-        return f.cod
+        return self._m(f).cod
 
     def table(self, f):
-        return f.table
+        return self._m(f).table
+
+    def carrier(self, obj):
+        return obj.carrier.elements
+
+    def compose(self, g, f):
+        return fs.compose(self._m(g), self._m(f))
+
+    def identity(self, obj):
+        return self.morphism(obj, obj, self.carrier(obj))
 
     def _parallel(self, f, g) -> bool:
         return self.source(f) == self.source(g) and self.target(f) == self.target(g)
@@ -169,26 +189,8 @@ class FinSetCat(_TableCategory):
     def _m(f) -> fs.FinFunction:
         return f.inclusion if isinstance(f, fs.SubobjectMono) else f
 
-    def source(self, f):
-        return self._m(f).dom
-
-    def target(self, f):
-        return self._m(f).cod
-
-    def table(self, f):
-        return self._m(f).table
-
-    def carrier(self, obj: fs.FinSetObj):
-        return obj.elements
-
     def morphism(self, dom, cod, table):
         return fs.FinFunction(dom, cod, table)
-
-    def compose(self, g, f):
-        return fs.compose(self._m(g), self._m(f))
-
-    def identity(self, obj: fs.FinSetObj):
-        return fs.identity(obj)
 
     def sub(self, obj: fs.FinSetObj, members):
         return fs.sub(obj, members)
@@ -220,17 +222,8 @@ class FinAlgCat(_TableCategory):
     has_products = True
     has_pullbacks = True
 
-    def carrier(self, obj: alg.FiniteAlgebra):
-        return obj.carrier.elements
-
     def morphism(self, dom, cod, table):
         return alg.AlgHom(dom, cod, table)
-
-    def compose(self, g, f):
-        return alg.compose_alg_homs(g, f)
-
-    def identity(self, obj: alg.FiniteAlgebra):
-        return alg.identity_alg_hom(obj)
 
     def sub(self, obj: alg.FiniteAlgebra, members):
         return alg.sub_algebra(obj, members)[1]
@@ -273,17 +266,8 @@ class FinPosetCat(_TableCategory):
     has_cokernel_pairs = True
     has_pullbacks = True
 
-    def carrier(self, obj: po.Poset):
-        return obj.elements
-
     def morphism(self, dom, cod, table):
         return po.MonotoneMap(dom, cod, table)
-
-    def compose(self, g, f):
-        return po.compose_maps(g, f)
-
-    def identity(self, obj: po.Poset):
-        return po.identity_map(obj)
 
     def sub(self, obj: po.Poset, members):
         return po.sub_poset(obj, members)[1]
@@ -310,7 +294,7 @@ def _poset_product(objs: list[po.Poset]) -> fs.ProductResult:
         )
         return po.Poset(fs.tuple_label([P.name for P in objs]), labels, rel)
 
-    return fs.product_of(objs, lambda P: P.elements, make, po.MonotoneMap)
+    return fs.product_of(objs, make, po.MonotoneMap)
 
 
 def _poset_coproduct(objs: list[po.Poset]) -> fs.CoproductResult:
@@ -323,7 +307,7 @@ def _poset_coproduct(objs: list[po.Poset]) -> fs.CoproductResult:
         )
         return po.Poset("+".join(P.name for P in objs), labels, rel)
 
-    return fs.coproduct_of(objs, lambda P: P.elements, make, po.MonotoneMap)
+    return fs.coproduct_of(objs, make, po.MonotoneMap)
 
 
 def _poset_collapse(P: po.Poset, pairs) -> po.MonotoneMap:
@@ -418,16 +402,19 @@ def _subcategory_inclusion(
     return cats.FunctorData(sub, C, {x: x for x in objs}, {m: m for m in morphs})
 
 
-class _CatProductResult:
-    def __init__(self, obj, projections):
-        self.obj = obj
-        self.projections = projections
+class _CatProductResult(fs.ProductResult):
+    """A product of categories: legs are functors, whose tables are tagged
+    cells, so the pairing tuples the labels under each shared tag."""
 
-    def tuple_of(self, legs):
-        dom = legs[0].source
-        obj_map = {x: fs.tuple_label([leg.obj_map[x] for leg in legs]) for x in dom.objects}
-        mor_map = {m: fs.tuple_label([leg.mor_map[m] for leg in legs]) for m in dom.morphisms}
-        return cats.FunctorData(dom, self.obj, obj_map, mor_map)
+    _source = staticmethod(attrgetter("source"))
+    _target = staticmethod(attrgetter("target"))
+
+    @staticmethod
+    def _tupled(legs) -> tuple:
+        return tuple(
+            (cells[0][0], fs.tuple_label([label for _, label in cells]))
+            for cells in zip(*map(cats.functor_cells, legs))
+        )
 
 
 def _cat_product(objs: list[cats.FiniteCategory]) -> _CatProductResult:
@@ -458,4 +445,4 @@ def _cat_product(objs: list[cats.FiniteCategory]) -> _CatProductResult:
         )
         for i in range(len(objs))
     )
-    return _CatProductResult(P, projections)
+    return _CatProductResult(P, projections, cats.functor_of)

@@ -1,6 +1,9 @@
 """Finite posets and monotone maps, their presentation as categories, and
 Galois connections (poset adjunctions). Backs one computational-category
-instance and the adjoint-shift checks.
+instance and the adjoint-shift checks. A poset's carrier is a FinSetObj of
+its elements, built once; a monotone map (`MonotoneMap`) is a
+finset.FinFunction that adds only monotonicity, so its mapping
+constructor, identity and compose are FinFunction's.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from .cats import (
     identity_functor,
     tabulate_category,
 )
-from .errors import DomainMismatch, InvariantError
-from .finset import Law, table_equation
+from .errors import InvariantError
+from .finset import FinFunction, FinSetObj, Law, table_equation
 
 ARROW = "->"
 
@@ -38,11 +41,15 @@ class Poset:
     name: str
     elements: tuple[str, ...]
     rel: frozenset[tuple[str, str]]
+    # the elements as a FinSetObj, derived once on construction; not part of
+    # equality, hash or repr
+    carrier: FinSetObj = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
             raise InvariantError(f"{self.name}: duplicate elements")
-        elems = set(self.elements)
+        elems = FinSetObj(self.elements)
+        object.__setattr__(self, "carrier", elems)
         for x, y in self.rel:
             if x not in elems or y not in elems:
                 raise InvariantError(f"{self.name}: relation mentions unknown element")
@@ -71,17 +78,6 @@ class Poset:
                 return m
         return None
 
-    def greatest(self, members) -> str | None:
-        members = list(members)
-        for m in members:
-            if all(self.leq(y, m) for y in members):
-                return m
-        return None
-
-    def meet(self, x: str, y: str) -> str | None:
-        lower = [z for z in self.elements if self.leq(z, x) and self.leq(z, y)]
-        return self.greatest(lower)
-
 
 def poset_from_cover(name: str, elements, covers) -> Poset:
     """Build from a covering/edge list (x below y); reflexive-transitive
@@ -106,46 +102,22 @@ def chain(name: str, labels) -> Poset:
 
 
 @dataclass(frozen=True)
-class MonotoneMap:
-    dom: Poset
-    cod: Poset
-    table: tuple[str, ...] = field(default=())
+class MonotoneMap(FinFunction):
+    """A map between posets whose table preserves the order."""
+
+    _length_error = "monotone map table length mismatch"
+    _value_error = "monotone map value {} outside codomain"
 
     def __post_init__(self):
-        if len(self.table) != len(self.dom.elements):
-            raise InvariantError("monotone map table length mismatch")
-        for v in self.table:
-            if v not in self.cod.elements:
-                raise InvariantError(f"monotone map value {v} outside codomain")
+        super().__post_init__()
         for x, y in self.dom.rel:
             if not self.cod.leq(self(x), self(y)):
                 raise InvariantError(f"map not monotone at {x} <= {y}")
 
-    def __call__(self, x: str) -> str:
-        try:
-            return self.table[self.dom.elements.index(x)]
-        except ValueError:
-            raise DomainMismatch(f"{x!r} not in domain") from None
 
-    def mapping(self) -> dict[str, str]:
-        return dict(zip(self.dom.elements, self.table))
-
-    def is_injective(self) -> bool:
-        return len(set(self.table)) == len(self.table)
-
-
-def monotone(dom: Poset, cod: Poset, mapping: dict[str, str]) -> MonotoneMap:
-    return MonotoneMap(dom, cod, tuple(mapping[x] for x in dom.elements))
-
-
-def identity_map(P: Poset) -> MonotoneMap:
-    return MonotoneMap(P, P, P.elements)
-
-
-def compose_maps(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
-    if f.cod != g.dom:
-        raise InvariantError("monotone composition endpoints mismatch")
-    return MonotoneMap(f.dom, g.cod, tuple(g(v) for v in f.table))
+monotone = MonotoneMap.from_mapping
+identity_map = MonotoneMap.identity
+compose_maps = MonotoneMap.compose
 
 
 def order_checks(P: Poset, Q: Poset) -> Law:

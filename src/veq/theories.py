@@ -175,9 +175,6 @@ class Signature:
                 return a
         raise SignatureMismatch(f"unknown symbol {symbol!r}")
 
-    def __contains__(self, symbol: str) -> bool:
-        return any(n == symbol for n, _ in self.ops)
-
 
 def _fold(t: Term, leaf, node):
     """Bottom-up fold: leaf(u) is u's value, or None to take

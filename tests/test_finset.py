@@ -1,12 +1,16 @@
 import itertools
+import re
 
 import pytest
 
 from finset_oracle import coequalizer, cokernel_pair, equalizer, intersect, pullback
+from veq import algebras as alg
 from veq import finset as fs
+from veq import posets as po
 from veq.errors import (
     CarrierTooLarge,
     CodMismatch,
+    DomainMismatch,
     EmptyList,
     InvariantError,
     NotParallel,
@@ -14,6 +18,7 @@ from veq.errors import (
     VeqError,
 )
 from veq.instances import FinSetCat
+from veq.theories import Signature
 
 A = fs.finset("a", "b", "c")
 BITS = fs.finset("0", "1")
@@ -46,6 +51,49 @@ def test_compose_and_identity():
     assert fs.compose(fs.identity(BITS), P) == P
     swap = fs.FinFunction(BITS, BITS, ("1", "0"))
     assert fs.compose(swap, P).table == ("1", "0", "0")
+
+
+SL = Signature((("meet", 2),))
+
+# per map class: its old mapping constructor and compose, two objects on
+# the labels 0 < 1 and 0 < 1 < 2, and its length and codomain messages
+TABLE_MAPS = {
+    "FinFunction": (
+        fs.FinFunction, fs.fin_function, fs.compose, fs.finset("0", "1"), fs.finset("0", "1", "2"),
+        "table length differs from domain size", "image label '9' not in codomain",
+    ),
+    "AlgHom": (
+        alg.AlgHom, alg.alg_hom, alg.compose_alg_homs,
+        alg.make_algebra("A", SL, ["0", "1"], {"meet": min}),
+        alg.make_algebra("B", SL, ["0", "1", "2"], {"meet": min}),
+        "homomorphism table length mismatch", "homomorphism value 9 outside codomain",
+    ),
+    "MonotoneMap": (
+        po.MonotoneMap, po.monotone, po.compose_maps,
+        po.chain("A", ["0", "1"]), po.chain("B", ["0", "1", "2"]),
+        "monotone map table length mismatch", "monotone map value 9 outside codomain",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MAPS))
+def test_the_three_table_maps_share_their_checks(name):
+    cls, from_mapping, compose, A, B, length_error, value_error = TABLE_MAPS[name]
+    with pytest.raises(InvariantError, match=f"^{re.escape(length_error)}$"):
+        cls(A, B, ("0",))
+    with pytest.raises(InvariantError, match=f"^{re.escape(value_error)}$"):
+        cls(A, B, ("0", "9"))
+    f = from_mapping(A, B, {"0": "0", "1": "2"})
+    assert f == cls(A, B, ("0", "2")) and f("1") == "2"
+    assert f.mapping() == {"0": "0", "1": "2"} and f.image() == ("0", "2")
+    assert f.is_injective() and not f.is_surjective()
+    with pytest.raises(DomainMismatch, match="^'7' not in domain$"):
+        f("7")
+    with pytest.raises(InvariantError, match=r"^mapping misses domain labels \['1'\]$"):
+        from_mapping(A, B, {"0": "0"})
+    assert compose(f, cls.identity(A)) == f == compose(cls.identity(B), f)
+    with pytest.raises(CodMismatch, match="^compose: codomain of first leg differs"):
+        compose(f, f)
 
 
 def test_hom_is_every_function_in_product_order():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -449,3 +450,14 @@ def test_sigma_bound_too_large():
     sig = SortedSignature(("s",), (("m", ("s", "s"), "s"),))
     with pytest.raises(BoundTooLarge):
         sigma_alg_as_inserter(sig, 3)
+
+
+def test_sigma_ternary_pair_category_stops_at_the_composable_pair_cap():
+    # the family categories pass _SIGMA_CAP, but the pair category of the
+    # 258 ternary algebras would hold 17 305 604 composable arrow pairs
+    sig = SortedSignature(("s",), (("m", ("s", "s", "s"), "s"),))
+    start = time.perf_counter()
+    with pytest.raises(BoundTooLarge, match=r"Ins\(args,results\): 17305604 composable arrow "
+                       r"pairs exceed _COMPOSABLE_CAP \(200000\)"):
+        sigma_alg_as_inserter(sig, 2)
+    assert time.perf_counter() - start < 10

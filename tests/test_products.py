@@ -1,8 +1,9 @@
 """Products and coproducts of the table categories, built once by
 finset.product_of and finset.coproduct_of, held to the per-instance
 constructions they replaced (finset_oracle, algebra_oracle, poset_oracle),
-and their tupling and cotupling's leg checks, shared by FinSet, FinAlg and
-FinPoset."""
+their tupling and cotupling's leg checks, shared by FinSet, FinAlg and
+FinPoset and held by FinCat's tupling too, and their one empty-product
+policy."""
 
 import itertools
 
@@ -14,10 +15,11 @@ import finset_oracle
 from algebra_oracle import oracle_product_algebra
 from poset_oracle import oracle_poset_coproduct, oracle_poset_product, random_poset
 from veq import algebras as alg
+from veq import cats
 from veq import finset as fs
 from veq import posets as po
 from veq.errors import CodMismatch, DomainMismatch, EmptyList
-from veq.instances import FinAlgCat, FinPosetCat, FinSetCat
+from veq.instances import FinAlgCat, FinCatCat, FinPosetCat, FinSetCat
 from veq.theories import Signature
 
 AC = FinAlgCat()
@@ -117,6 +119,10 @@ CASES = {
         alg.make_algebra("B", SL, ["0", "1", "2"], {"meet": min}),
     ),
     "FinPoset": (PC, po.identity_map, po.chain("A", ["0", "1"]), po.chain("B", ["0", "1", "2"])),
+    "FinCat": (
+        FinCatCat(), cats.identity_functor,
+        cats.discrete_category("A", ["0", "1"]), cats.discrete_category("B", ["0", "1", "2"]),
+    ),
 }
 
 
@@ -141,3 +147,13 @@ def test_leg_checks_raise_the_finset_errors(name):
         cop.cotuple_of([ident(A), ident(B)])
     with pytest.raises(DomainMismatch):
         cop.cotuple_of([ident(A), ident(A)])
+
+
+@pytest.mark.parametrize("name", ["FinAlg", "FinPoset", "FinSet"])
+def test_empty_products_and_coproducts_are_rejected(name):
+    cat = CASES[name][0]
+    with pytest.raises(EmptyList, match="^empty products are rejected"):
+        cat.product([])
+    if cat.has_coproducts:
+        with pytest.raises(EmptyList, match="^empty coproducts are rejected$"):
+            cat.coproduct([])

@@ -41,38 +41,42 @@ class FiniteCategory:
             i = self.ids.get(x)
             if i not in self.morphisms or self.src[i] != x or self.tgt[i] != x:
                 raise InvariantError(f"{self.name}: bad identity at {x}")
-        for g in self.morphisms:
-            for f in self.morphisms:
-                composable = self.src[g] == self.tgt[f]
-                if composable != ((g, f) in self.comp):
-                    raise InvariantError(
-                        f"{self.name}: composition table mismatch at ({g}, {f})"
-                    )
-                if composable:
-                    gf = self.comp[(g, f)]
-                    if gf not in self.morphisms:
-                        raise InvariantError(f"{self.name}: composite {gf} unknown")
-                    if self.src[gf] != self.src[f] or self.tgt[gf] != self.tgt[g]:
-                        raise InvariantError(
-                            f"{self.name}: composite ({g}, {f}) has wrong endpoints"
-                        )
-        for f in self.morphisms:
-            if self.comp[(f, self.ids[self.src[f]])] != f:
-                raise InvariantError(f"{self.name}: right identity fails at {f}")
-            if self.comp[(self.ids[self.tgt[f]], f)] != f:
-                raise InvariantError(f"{self.name}: left identity fails at {f}")
-        # arrows by target, in order, so only composable triples are visited
+        # arrows by target, in order, so only composable pairs and triples are visited
         into: dict[str, list[str]] = {x: [] for x in self.objects}
         homs: dict[tuple[str, str], list[str]] = {}
         for m in self.morphisms:
             into[self.tgt[m]].append(m)
             homs.setdefault((self.src[m], self.tgt[m]), []).append(m)
         object.__setattr__(self, "_homs", {k: tuple(v) for k, v in homs.items()})
-        comp = self.comp
+        comp, src, tgt = self.comp, self.src, self.tgt
+        # every bad table entry at its (g, f) place in morphism order; the
+        # first is raised: an entry for a pair that does not compose, ...
+        order = {m: i for i, m in enumerate(self.morphisms)}
+        bad = [(order[g], order[f], f"composition table mismatch at ({g}, {f})")
+               for g, f in comp if g in order and f in order and src[g] != tgt[f]]
+        # ... and a composable pair that is missing or composes wrongly
+        for i, g in enumerate(self.morphisms):
+            for f in into[src[g]]:
+                try:
+                    gf = comp[(g, f)]
+                except KeyError:
+                    bad.append((i, order[f], f"composition table mismatch at ({g}, {f})"))
+                    continue
+                if gf not in order:
+                    bad.append((i, order[f], f"composite {gf} unknown"))
+                elif src[gf] != src[f] or tgt[gf] != tgt[g]:
+                    bad.append((i, order[f], f"composite ({g}, {f}) has wrong endpoints"))
+        if bad:
+            raise InvariantError(f"{self.name}: {min(bad)[2]}")
+        for f in self.morphisms:
+            if comp[(f, self.ids[src[f]])] != f:
+                raise InvariantError(f"{self.name}: right identity fails at {f}")
+            if comp[(self.ids[tgt[f]], f)] != f:
+                raise InvariantError(f"{self.name}: left identity fails at {f}")
         for h in self.morphisms:
-            for g in into[self.src[h]]:
+            for g in into[src[h]]:
                 hg = comp[(h, g)]
-                for f in into[self.src[g]]:
+                for f in into[src[g]]:
                     if comp[(hg, f)] != comp[(h, comp[(g, f)])]:
                         raise InvariantError(
                             f"{self.name}: associativity fails at ({h}, {g}, {f})"

@@ -15,6 +15,12 @@ a stray character needs a second look. Identifiers follow `str.isalpha` and
 non-ASCII digit is an unexpected character. A number too long for `int` is
 a ParseError at its position.
 
+Every list is read by one reader, `_Parser._list`: an item, and one more
+after each separator. A list that names its closing token may be empty;
+one that does not needs at least one item. `_Parser._mapping` reads
+`key -> value` lists through it and reports a key read twice as soon as
+its pair is read.
+
 Printing is canonical: parse(print_workspace(w)) rebuilds w exactly, and
 printing an already-canonical source is the identity.
 """
@@ -217,14 +223,34 @@ class _Parser:
             return self.eat().text
         self.fail("an element label")
 
-    def _element_list(self, closing: str) -> list[str]:
+    def _list(self, item, closing: str | None = None, sep: str = "COMMA") -> list:
+        """Items read by `item()`, one more after each `sep` token. With a
+        `closing` token kind the list may be empty, and the closing token is
+        read after it; without one there is at least one item."""
         out = []
-        if not self.at(closing):
-            out.append(self._element())
-            while self.at("COMMA"):
-                self.eat()
-                out.append(self._element())
-        self.expect(closing)
+        if closing is None or not self.at(closing):
+            out.append(item())
+            while self.toks[self.pos].kind == sep:
+                self.pos += 1
+                out.append(item())
+        if closing is not None:
+            self.expect(closing)
+        return out
+
+    def _mapping(self, key, value, twice: str, closing: str | None = None) -> dict:
+        """`key -> value` pairs read through `_list`; a key read twice raises
+        ResolutionError(twice.format(repr(key))) as soon as its pair is read."""
+        out = {}
+
+        def pair():
+            k = key()
+            self.expect("ARROW")
+            v = value()
+            if k in out:
+                raise ResolutionError(twice.format(repr(k)))
+            out[k] = v
+
+        self._list(pair, closing)
         return out
 
     def _integer(self, expected: str) -> int:
@@ -251,10 +277,7 @@ class _Parser:
         return Fraction(num)
 
     def _rational_list(self, stop_kinds: tuple[str, ...]) -> list[Fraction]:
-        out = [self._rational()]
-        while self.at("COMMA"):
-            self.eat()
-            out.append(self._rational())
+        out = self._list(self._rational)
         if self.peek().kind not in stop_kinds:
             self.fail(" or ".join(k.lower() for k in stop_kinds))
         return out
@@ -334,7 +357,7 @@ class _Parser:
     def _decl_set(self, name):
         self.expect("EQUALS")
         self.expect("LBRACE")
-        elems = self._element_list("RBRACE")
+        elems = self._list(self._element, "RBRACE")
         obj = FinSetObj(tuple(elems))
         return obj, f"set {name} = {{{', '.join(elems)}}}"
 
@@ -345,103 +368,66 @@ class _Parser:
         cod_name = self._name("a set name")
         self.expect("EQUALS")
         self.expect("LBRACE")
-        mapping: dict[str, str] = {}
-        if not self.at("RBRACE"):
-            while True:
-                k = self._element()
-                self.expect("ARROW")
-                v = self._element()
-                if k in mapping:
-                    raise ResolutionError(f"fun {name}: {k!r} mapped twice")
-                mapping[k] = v
-                if not self.at("COMMA"):
-                    break
-                self.eat()
-        self.expect("RBRACE")
+        mapping = self._mapping(
+            self._element, self._element, f"fun {name}: {{}} mapped twice", "RBRACE")
         dom = self.ws.get("set", dom_name)
         cod = self.ws.get("set", cod_name)
         f = fin_function(dom, cod, mapping)
         body = ", ".join(f"{x} -> {f(x)}" for x in dom.elements)
         return f, f"fun {name} : {dom_name} -> {cod_name} = {{{body}}}"
 
-    def _equation_pairs(self):
-        pairs = []
-        self.expect("LBRACE")
-        while True:
-            lhs = self._name("a function name")
-            self.expect("TILDE")
-            rhs = self._name("a function name")
-            pairs.append((lhs, rhs))
-            if not self.at("COMMA"):
-                break
-            self.eat()
-        self.expect("RBRACE")
-        return pairs
+    def _equation_pair(self) -> tuple[str, str]:
+        lhs = self._name("a function name")
+        self.expect("TILDE")
+        return lhs, self._name("a function name")
 
     def _decl_system(self, name):
-        self.keyword("on")
-        on_name = self._name("a set name")
-        pairs = self._equation_pairs()
-        on = self.ws.get("set", on_name)
-        eqs = tuple(
-            Equation(self.ws.get("fun", p), self.ws.get("fun", q)) for p, q in pairs)
-        system = EquationSystem(FINSET_CAT, eqs)
-        if system.domain != on:
-            raise InvariantError(
-                f"system {name} is declared on {on_name} but its equations start elsewhere")
-        body = ", ".join(f"{p} ~ {q}" for p, q in pairs)
-        return system, f"system {name} on {on_name} {{ {body} }}"
+        return self._equations("system", name, EquationSystem, "domain", "start")
 
     def _decl_cosystem(self, name):
+        return self._equations("cosystem", name, CoEquationSystem, "codomain", "end")
+
+    def _equations(self, kind, name, make, side, verb):
+        """A system or cosystem: `side` names the end of its equations that
+        must be the declared set, `verb` says so in the error."""
         self.keyword("on")
         on_name = self._name("a set name")
-        pairs = self._equation_pairs()
+        self.expect("LBRACE")
+        pairs = self._list(self._equation_pair)
+        self.expect("RBRACE")
         on = self.ws.get("set", on_name)
         eqs = tuple(
             Equation(self.ws.get("fun", p), self.ws.get("fun", q)) for p, q in pairs)
-        cosystem = CoEquationSystem(FINSET_CAT, eqs)
-        if cosystem.codomain != on:
+        value = make(FINSET_CAT, eqs)
+        if getattr(value, side) != on:
             raise InvariantError(
-                f"cosystem {name} is declared on {on_name} but its equations end elsewhere")
+                f"{kind} {name} is declared on {on_name} but its equations {verb} elsewhere")
         body = ", ".join(f"{p} ~ {q}" for p, q in pairs)
-        return cosystem, f"cosystem {name} on {on_name} {{ {body} }}"
+        return value, f"{kind} {name} on {on_name} {{ {body} }}"
 
     def _decl_algebra(self, name):
         self.keyword("on")
         self.expect("LBRACE")
-        elems = self._element_list("RBRACE")
+        elems = self._list(self._element, "RBRACE")
         carrier = FinSetObj(tuple(elems))
         self.expect("LBRACE")
-        ops: list[tuple[str, int]] = []
-        tables: dict[str, dict[tuple[str, ...], str]] = {}
-        while True:
+
+        def entry_key() -> tuple[str, ...]:
+            self.expect("LPAREN")
+            return tuple(self._list(self._element, "RPAREN"))
+
+        def op():
             self.keyword("op")
-            sym = self._name("an operation name")
-            self.expect("SLASH")
-            arity = self._integer("an arity")
+            sym, arity = self._operation()
             self.expect("EQUALS")
             self.expect("LBRACE")
-            table: dict[tuple[str, ...], str] = {}
-            if not self.at("RBRACE"):
-                while True:
-                    self.expect("LPAREN")
-                    key = tuple(self._element_list("RPAREN"))
-                    self.expect("ARROW")
-                    out = self._element()
-                    if key in table:
-                        raise ResolutionError(
-                            f"algebra {name}: duplicate entry for {key} in {sym}")
-                    table[key] = out
-                    if not self.at("COMMA"):
-                        break
-                    self.eat()
-            self.expect("RBRACE")
-            ops.append((sym, arity))
-            tables[sym] = table
-            if not self.at("COMMA"):
-                break
-            self.eat()
+            twice = f"algebra {name}: duplicate entry for {{}} in {sym}"
+            return sym, arity, self._mapping(entry_key, self._element, twice, "RBRACE")
+
+        read = self._list(op)
         self.expect("RBRACE")
+        ops = [(sym, arity) for sym, arity, _ in read]
+        tables = {sym: table for sym, _, table in read}
         algebra = FiniteAlgebra(name, Signature(tuple(ops)), carrier, tables)
         parts = []
         for sym, arity in ops:
@@ -462,18 +448,15 @@ class _Parser:
                 f"(have {', '.join(sorted(groups))})")
         return groups[ref], f"group {name} = {ref}"
 
+    def _operation(self) -> tuple[str, int]:
+        sym = self._name("an operation name")
+        self.expect("SLASH")
+        return sym, self._integer("an arity")
+
     def _decl_theory(self, name):
         self.expect("LBRACE")
         self.keyword("sig")
-        ops = []
-        while True:
-            sym = self._name("an operation name")
-            self.expect("SLASH")
-            arity = self._integer("an arity")
-            ops.append((sym, arity))
-            if not self.at("COMMA"):
-                break
-            self.eat()
+        ops = self._list(self._operation)
         sig = Signature(tuple(ops))
         axioms = []
         while self.at("IDENT", "ax"):
@@ -500,19 +483,10 @@ class _Parser:
         src = self.ws.get("theory", src_name)
         tgt = self.ws.get("theory", tgt_name)
         self.expect("LBRACE")
-        images: dict[str, Term] = {}
-        if not self.at("RBRACE"):
-            while True:
-                sym = self._name("a source operation name")
-                self.expect("ARROW")
-                img = self.term("indexed", {})
-                if sym in images:
-                    raise ResolutionError(f"thmor {name}: {sym!r} mapped twice")
-                images[sym] = img
-                if not self.at("COMMA"):
-                    break
-                self.eat()
-        self.expect("RBRACE")
+        images: dict[str, Term] = self._mapping(
+            lambda: self._name("a source operation name"),
+            lambda: self.term("indexed", {}),
+            f"thmor {name}: {{}} mapped twice", "RBRACE")
         ordered = tuple(
             (sym, images[sym]) for sym, _ in src.signature.ops if sym in images)
         morphism = TheoryMorphismData(src, tgt, ordered + tuple(
@@ -522,19 +496,12 @@ class _Parser:
         return morphism, f"thmor {name} : {src_name} -> {tgt_name} {{ {body} }}"
 
     def _word(self) -> tuple[str, ...]:
-        parts = [self._name("an arrow name")]
-        while self.at("DOT"):
-            self.eat()
-            parts.append(self._name("an arrow name"))
-        return tuple(parts)
+        return tuple(self._list(lambda: self._name("an arrow name"), sep="DOT"))
 
     def _decl_category(self, name):
         self.expect("LBRACE")
         self.keyword("ob")
-        objects = [self._name("an object name")]
-        while self.at("COMMA"):
-            self.eat()
-            objects.append(self._name("an object name"))
+        objects = self._list(lambda: self._name("an object name"))
         generators: dict[str, tuple[str, str]] = {}
         gen_order: list[str] = []
         while self.at("IDENT", "ar"):
@@ -588,30 +555,18 @@ class _Parser:
         D = self.ws.get("category", tgt_name)
         self.expect("LBRACE")
         self.keyword("ob")
-        obj_map: dict[str, str] = {}
-        while True:
-            a = self._name("an object name")
-            self.expect("ARROW")
-            b = self._name("an object name")
-            if a in obj_map:
-                raise ResolutionError(f"functor {name}: object {a!r} mapped twice")
-            obj_map[a] = b
-            if not self.at("COMMA"):
-                break
-            self.eat()
+
+        def obj():
+            return self._name("an object name")
+
+        obj_map = self._mapping(obj, obj, f"functor {name}: object {{}} mapped twice")
         ar_map: dict[str, str] = {}
         if self.at("IDENT", "ar"):
             self.eat()
-            while True:
-                f = self._name("an arrow name")
-                self.expect("ARROW")
-                g = self._name("a target morphism name")
-                if f in ar_map:
-                    raise ResolutionError(f"functor {name}: arrow {f!r} mapped twice")
-                ar_map[f] = g
-                if not self.at("COMMA"):
-                    break
-                self.eat()
+            ar_map = self._mapping(
+                lambda: self._name("an arrow name"),
+                lambda: self._name("a target morphism name"),
+                f"functor {name}: arrow {{}} mapped twice")
         self.expect("RBRACE")
         F = self._complete_functor(name, src_name, C, D, obj_map, ar_map)
         gens = self.ws.cat_generators.get(src_name, ())

@@ -238,6 +238,9 @@ class CoproductResult:
         return self.morphism(self.obj, cod, tuple(v for leg in legs for v in leg.table))
 
 
+EMPTY_PRODUCT = "empty products are rejected; no terminal-object convention"
+
+
 def product_of(objs, make, morphism) -> ProductResult:
     """The product of objs in a table category. Its carrier is the tuples
     of the factors' carrier labels in itertools.product order, labelled by
@@ -246,7 +249,7 @@ def product_of(objs, make, morphism) -> ProductResult:
     no instance takes a terminal object as the empty product."""
     objs = tuple(objs)
     if not objs:
-        raise EmptyList("empty products are rejected; no terminal-object convention")
+        raise EmptyList(EMPTY_PRODUCT)
     tuples = list(itertools.product(*(o.carrier.elements for o in objs)))
     obj = make(tuple(map(tuple_label, tuples)), tuples)
     projections = tuple(

@@ -419,7 +419,10 @@ class _CatProductResult(fs.ProductResult):
 
 def _cat_product(objs: list[cats.FiniteCategory]) -> _CatProductResult:
     """Objects and arrows are the tuples of the factors', labelled by
-    fs.tuple_label; everything else is componentwise."""
+    fs.tuple_label; everything else is componentwise. No factors raise
+    EmptyList, as in every table category."""
+    if not objs:
+        raise EmptyList(fs.EMPTY_PRODUCT)
     obj_combos = list(itertools.product(*(C.objects for C in objs)))
     mor_combos = {fs.tuple_label(c): c for c in itertools.product(*(C.morphisms for C in objs))}
 

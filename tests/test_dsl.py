@@ -1,5 +1,6 @@
 import glob
 import os
+import random
 import re
 import sys
 from fractions import Fraction
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cli_manifest import GOLDEN_COMMANDS
-from dsl_oracle import oracle_tokenize
+from dsl_oracle import OracleParser, oracle_tokenize
 from veq import cli, series
 from veq.dsl import (
     Token,
     Workspace,
+    _Parser,
     parse,
     parse_axiom_text,
     parse_files,
@@ -407,3 +409,186 @@ def test_malformed_number_exits_2(int_digit_limit, tmp_path, capsys, text):
     assert captured.out == ""
     assert captured.err.startswith("veq: 1:")
     assert captured.err.count("\n") == 1
+
+
+# --- lists: empty-list rules, duplicate keys, relations ----------------------
+
+
+@pytest.mark.parametrize("src,message", [
+    ("set A = {a}\nfun f : A -> A = {a -> a, a -> a}\n",
+     "fun f: 'a' mapped twice"),
+    ("theory T { sig m/2 }\nthmor h : T -> T { m -> m(x0,x1), m -> m(x1,x0) }\n",
+     "thmor h: 'm' mapped twice"),
+    ("category P { ob a }\nfunctor F : P -> P { ob a -> a, a -> a }\n",
+     "functor F: object 'a' mapped twice"),
+    ("category P2 { ob a, b ar f : a -> b }\n"
+     "functor F : P2 -> P2 { ob a -> a, b -> b ar f -> f, f -> f }\n",
+     "functor F: arrow 'f' mapped twice"),
+    ("algebra M on {0} { op e/1 = {(0) -> 0, (0) -> 0} }\n",
+     "algebra M: duplicate entry for ('0',) in e"),
+    ("algebra M on {0, 1} { op m/2 = {(0,1) -> 0, (0, 1) -> 1} }\n",
+     "algebra M: duplicate entry for ('0', '1') in m"),
+], ids=["fun", "thmor", "functor-object", "functor-arrow", "algebra-unary", "algebra-binary"])
+def test_a_key_read_twice_is_a_resolution_error(src, message):
+    with pytest.raises(ResolutionError) as exc:
+        parse(src)
+    assert str(exc.value) == message
+
+
+def test_a_repeated_key_is_reported_after_its_pair_is_read():
+    assert _parse_error("set A = {a}\nfun f : A -> A = {a -> a, a -> }\n") == (
+        "2:32: <input>: expected an element label, found '}'", 2, 32)
+
+
+@pytest.mark.parametrize("src", [
+    "set E = {}\n",
+    "set E = {}\nfun f : E -> E = {}\n",
+    "algebra E on {} { op c/1 = {} }\n",
+], ids=["set", "fun", "algebra-table"])
+def test_lists_that_may_be_empty(src):
+    assert print_workspace(parse(src)) == src
+
+
+def test_an_empty_theory_morphism_is_read_and_then_checked():
+    with pytest.raises(InvariantError) as exc:
+        parse("theory T { sig e/0 }\nthmor h : T -> T {}\n")
+    assert str(exc.value) == "thmor h: morphism misses image for 'e'"
+
+
+@pytest.mark.parametrize("src,expected", [
+    ("set A = {a}\nsystem E on A { }\n",
+     ("2:17: <input>: expected a function name, found '}'", 2, 17)),
+    ("set A = {a}\ncosystem D on A {}\n",
+     ("2:18: <input>: expected a function name, found '}'", 2, 18)),
+    ("theory T { sig }\n",
+     ("1:16: <input>: expected an operation name, found '}'", 1, 16)),
+    ("category C { ob }\n",
+     ("1:17: <input>: expected an object name, found '}'", 1, 17)),
+    ("category P { ob a }\nfunctor F : P -> P { ob }\n",
+     ("2:25: <input>: expected an object name, found '}'", 2, 25)),
+    ("category P { ob a }\nfunctor F : P -> P { ob a -> a ar }\n",
+     ("2:35: <input>: expected an arrow name, found '}'", 2, 35)),
+    ("algebra M on {0} { }\n",
+     ("1:20: <input>: expected keyword 'op', found '}'", 1, 20)),
+], ids=["system", "cosystem", "signature", "category-objects", "functor-objects",
+        "functor-arrows", "algebra-ops"])
+def test_lists_that_must_not_be_empty(src, expected):
+    assert _parse_error(src) == expected
+
+
+@pytest.mark.parametrize("src,message", [
+    ("set A = {a}\nset B = {x}\nfun p : A -> B = {a -> x}\nsystem E on B { p ~ p }\n",
+     "system E: system E is declared on B but its equations start elsewhere"),
+    ("set A = {a}\nset B = {x}\nfun p : A -> B = {a -> x}\ncosystem D on A { p ~ p }\n",
+     "cosystem D: cosystem D is declared on A but its equations end elsewhere"),
+], ids=["system", "cosystem"])
+def test_equations_must_meet_the_declared_set(src, message):
+    with pytest.raises(InvariantError) as exc:
+        parse(src)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("src,arrows", [
+    ("category Z3 { ob x ar t : x -> x rel t.t.t = id }\n", ("id_x", "t", "t.t")),
+    ("category Sq { ob a, b, c, d ar f : a -> b ar g : b -> d ar h : a -> c "
+     "ar k : c -> d rel g.f = k.h }\n",
+     ("f", "g", "h", "id_a", "id_b", "id_c", "id_d", "k", "k.h")),
+], ids=["cyclic", "commuting-square"])
+def test_relations_round_trip(src, arrows):
+    ws = parse(src)
+    assert print_workspace(ws) == src
+    assert parse(print_workspace(ws)) == ws
+    (_, name), = ws.order
+    assert ws.get("category", name).morphisms == arrows
+
+
+@pytest.mark.parametrize("rel", ["t.u = id", "t = u.t"], ids=["left", "right"])
+def test_a_relation_over_an_unknown_arrow_is_a_resolution_error(rel):
+    with pytest.raises(ResolutionError) as exc:
+        parse(f"category Z3 {{ ob x ar t : x -> x rel {rel} }}\n")
+    assert str(exc.value) == "category Z3: relation uses unknown arrow 'u'"
+
+
+def test_a_word_cannot_end_in_a_dot():
+    assert _parse_error("category Z3 { ob x ar t : x -> x rel t. = id }\n") == (
+        "1:41: <input>: expected an arrow name, found '='", 1, 41)
+
+
+# --- the list readers against the loops they replaced --------------------------
+
+# replacement tokens: every punctuation kind, keywords, a label and numbers
+_PALETTE = (
+    ("COMMA", ","), ("ARROW", "->"), ("LBRACE", "{"), ("RBRACE", "}"),
+    ("LPAREN", "("), ("RPAREN", ")"), ("LBRACK", "["), ("RBRACK", "]"),
+    ("DOT", "."), ("TILDE", "~"), ("SLASH", "/"), ("EQUALS", "="), ("SEMI", ";"),
+    ("COLON", ":"), ("IDENT", "a"), ("IDENT", "ob"), ("IDENT", "ar"),
+    ("IDENT", "id"), ("NUMBER", "0"), ("NUMBER", "-1"),
+)
+_OPEN, _CLOSE = ("LBRACE", "LPAREN", "LBRACK"), ("RBRACE", "RPAREN", "RBRACK")
+_MUTATIONS_PER_FILE = 500
+
+
+def _entry_start(tokens, sep):
+    """Where the list entry that ends at the separator `tokens[sep]` starts:
+    after the nearest enclosing bracket, separator or list keyword."""
+    depth, j = 0, sep - 1
+    while j >= 0:
+        kind = tokens[j].kind
+        if kind in _CLOSE:
+            depth += 1
+        elif kind in _OPEN:
+            if depth == 0:
+                break
+            depth -= 1
+        elif depth == 0 and (
+                kind in ("COMMA", "DOT", "SEMI") or tokens[j].text in ("ob", "ar", "sig")):
+            break
+        j -= 1
+    return j + 1
+
+
+def _mutate(tokens, rng):
+    """Drop, duplicate or replace one token, or repeat one list entry; the
+    final EOF token stays."""
+    body, eof = tokens[:-1], tokens[-1:]
+    i = rng.randrange(len(body))
+    how = rng.choice(("drop", "duplicate", "replace", "repeat"))
+    if how == "drop":
+        return body[:i] + body[i + 1:] + eof
+    if how == "duplicate":
+        return body[:i + 1] + body[i:] + eof
+    if how == "replace":
+        kind, text = rng.choice(_PALETTE)
+        return body[:i] + [Token(kind, text, body[i].line, body[i].col)] + body[i + 1:] + eof
+    seps = [j for j, t in enumerate(body) if t.kind in ("COMMA", "DOT")]
+    if not seps:
+        return body[:i] + body[i + 1:] + eof
+    j = rng.choice(seps)
+    return body[:j + 1] + body[_entry_start(body, j):j + 1] + body[j + 1:] + eof
+
+
+def _outcome(parser, tokens):
+    """The printed workspace, or the error's type, message and position."""
+    ws = Workspace()
+    try:
+        parser(list(tokens), ws, WHERE).file()
+    except Exception as e:  # any fault counts, as long as both parsers share it
+        return type(e).__name__, str(e), getattr(e, "line", None), getattr(e, "column", None)
+    return print_workspace(ws)
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=[os.path.basename(p) for p in CORPUS])
+def test_list_readers_match_the_oracle_under_token_mutations(path):
+    with open(path, encoding="utf-8") as fh:
+        tokens = tokenize(fh.read(), WHERE)
+    printed = _outcome(_Parser, tokens)
+    assert isinstance(printed, str) and printed == _outcome(OracleParser, tokens)
+    rng = random.Random(f"dsl-lists-{os.path.basename(path)}")
+    kinds = set()
+    for _ in range(_MUTATIONS_PER_FILE):
+        mutated = _mutate(tokens, rng)
+        got = _outcome(_Parser, mutated)
+        assert got == _outcome(OracleParser, mutated), mutated
+        kinds.add("printed" if isinstance(got, str) else got[0])
+    # the mutations get past the parser, not only into its syntax errors
+    assert {"ParseError"} < kinds

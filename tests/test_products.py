@@ -149,7 +149,7 @@ def test_leg_checks_raise_the_finset_errors(name):
         cop.cotuple_of([ident(A), ident(A)])
 
 
-@pytest.mark.parametrize("name", ["FinAlg", "FinPoset", "FinSet"])
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_empty_products_and_coproducts_are_rejected(name):
     cat = CASES[name][0]
     with pytest.raises(EmptyList, match="^empty products are rejected"):

@@ -1,11 +1,14 @@
 """Finite algebras over a one-sorted signature: column-wise term evaluation
 (over all assignments at once), satisfaction, homomorphisms, products,
-subalgebra closure, congruences, and quotients, with every operation table
-built by `tabulate`. A homomorphism (`AlgHom`) is a finset.FinFunction
-that adds only the signature check and the hom law; its mapping
-constructor, identity and compose are FinFunction's. A product algebra is
-the table-category product of finset.product_of, with its tables
-tabulated factor by factor. The Birkhoff-style closure operations build on
+subalgebra closure, congruences, and quotients. The tables of given
+operations, subalgebras, quotients and birkhoff's free algebras are built
+by `tabulate`. A homomorphism (`AlgHom`) is a finset.FinFunction that adds
+only the signature check and the hom law; its mapping constructor,
+identity and compose are FinFunction's. A product algebra is the
+table-category product of finset.product_of, with its tables filled
+column-wise: each argument column of the product is split into the
+factors' coordinate columns, and each factor applies its table to its own
+in one pointwise step. The Birkhoff-style closure operations build on
 these.
 
 `term_function` keeps one module-level memo slot: for the algebra of its
@@ -13,9 +16,10 @@ last call (by identity) and that call's n, the projection columns, |A|^n,
 the arity of each symbol, and the column of every subterm with arguments
 evaluated since. A call with another algebra or n replaces the slot, so it
 holds one algebra's subterms at a time, and it is emptied before it would
-hold more than _MEMO_CELLS (2^16) column entries. `tabulate` shares the
-argument tuples of one carrier and arity between all the tables built over
-it, for carriers with at most _SHARED_ARGUMENTS of them.
+hold more than _MEMO_CELLS (2^16) column entries. `tabulate` and
+`product_algebra` share the argument tuples of one carrier and arity
+between all the tables built over it, for carriers with at most
+_SHARED_ARGUMENTS of them; the construction check reads the same tuples.
 """
 
 from __future__ import annotations
@@ -57,17 +61,20 @@ class FiniteAlgebra:
     tables: dict[str, dict[tuple[str, ...], str]] = field(compare=False)
 
     def __post_init__(self):
-        elems = set(self.carrier.elements)
+        elements, index = self.carrier.elements, self.carrier._index
         if set(self.tables) != {sym for sym, _ in self.signature.ops}:
             raise InvariantError(f"{self.name}: tables do not match signature symbols")
         for sym, arity in self.signature.ops:
             table = self.tables[sym]
-            expected = set(itertools.product(self.carrier.elements, repeat=arity))
-            if set(table) != expected:
+            # as many keys as argument tuples, and every argument tuple a key:
+            # the keys are exactly the argument tuples
+            if len(table) != len(elements) ** arity or not all(
+                map(table.__contains__, _arguments(elements, arity))
+            ):
                 raise InvariantError(f"{self.name}: table for {sym} is not total")
-            for out in table.values():
-                if out not in elems:
-                    raise InvariantError(f"{self.name}: {sym} output {out} not in carrier")
+            if not set(table.values()) <= index.keys():
+                out = next(out for out in table.values() if out not in index)
+                raise InvariantError(f"{self.name}: {sym} output {out} not in carrier")
 
     def op(self, sym: str, args: tuple[str, ...]) -> str:
         return self.tables[sym][args]
@@ -166,6 +173,14 @@ class _SubtermMemo:
         # a cap on the number of columns
         self.room = _MEMO_CELLS // max(self.size, 1)
 
+    def keep(self, u: Term, out: tuple[str, ...]) -> None:
+        """Store u's column, emptying the memo first if it is full."""
+        if len(self.memoized) >= self.room:
+            if not self.room:
+                return
+            self.memoized.clear()
+        self.memoized[u] = out
+
 
 # the most column entries term_function's memo holds; a column that would
 # pass it empties the memo first, and a column larger than it is not kept
@@ -182,9 +197,10 @@ def term_function(A: FiniteAlgebra, t: Term, n: int) -> tuple[str, ...]:
     Subterm columns are memoized for one algebra and one n at a time: the
     memo is keyed on A by identity and on n, and a call with another A or n
     replaces it. It maps every subterm with arguments evaluated since then
-    to its column, so a term over already evaluated subterms costs one
-    pointwise step; it is emptied before it would hold more than _MEMO_CELLS
-    (2^16) column entries. A column is stored only after its node has
+    to its column, so a term whose arguments are assigned variables or
+    memoized subterms costs one pointwise step, outside the loop; it is
+    emptied before it would hold more than _MEMO_CELLS (2^16) column
+    entries. A column is stored only after its node has
     evaluated, so a memoized subterm holds no offending node and errors are
     unchanged.
     """
@@ -193,8 +209,28 @@ def term_function(A: FiniteAlgebra, t: Term, n: int) -> tuple[str, ...]:
     if memo is None or memo.algebra is not A or memo.n != n:
         memo = _memo = _SubtermMemo(A, n)
     cols, size, arities = memo.cols, memo.size, memo.arities
-    memoized, room = memo.memoized, memo.room
-    tables = A.tables
+    memoized, tables = memo.memoized, A.tables
+    # a well-formed application whose arguments are all assigned variables or
+    # memoized subterms is one pointwise step; any other term, and so any
+    # term that raises, goes through the loop
+    args = () if t.__class__ is Var else t.args
+    if args and t.symbol in tables and len(args) == arities[t.symbol]:
+        out = memoized.get(t)
+        if out is not None:
+            return out
+        ready = []
+        for u in args:
+            if u.__class__ is Var:
+                out = cols[u.index] if u.index < n else None
+            else:
+                out = memoized.get(u)
+            if out is None:
+                break
+            ready.append(out)
+        else:
+            out = tuple(map(tables[t.symbol].__getitem__, zip(*ready)))
+            memo.keep(t, out)
+            return out
     values: list[tuple[str, ...]] = []
     # terms to visit in preorder, and (table, arity, term) entries that apply
     # a symbol to the columns its arguments left on top of `values`
@@ -207,11 +243,7 @@ def term_function(A: FiniteAlgebra, t: Term, n: int) -> tuple[str, ...]:
             out = tuple(map(table.__getitem__, zip(*values[k:])))
             del values[k:]
             values.append(out)
-            if len(memoized) < room:
-                memoized[u] = out
-            elif room:
-                memoized.clear()
-                memoized[u] = out
+            memo.keep(u, out)
         elif u.__class__ is Var:
             if u.index >= n:
                 raise UnboundVariable(f"variable {u.index} not assigned")
@@ -309,17 +341,21 @@ def product_algebra(As: list[FiniteAlgebra], name: str | None = None) -> Product
             raise SignatureMismatch("product factors disagree on signature")
 
     def make(labels, tuples):
-        unpack = dict(zip(labels, tuples))
-
-        def value(sym, args):
-            # factor by factor, so a constant takes each factor's own value
-            cols = [unpack[a] for a in args]
-            return tuple_label([F.op(sym, tuple(c[i] for c in cols)) for i, F in enumerate(As)])
-
         sig = As[0].signature
+        unpack = dict(zip(labels, tuples)).__getitem__
+        label_of = dict(zip(tuples, labels)).__getitem__
+        tables = {}
+        for sym, arity in sig.ops:
+            size = len(labels) ** arity
+            # each argument column of the product, split into one coordinate
+            # column per factor
+            coords = [tuple(zip(*map(unpack, col))) or ((),) * len(As)
+                      for col in _columns(labels, arity)]
+            # factor by factor, so a constant takes each factor's own value
+            outs = [pointwise(F, sym, [c[i] for c in coords], size) for i, F in enumerate(As)]
+            tables[sym] = dict(zip(_arguments(labels, arity), map(label_of, zip(*outs))))
         return FiniteAlgebra(
-            name or tuple_label([A.name for A in As]), sig, FinSetObj(labels),
-            tabulate(sig, labels, value),
+            name or tuple_label([A.name for A in As]), sig, FinSetObj(labels), tables
         )
 
     return product_of(As, make, AlgHom)
@@ -485,7 +521,7 @@ def quotient_algebra(
     """Quotient by a congruence; class labels are earliest-member labels."""
     if not is_congruence(A, partition):
         raise InvariantError("partition is not operation-compatible")
-    rep = {x: min(c, key=A.carrier.elements.index) for c in partition for x in c}
+    rep = {x: min(c, key=A.carrier._index.__getitem__) for c in partition for x in c}
     # each class's label first occurs at its earliest member
     labels = tuple(dict.fromkeys(rep[x] for x in A.carrier.elements))
     tables = tabulate(A.signature, labels, lambda sym, args: rep[A.op(sym, args)])

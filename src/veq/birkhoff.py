@@ -103,16 +103,20 @@ def _valid_pairs(A: FiniteAlgebra, n_vars: int, depth: int, raw: bool) -> list[t
     transitivity, which the proof search finds in two steps."""
     if len(A.carrier) ** n_vars > _MAX_ASSIGNMENTS:
         raise BoundsTooLarge("too many assignments to evaluate")
-    by_function: dict[tuple[str, ...], list[Term]] = {}
+    # each term as (size, repr, term), so every repr is rendered once
+    by_function: dict[tuple[str, ...], list[tuple[int, str, Term]]] = {}
     for t in enumerate_terms(A.signature, n_vars, depth):
-        by_function.setdefault(alg.term_function(A, t, n_vars), []).append(t)
+        by_function.setdefault(alg.term_function(A, t, n_vars), []).append(
+            (term_size(t), repr(t), t))
     pairs = []
     for g in by_function.values():
-        g.sort(key=lambda t: (term_size(t), repr(t)))
+        g.sort(key=lambda e: e[:2])
         for i in range(len(g) if raw else 1):
-            pairs.extend((g[i], t) for t in g[i + 1:])
-    pairs.sort(key=lambda p: (term_size(p[0]) + term_size(p[1]), repr(p)))
-    return pairs
+            size, text, t = g[i]
+            # f"({text}, {r})" is repr((t, u))
+            pairs.extend((size + s, f"({text}, {r})", t, u) for s, r, u in g[i + 1:])
+    pairs.sort(key=lambda p: p[:2])
+    return [(t, u) for _, _, t, u in pairs]
 
 
 def _kept_identities(A: FiniteAlgebra, n_vars: int, depth: int, budget: int = 300):

@@ -49,11 +49,16 @@ class FiniteCategory:
             homs.setdefault((self.src[m], self.tgt[m]), []).append(m)
         object.__setattr__(self, "_homs", {k: tuple(v) for k, v in homs.items()})
         comp, src, tgt = self.comp, self.src, self.tgt
+        order = {m: i for i, m in enumerate(self.morphisms)}
+        for g, f in comp:
+            if g not in order or f not in order:
+                raise InvariantError(
+                    f"{self.name}: composition table key ({g}, {f}) names an unknown arrow"
+                )
         # every bad table entry at its (g, f) place in morphism order; the
         # first is raised: an entry for a pair that does not compose, ...
-        order = {m: i for i, m in enumerate(self.morphisms)}
         bad = [(order[g], order[f], f"composition table mismatch at ({g}, {f})")
-               for g, f in comp if g in order and f in order and src[g] != tgt[f]]
+               for g, f in comp if src[g] != tgt[f]]
         # ... and a composable pair that is missing or composes wrongly
         for i, g in enumerate(self.morphisms):
             for f in into[src[g]]:

@@ -6,27 +6,30 @@ an oracle.
 
 veq.algebras now evaluates a term column-wise in one explicit-stack loop over
 projection columns, memoizing subterm columns for one algebra and one number
-of variables at a time, builds every table with `tabulate`, closes a set of
-pairs to a congruence by pair propagation (each union of a and b pushes the
-images of a and b under every one-position translation), joins congruences by
-a union-find merge of their pairs alone, and checks a congruence by asking
-whether the closure of its own pairs leaves it unchanged. These are the
-earlier versions, unchanged apart from their names: the first evaluator
-recurses once per assignment, the second folds the columns through
-`theories._fold` with callbacks, and the third is the explicit-stack loop
-without the memo, which builds every subterm's column again on each call; the
-closure rescans every argument tuple against every element of the same class
-until nothing changes, and the lattice closes every join again; the
-congruence check tries every argument position against every element of the
-same class. The hom and isomorphism enumerations try every table of
-itertools.product (or permutations) and keep those the AlgHom constructor
-accepts; veq now finds them with finset.search_tables under
+of variables at a time, builds every table but a product's with `tabulate`,
+closes a set of pairs to a congruence by pair propagation (each union of a
+and b pushes the images of a and b under every one-position translation),
+joins congruences by a union-find merge of their pairs alone, and checks a
+congruence by asking whether the closure of its own pairs leaves it
+unchanged. These are the earlier versions, unchanged apart from their names:
+the first evaluator recurses once per assignment, the second folds the
+columns through `theories._fold` with callbacks, and the third is the
+explicit-stack loop without the memo, which builds every subterm's column
+again on each call; the closure rescans every argument tuple against every
+element of the same class until nothing changes, and the lattice closes every
+join again; the congruence check tries every argument position against every
+element of the same class. The hom and isomorphism enumerations try every
+table of itertools.product (or permutations) and keep those the AlgHom
+constructor accepts; veq now finds them with finset.search_tables under
 algebras.hom_checks. The free algebra's closure rescanned every argument
 tuple of the growing carrier each round and evaluated the tables again
 afterwards; veq.birkhoff now evaluates each tuple once, in a semi-naive
-closure. The product algebra labelled its own tuples and tupled its legs
-with its own checks; veq now builds it with finset.product_of, as every
-table category's product.
+closure. The product algebra labelled its own tuples and tupled its legs with
+its own checks; veq now builds it with finset.product_of, as every table
+category's product, and fills its tables column-wise, one pointwise step per
+factor. `oracle_check_tables` is the earlier `FiniteAlgebra.__post_init__`,
+which compared each table's key set with a set of every argument tuple; veq
+now counts the keys and looks each argument tuple up.
 """
 
 import itertools
@@ -45,6 +48,21 @@ from veq.errors import (
 )
 from veq.finset import FinSetObj, _UnionFind, tuple_label
 from veq.theories import App, Term, Var, _fold
+
+
+def oracle_check_tables(name, signature, carrier: FinSetObj, tables) -> None:
+    """Raise the InvariantError FiniteAlgebra(name, ...) raises, if any."""
+    elems = set(carrier.elements)
+    if set(tables) != {sym for sym, _ in signature.ops}:
+        raise InvariantError(f"{name}: tables do not match signature symbols")
+    for sym, arity in signature.ops:
+        table = tables[sym]
+        expected = set(itertools.product(carrier.elements, repeat=arity))
+        if set(table) != expected:
+            raise InvariantError(f"{name}: table for {sym} is not total")
+        for out in table.values():
+            if out not in elems:
+                raise InvariantError(f"{name}: {sym} output {out} not in carrier")
 
 
 def oracle_eval_term(A: FiniteAlgebra, t: Term, env: dict[int, str]) -> str:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebra_oracle import (
+    oracle_check_tables,
     oracle_columnwise_term_function,
     oracle_congruence_closure,
     oracle_congruences,
@@ -183,6 +184,70 @@ def test_deep_terms_evaluate():
 
 
 # -- tables --------------------------------------------------------------------
+
+def construction_error(check, *args):
+    try:
+        check(*args)
+    except InvariantError as e:
+        return str(e)
+    return None
+
+
+def meet_tables(**changes):
+    """chain3's meet table, with keys removed (value None) or set."""
+    table = {args: min(args) for args in itertools.product("012", repeat=2)}
+    for args, out in changes.get("meet", {}).items():
+        if out is None:
+            del table[args]
+        else:
+            table[args] = out
+    return {"meet": table}
+
+
+@pytest.mark.parametrize("tables, message", [
+    ({}, "tables do not match signature symbols"),
+    ({**meet_tables(), "join": {}}, "tables do not match signature symbols"),
+    (meet_tables(meet={("1", "2"): None}), "table for meet is not total"),
+    (meet_tables(meet={("1", "9"): "1"}), "table for meet is not total"),
+    # a foreign key, and keys of the wrong arity, at the right entry count
+    (meet_tables(meet={("1", "2"): None, ("1", "9"): "1"}), "table for meet is not total"),
+    (meet_tables(meet={("1", "2"): None, ("1",): "1"}), "table for meet is not total"),
+    (meet_tables(meet={("1", "2"): None, ("1", "2", "0"): "1"}), "table for meet is not total"),
+    (meet_tables(meet={("1", "2"): "9", ("2", "2"): "8"}), "meet output 9 not in carrier"),
+])
+def test_finite_algebra_construction_errors(tables, message):
+    args = ("A", MEET, FinSetObj(("0", "1", "2")), tables)
+    assert construction_error(FiniteAlgebra, *args) == f"A: {message}"
+    assert construction_error(oracle_check_tables, *args) == f"A: {message}"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(0, 5))
+def test_construction_checks_match_the_set_based_oracle(rng, size, kind):
+    A = random_algebra(rng, size)
+    tables = {sym: dict(table) for sym, table in A.tables.items()}
+    sym, arity = rng.choice(SIG.ops)
+    table, elems = tables[sym], A.carrier.elements
+    if kind == 1:  # a missing entry
+        del table[rng.choice(list(table))]
+    elif kind in (2, 3):  # a foreign key, or a key of another arity, often in place of an entry
+        if rng.random() < 0.5:
+            del table[rng.choice(list(table))]
+        k = arity if kind == 2 and arity else rng.choice([k for k in range(5) if k != arity])
+        key = [rng.choice(elems) for _ in range(k)]
+        if kind == 2 and arity:
+            key[rng.randrange(k)] = "x"
+        table[tuple(key)] = rng.choice(elems)
+    elif kind == 4:  # an output outside the carrier
+        table[rng.choice(list(table))] = "x"
+    elif kind == 5:  # a symbol too many, or one too few
+        if rng.random() < 0.5:
+            tables["zz"] = {}
+        else:
+            del tables[sym]
+    args = ("r", SIG, A.carrier, tables)
+    assert construction_error(FiniteAlgebra, *args) == construction_error(oracle_check_tables, *args)
+
 
 def test_product_tables_match_oracle_with_a_constant():
     g = grp.corpus()
@@ -400,6 +465,26 @@ def test_a_failed_term_keeps_its_evaluated_prefix_and_its_error():
     assert term_function(A, prefix, 2) == oracle_columnwise_term_function(A, prefix, 2)
     with pytest.raises(UnboundVariable, match="^variable 1 not assigned$"):
         term_function(A, prefix, 1)
+
+
+def test_a_term_over_memoized_arguments_raises_as_the_loop_raises():
+    A = random_algebra(random.Random(3), 3)
+    ready = App("b", (Var(0), Var(1)))
+    cases = [
+        (App("zz", (ready, Var(0))), SignatureMismatch, "^symbol zz not in algebra r3$"),
+        (App("u", (ready, Var(0))), SignatureMismatch, "^symbol u applied at wrong arity$"),
+        (App("b", (ready, Var(2))), UnboundVariable, "^variable 2 not assigned$"),
+        # the node's own error comes before its arguments' in preorder
+        (App("zz", (ready, Var(2))), SignatureMismatch, "^symbol zz not in algebra r3$"),
+    ]
+    term_function(A, ready, 2)
+    for t, error, message in cases:
+        with pytest.raises(error, match=message):
+            term_function(A, t, 2)
+        assert t not in alg._memo.memoized
+    for t in (App("b", (ready, Var(1))), App("t", (ready, ready, Var(0)))):
+        assert term_function(A, t, 2) == oracle_columnwise_term_function(A, t, 2)
+        assert alg._memo.memoized[t] == oracle_columnwise_term_function(A, t, 2)
 
 
 def test_memo_lets_go_of_the_algebra_it_leaves():

@@ -346,6 +346,20 @@ def test_corrupted_categories_fail_as_the_oracle_fails(corpus_cats):
             "bad"} <= messages
 
 
+@pytest.mark.parametrize("key", [("zz", "f"), ("f", "zz")])
+def test_a_composition_key_with_an_unknown_arrow_is_rejected(key):
+    # the oracle never looks at such a key and accepts the category; a
+    # functor out of it then failed with a bare KeyError
+    ws = dsl.parse_files([os.path.join(ROOT, "corpus", "cats.veq")])
+    P2 = ws.get("category", "P2")
+    comp = {**P2.comp, key: "f"}
+    args = ("P2", P2.objects, P2.morphisms, P2.src, P2.tgt, P2.ids, comp)
+    assert validation_error(oracle_validate, *args) is None
+    with pytest.raises(InvariantError, match=(
+            rf"^P2: composition table key \({key[0]}, {key[1]}\) names an unknown arrow$")):
+        cats.FiniteCategory(*args)
+
+
 # -- FinCat on the table-category base -------------------------------------------
 
 T = cats.tabulate_category("T", ["a"], {"a": ("a", "a")}, {"a": "a"}, lambda g, f: "a")
